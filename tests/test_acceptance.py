@@ -320,7 +320,7 @@ def test_criterion_10_chain_graph_contrast():
         f"with period {core_period}")
 
 
-def test_criterion_11_golden_reports(tmp_path):
+def test_criterion_11_golden_reports(tmp_path, golden_diff):
     t0 = time.perf_counter()
     configs = ["classify-set", "spacing", "sturmian", "interval-devaney",
                "shadow", "p-chaos"]
@@ -337,5 +337,6 @@ def test_criterion_11_golden_reports(tmp_path):
         for name in a_files:
             if (a_dir / name).read_bytes() != (b_dir / name).read_bytes():
                 ok = False
+        ok = ok and golden_diff(a_dir, cmd) == []
     _line(11, "golden reports", ok, t0)
     assert ok

@@ -176,7 +176,7 @@ def test_shadow_outputs_are_reproducible(tmp_path, capsys):
     assert "verdict=pass delta_pass=0.01" in read(tmp_path / "a" / "report.txt")
 
 
-def test_report_all_summary(tmp_path, capsys):
+def test_report_all_summary(tmp_path, capsys, golden_diff):
     assert main(["report-all", "--out", str(tmp_path)]) == 0
     assert "report-all: 9 fixture reports" in capsys.readouterr().out
     summary = read(tmp_path / "summary.txt")
@@ -186,6 +186,7 @@ def test_report_all_summary(tmp_path, capsys):
         if path.is_file() and "again" not in path.parts:
             twin = tmp_path / "again" / path.relative_to(tmp_path)
             assert twin.read_bytes() == path.read_bytes(), path.name
+    assert golden_diff(tmp_path / "again", "report-all") == []
     assert ("classify_nonpowers: syndetic=true thick=true cofinite=false"
             in summary)
     assert ("spacing_evens: all_syndetic=true all_thick=false "
