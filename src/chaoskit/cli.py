@@ -163,15 +163,21 @@ def _load_ini(path: str) -> dict[str, dict[str, object]]:
     return out
 
 
+def _defaults(section: str, ini: dict[str, dict[str, object]]) -> dict[str, object]:
+    """A section's option dests, INI values over the built-in defaults."""
+    given = ini.get(section, {})
+    dests = [(name.replace("-", "_"), default)
+             for name, _, default, _ in SECTIONS[section]]
+    return {dest: given.get(dest, default) for dest, default in dests}
+
+
 def _dump_config(ini: dict[str, dict[str, object]], seed: str, out: str) -> str:
     lines = ["[run]", f"seed={seed}", f"out={out}", ""]
     for section, table in SECTIONS.items():
         if not table:
             continue
         lines.append(f"[{section}]")
-        merged = ini.get(section, {})
-        for name, conv, default, _ in table:
-            val = merged.get(name.replace("-", "_"), default)
+        for (name, conv, _, _), val in zip(table, _defaults(section, ini).values()):
             if conv is _floats:
                 val = ",".join(repr(v) for v in val)
             lines.append(f"{name}={val}")
@@ -198,21 +204,10 @@ def _build_parser(ini: dict[str, dict[str, object]]) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
     for section, table in SECTIONS.items():
         sub = subs.add_parser(section, parents=[common])
-        defaults = {}
-        for name, conv, default, help_ in table:
-            dest = name.replace("-", "_")
+        for name, conv, _, help_ in table:
             sub.add_argument(f"--{name}", type=conv, help=help_)
-            defaults[dest] = ini.get(section, {}).get(dest, default)
-        sub.set_defaults(**defaults)
+        sub.set_defaults(**_defaults(section, ini))
     return parser
-
-
-def _family_params(args, tail: bool = True) -> FamilyParams:
-    return FamilyParams(
-        gap=args.gap, block=args.block, cofinite_head=args.cofinite_head,
-        burnin=args.burnin,
-        tail_policy=getattr(args, "tail_policy", setfam.CENSORED) if tail
-        else setfam.CENSORED)
 
 
 def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
@@ -222,24 +217,14 @@ def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
             text = Path(spec[1:]).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read set file: {e}")
-        return subshift_parse_window(text), spec
+        return setfam.parse_window_text(text), spec
     if spec and spec[0].isdigit():
         try:
             members = [int(t) for t in spec.split(",")]
         except ValueError:
             raise ConfigError(f"bad member list {spec!r}")
         return setfam.window_set(horizon, members), spec
-    try:
-        return setfam.from_generator(spec, horizon), spec
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def subshift_parse_window(text: str) -> WindowSet:
-    try:
-        return setfam.parse_window_text(text)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return setfam.from_generator(spec, horizon), spec
 
 
 def _load_map(spec: str) -> tuple[interval.PLMap, str]:
@@ -247,15 +232,11 @@ def _load_map(spec: str) -> tuple[interval.PLMap, str]:
     if spec.startswith("@"):
         path = Path(spec[1:])
         try:
-            return interval.parse_pl_text(path.read_text()), path.stem
+            text = path.read_text()
         except OSError as e:
             raise ConfigError(f"cannot read map file: {e}")
-        except ValueError as e:
-            raise ConfigError(str(e))
-    try:
-        return interval.builtin(spec), spec
-    except ValueError as e:
-        raise ConfigError(str(e))
+        return interval.parse_pl_text(text), path.stem
+    return interval.builtin(spec), spec
 
 
 def _emit(outdir: Path, report: str, csvs: dict[str, list[list]]) -> None:
@@ -305,6 +286,8 @@ def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
                 params: FamilyParams, k_max: int, witness: str):
     if not p.members:
         raise ConfigError("empty spacing set: nothing to survey")
+    if word_len < 1:
+        raise ConfigError("word_len < 1: no word pairs to survey")
     oracle = subshift.SpacingShift(p)
     rep = subshift.fs_transitivity_report(oracle, word_len, n_max, params)
     dp = subshift.spacing_dense_periodic(p, k_max)
@@ -351,15 +334,13 @@ def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
     return "\n".join(lines), {"pairs.csv": rows}, headline
 
 
-def run_sturmian(prefix_len: int, word_len: int, word: str,
+def run_sturmian(spec: subshift.SturmianSpec, word_len: int, word: str,
                  params: FamilyParams):
-    spec = subshift.golden_spec(prefix_len)
     oracle = subshift.SturmianShift(spec)
     lang = subshift.language(oracle, word_len)
     counts = {n: sum(1 for w in lang if len(w) == n)
               for n in range(1, word_len + 1)}
     complexity_ok = all(counts[n] == n + 1 for n in counts)
-    word = subshift.parse_word(word)
     if not word:
         raise ConfigError("empty word: nothing to locate")
     occ = subshift.occurrence_gaps(spec, word)
@@ -459,27 +440,27 @@ def _probe_lines(probe: shadowing.ProbeResult) -> list[str]:
     return lines
 
 
-def run_shadow(m: interval.PLMap, name: str, *, eps, deltas, length, trials,
-               target, candidates, challenge, params: FamilyParams, seed: str):
-    system = shadowing.IntervalSystem(m, name=name)
+def run_shadow(system: shadowing.IntervalSystem, *, eps, deltas, length,
+               trials, target, candidates, challenges, params: FamilyParams,
+               seed: str):
     probe = shadowing.fg_shadowing_probe(
         system, eps, deltas, length, trials, target=target, params=params,
-        n_candidates=candidates, seed=f"{seed}/shadow/{name}",
-        challenges=_challenges_for(name, challenge))
-    lines = [f"tracing probe: {name}"] + _probe_lines(probe) + [""]
+        n_candidates=candidates, seed=f"{seed}/shadow/{system.name}",
+        challenges=challenges)
+    lines = [f"tracing probe: {system.name}"] + _probe_lines(probe) + [""]
     return ("\n".join(lines), {"probe.csv": _probe_rows(probe)},
             f"probe={probe.verdict}")
 
 
 def run_pchaos(m: interval.PLMap, name: str, *, eps, deltas, length, trials,
-               candidates, challenge, chain_delta, chain_nodes,
+               candidates, challenges, chain_delta, chain_nodes,
                density_eps, density_steps, params: FamilyParams, seed: str):
     rep = shadowing.p_chaos_report(
         m, name, eps=eps, deltas=deltas, length=length, trials=trials,
         n_candidates=candidates, chain_delta=chain_delta,
         chain_nodes=chain_nodes, seed=f"{seed}/p-chaos/{name}", params=params,
         density_epsilon=density_eps, density_n_max=density_steps,
-        challenges=_challenges_for(name, challenge))
+        challenges=challenges)
     lines = [f"periodic-density and tracing report: {name}"]
     lines += list(rep.notes)
     lines.append(f"evidence={_fb(rep.evidence)}")
@@ -492,140 +473,97 @@ def run_pchaos(m: interval.PLMap, name: str, *, eps, deltas, length, trials,
 
 
 # ---------------------------------------------------------------------------
-# Subcommand adapters.
+# Dispatch.  report-all runs its fixtures through the same _run as the
+# subcommands, on each section's built-in defaults plus these overrides; INI
+# sections do not apply to it, so the fixtures stay fixed.
 
-def _cmd_classify(args, outdir: Path, seed: str) -> str:
-    a, source = _load_window(args.members, args.horizon)
-    report, files, headline = run_classify(a, source, _family_params(args))
-    _emit(outdir, report, files)
-    return headline
-
-
-def _cmd_spacing(args, outdir: Path, seed: str) -> str:
-    p, source = _load_window(args.p, args.horizon)
-    report, files, headline = run_spacing(
-        p, source, args.word_len, args.n_max, _family_params(args),
-        args.k_max, args.witness)
-    _emit(outdir, report, files)
-    return headline
-
-
-def _cmd_sturmian(args, outdir: Path, seed: str) -> str:
-    report, files, headline = run_sturmian(
-        args.prefix_len, args.word_len, args.word, _family_params(args))
-    _emit(outdir, report, files)
-    return headline
+REPORT_ALL: list[tuple[str, str, dict[str, object]]] = [
+    ("classify_nonpowers", "classify-set", {}),
+    ("spacing_evens", "spacing", {}),
+    ("spacing_nonpowers", "spacing",
+     {"p": "complement(powers(2))", "witness": "1,4,1"}),
+    ("sturmian_golden", "sturmian", {}),
+    ("interval_S", "interval-devaney", {"map": "S"}),
+    ("interval_tent", "interval-devaney",
+     {"map": "tent", "delta": Fraction(1, 4), "density_eps": Fraction(1, 64)}),
+    ("interval_example211", "interval-devaney", {"map": "example211"}),
+    ("pchaos_tent", "p-chaos", {"challenge": "none"}),
+    ("shadow_example211", "shadow",
+     {"map": "example211", "length": 64, "candidates": 2001,
+      "challenge": "crossing"}),
+]
 
 
-def _survey_params(args) -> interval.SurveyParams:
+def _run(section: str, opts: dict[str, object], seed: str):
+    """Run one section on its option dests; returns (report, csvs, headline).
+
+    Every input is built and validated before the runner starts, and only
+    this build step turns a library ValueError (or the ZeroDivisionError of
+    zero interval cells) into a ConfigError, exit 2; the same error from the
+    run itself stays a bug, not a bad option.
+    """
+    o = argparse.Namespace(**opts)
     try:
-        return interval.SurveyParams(
-            cells=args.cells, margin=args.margin, delta=args.delta,
-            n_steps=args.steps,
-            family=FamilyParams(gap=args.gap, block=args.block,
-                                cofinite_head=args.cofinite_head,
-                                burnin=args.burnin),
-            density_epsilon=args.density_eps,
-            density_n_max=args.density_steps)
-    except ValueError as e:
-        raise ConfigError(str(e))
+        family = FamilyParams(
+            gap=o.gap, block=o.block, cofinite_head=o.cofinite_head,
+            burnin=o.burnin,
+            tail_policy=opts.get("tail_policy", setfam.CENSORED))
+        if section in ("classify-set", "spacing"):
+            window, source = _load_window(
+                o.members if section == "classify-set" else o.p, o.horizon)
+        if section == "sturmian":
+            spec = subshift.golden_spec(o.prefix_len)
+            word = subshift.parse_word(o.word)
+        if "map" in opts:
+            m, name = _load_map(o.map)
+        if section == "interval-devaney":
+            survey = interval.SurveyParams(
+                cells=o.cells, margin=o.margin, delta=o.delta,
+                n_steps=o.steps, family=family,
+                density_epsilon=o.density_eps,
+                density_n_max=o.density_steps)
+            survey.grid(m)
+        if section in ("shadow", "p-chaos"):
+            system = shadowing.IntervalSystem(m, name=name)
+            system.grid(o.candidates)
+            shadowing.check_pseudo_orbits(o.deltas, o.length)
+            probe = dict(eps=o.eps, deltas=o.deltas, length=o.length,
+                         trials=o.trials, candidates=o.candidates,
+                         challenges=_challenges_for(name, o.challenge),
+                         params=family, seed=seed)
+        if section == "shadow" and o.target not in shadowing.TARGETS:
+            raise ConfigError(f"unknown target {o.target!r}")
+        if section == "p-chaos":
+            system.grid(o.chain_nodes)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(str(e)) from None
+    if section == "classify-set":
+        return run_classify(window, source, family)
+    if section == "spacing":
+        return run_spacing(window, source, o.word_len, o.n_max, family,
+                           o.k_max, o.witness)
+    if section == "sturmian":
+        return run_sturmian(spec, o.word_len, word, family)
+    if section == "interval-devaney":
+        return run_interval(m, name, survey)
+    if section == "shadow":
+        return run_shadow(system, target=o.target, **probe)
+    return run_pchaos(m, name, chain_delta=o.chain_delta,
+                      chain_nodes=o.chain_nodes, density_eps=o.density_eps,
+                      density_steps=o.density_steps, **probe)
 
 
-def _cmd_interval(args, outdir: Path, seed: str) -> str:
-    m, name = _load_map(args.map)
-    report, files, headline = run_interval(m, name, _survey_params(args))
-    _emit(outdir, report, files)
-    return headline
-
-
-def _cmd_shadow(args, outdir: Path, seed: str) -> str:
-    m, name = _load_map(args.map)
-    if args.target not in shadowing.TARGETS:
-        raise ConfigError(f"unknown target {args.target!r}")
-    report, files, headline = run_shadow(
-        m, name, eps=args.eps, deltas=args.deltas, length=args.length,
-        trials=args.trials, target=args.target, candidates=args.candidates,
-        challenge=args.challenge, params=_family_params(args, tail=False),
-        seed=seed)
-    _emit(outdir, report, files)
-    return headline
-
-
-def _cmd_pchaos(args, outdir: Path, seed: str) -> str:
-    m, name = _load_map(args.map)
-    report, files, headline = run_pchaos(
-        m, name, eps=args.eps, deltas=args.deltas, length=args.length,
-        trials=args.trials, candidates=args.candidates,
-        challenge=args.challenge, chain_delta=args.chain_delta,
-        chain_nodes=args.chain_nodes, density_eps=args.density_eps,
-        density_steps=args.density_steps,
-        params=_family_params(args, tail=False), seed=seed)
-    _emit(outdir, report, files)
-    return headline
-
-
-def _cmd_report_all(args, outdir: Path, seed: str) -> str:
-    classify_params = FamilyParams(gap=2, block=8, cofinite_head=8, burnin=8)
-    survey_s = interval.SurveyParams()
-    survey_tent = interval.SurveyParams(
-        delta=Fraction(1, 4), density_epsilon=Fraction(1, 64))
-    survey_eg = interval.SurveyParams()
-    probe_params = FamilyParams(gap=2, block=4, cofinite_head=2, burnin=4)
+def _report_all(outdir: Path, seed: str) -> str:
     jobs = []
-
-    a = setfam.from_generator("complement(powers(2))", 256)
-    jobs.append(("classify_nonpowers",
-                 run_classify(a, "complement(powers(2))", classify_params)))
-
-    evens = setfam.from_generator("evens", 128)
-    jobs.append(("spacing_evens",
-                 run_spacing(evens, "evens", 3, 64, classify_params, 128, "")))
-
-    nonpow = setfam.from_generator("complement(powers(2))", 128)
-    jobs.append(("spacing_nonpowers",
-                 run_spacing(nonpow, "complement(powers(2))", 3, 64,
-                             classify_params, 128, "1,4,1")))
-
-    jobs.append(("sturmian_golden",
-                 run_sturmian(10_000, 8, "010",
-                              FamilyParams(gap=34, block=8, cofinite_head=8,
-                                           burnin=8))))
-
-    for map_name, sp in (("S", survey_s), ("tent", survey_tent),
-                         ("example211", survey_eg)):
-        jobs.append((f"interval_{map_name}",
-                     run_interval(interval.builtin(map_name), map_name, sp)))
-
-    jobs.append(("pchaos_tent", run_pchaos(
-        interval.builtin("tent"), "tent", eps=0.05,
-        deltas=_floats(_DELTAS), length=10, trials=6, candidates=10_001,
-        challenge="none", chain_delta=0.02, chain_nodes=129,
-        density_eps=Fraction(1, 64), density_steps=10,
-        params=probe_params, seed=seed)))
-
-    jobs.append(("shadow_example211", run_shadow(
-        interval.builtin("example211"), "example211", eps=0.05,
-        deltas=_floats(_DELTAS), length=64, trials=6, target="full",
-        candidates=2001, challenge="crossing", params=probe_params,
-        seed=seed)))
-
+    for sub, section, overrides in REPORT_ALL:
+        opts = {**_defaults(section, {}), **overrides}
+        jobs.append((sub, _run(section, opts, seed)))
     summary = []
     for sub, (report, files, headline) in jobs:
         _emit(outdir / sub, report, files)
         summary.append(f"{sub}: {headline}")
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     return f"{len(jobs)} fixture reports"
-
-
-_HANDLERS = {
-    "classify-set": _cmd_classify,
-    "spacing": _cmd_spacing,
-    "sturmian": _cmd_sturmian,
-    "interval-devaney": _cmd_interval,
-    "shadow": _cmd_shadow,
-    "p-chaos": _cmd_pchaos,
-    "report-all": _cmd_report_all,
-}
 
 
 def _main(argv: list[str]) -> int:
@@ -644,7 +582,11 @@ def _main(argv: list[str]) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         raise ConfigError("no subcommand given")
-    headline = _HANDLERS[args.command](args, Path(out), seed)
+    if args.command == "report-all":
+        headline = _report_all(Path(out), seed)
+    else:
+        report, files, headline = _run(args.command, vars(args), seed)
+        _emit(Path(out), report, files)
     print(f"{args.command}: {headline}")
     return 0
 

@@ -155,6 +155,16 @@ def recompute_valid_set(system, points: np.ndarray, delta: float) -> WindowSet:
     return WindowSet(len(points) - 1, tuple(int(i) for i in np.flatnonzero(hit)))
 
 
+def check_pseudo_orbits(deltas: Sequence[float], length: int) -> None:
+    """ValueError unless the delta ladder is non-empty and positive, length >= 2."""
+    if not deltas:
+        raise ValueError("empty delta ladder")
+    if any(d <= 0 for d in deltas):
+        raise ValueError("delta must be positive")
+    if length < 2:
+        raise ValueError("length must be >= 2")
+
+
 def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform",
                       seed: str = "0", x0: float | None = None,
                       target: float | None = None, label: str = "") -> PseudoOrbit:
@@ -167,10 +177,7 @@ def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform"
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if length < 2:
-        raise ValueError("length must be >= 2")
+    check_pseudo_orbits((delta,), length)
     if scheme == "adversarial" and target is None:
         raise ValueError("adversarial scheme needs a target")
     charge("iter_steps", length)
@@ -371,14 +378,13 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     pass overall (smaller deltas only shrink the pseudo-orbit supply); the
     probe is falsified when a challenge defeats the grid at every delta.
     """
+    ladder = sorted(set(float(d) for d in deltas), reverse=True)
+    check_pseudo_orbits(ladder, length)
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     params = params or FamilyParams()
     objective = _TARGET_OBJECTIVE[target]
     candidates = system.grid(n_candidates)
-    ladder = sorted(set(float(d) for d in deltas), reverse=True)
-    if not ladder:
-        raise ValueError("empty delta ladder")
     rows = []
     delta_pass = None
     challenge_beaten_everywhere = True

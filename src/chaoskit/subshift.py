@@ -16,6 +16,12 @@ high-precision rational surrogate plus an error bound ulp; every emitted
 symbol is certified, meaning the exact rational comparison has margin larger
 than the accumulated uncertainty n*ulp (otherwise the spec is rejected or a
 precision error is raised).
+
+Each shift is a subclass of Shift that carries its own kernels.  A new shift
+defines accepts(w) (the factor test) and gaps(u, v, n_max) (its gap-set
+kernel); it may override words (the language, by default a prefix-pruned
+search over accepts) and cylinder_hits (by default overlaps plus gap_set).
+The survey code calls only the module functions, so it needs no change.
 """
 
 from __future__ import annotations
@@ -83,26 +89,95 @@ def spacing_member(p_set: WindowSet, w: str) -> bool:
     return True
 
 
-class FullShift:
-    """Every binary sequence; the language is all words."""
+class Shift:
+    """A binary subshift, known through its factor test and its kernels.
 
-    kind = "full"
+    Subclasses define accepts(w) and gaps(u, v, n_max).  words and
+    cylinder_hits below are generic and exact for spacing shifts and the
+    full shift; a shift with a faster exact kernel overrides them.  The
+    module functions language, gap_set and cylinder_hitting_set check the
+    words and charge the budgets, then call these methods.
+    """
+
+    p_set: WindowSet | None = None  # the defining set of a spacing shift
+
+    def words(self, max_len: int, node_budget: int | None = None) -> set[str]:
+        """Accepted words of length <= max_len, by prefix-pruned DFS.
+
+        Subshift languages are factor-closed, hence prefix-closed, so
+        rejected prefixes never extend.
+        """
+        budget = cap("enum_nodes") if node_budget is None else node_budget
+        visited = 0
+        out = {""}
+        stack = [""]
+        while stack:
+            w = stack.pop()
+            if len(w) == max_len:
+                continue
+            for c in "01":
+                visited += 1
+                if visited > budget:
+                    raise BudgetError(f"language enumeration exceeded {budget} nodes")
+                cand = w + c
+                if self.accepts(cand):
+                    out.add(cand)
+                    stack.append(cand)
+        return out
+
+    def cylinder_hits(self, u: str, v: str, n_max: int) -> WindowSet:
+        """For n >= |u| the pinned blocks do not overlap and membership
+        reduces to the gap set; smaller n are decided by the direct overlap
+        construction, whose free slots are filled with 0 (sound for spacing
+        shifts and the full shift)."""
+        members = set()
+        for n in range(1, min(len(u), n_max + 1)):
+            merged = _merged_word(u, v, n)
+            if merged is not None and self.accepts(merged):
+                members.add(n)
+        if n_max >= len(u):
+            gaps = gap_set(self, u, v, n_max - len(u))
+            members.update(len(u) + s for s in gaps.members)
+        return WindowSet(n_max + 1, tuple(sorted(members)))
+
+
+class FullShift(Shift):
+    """Every binary sequence; the language is all words."""
 
     def accepts(self, w: str) -> bool:
         check_word(w)
         return True
 
+    def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
+        return setfam.full_window(n_max + 1)
 
-class SpacingShift:
+
+class SpacingShift(Shift):
     """Sequences whose 1-positions have pairwise differences in P."""
-
-    kind = "spacing"
 
     def __init__(self, p_set: WindowSet):
         self.p_set = p_set
 
     def accepts(self, w: str) -> bool:
         return spacing_member(self.p_set, w)
+
+    def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
+        """The gap criterion on cross distances between the 1-positions of u
+        and of v, with no word enumeration; the all-zero filler word
+        witnesses admissibility."""
+        u_ones = one_positions(u)
+        v_ones = one_positions(v)
+        if u_ones and v_ones:
+            worst = len(u) + n_max + v_ones[-1] - u_ones[0]
+            if worst >= self.p_set.horizon:
+                raise ValueError(
+                    f"gap {worst} not decidable below horizon {self.p_set.horizon}")
+        members = []
+        for s in range(0, n_max + 1):
+            if all((len(u) + s + j - i) in self.p_set
+                   for i in u_ones for j in v_ones):
+                members.append(s)
+        return WindowSet(n_max + 1, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -164,15 +239,14 @@ def sturmian_prefix(spec: SturmianSpec, length: int | None = None) -> str:
     return "".join("1" if (n * p) % q >= t else "0" for n in range(length))
 
 
-class SturmianShift:
+class SturmianShift(Shift):
     """Orbit closure of the coded rotation, observed through a finite prefix.
 
     accepts(w) means w occurs in the certified prefix; this is exact for
     the true Sturmian language up to the usual finite-window caveat (factors
     recur with bounded gaps, so a 10^4 prefix sees every short factor).
+    Every kernel reads the certified prefix directly.
     """
-
-    kind = "sturmian"
 
     def __init__(self, spec: SturmianSpec):
         self.spec = spec
@@ -184,111 +258,49 @@ class SturmianShift:
             raise BudgetError("word too long for the certified prefix")
         return w == "" or w in self._prefix
 
-
-Oracle = FullShift | SpacingShift | SturmianShift
-
-
-def language(oracle, max_len: int, node_budget: int | None = None) -> set[str]:
-    """All accepted words of length <= max_len, including the empty word.
-
-    Enumerated by prefix-pruned depth-first search; subshift languages are
-    factor-closed, hence prefix-closed, so rejected prefixes never extend.
-    """
-    charge("word_len", max_len)
-    if isinstance(oracle, SturmianShift):
-        if max_len > oracle.spec.prefix_len // 4:
+    def words(self, max_len: int, node_budget: int | None = None) -> set[str]:
+        if max_len > self.spec.prefix_len // 4:
             raise BudgetError("max_len too large for the certified prefix")
-        prefix = sturmian_prefix(oracle.spec)
+        prefix = self._prefix
         out: set[str] = {""}
         for n in range(1, max_len + 1):
             for i in range(len(prefix) - n + 1):
                 out.add(prefix[i:i + n])
         return out
-    budget = cap("enum_nodes") if node_budget is None else node_budget
-    visited = 0
-    out = {""}
-    stack = [""]
-    while stack:
-        w = stack.pop()
-        if len(w) == max_len:
-            continue
-        for c in "01":
-            visited += 1
-            if visited > budget:
-                raise BudgetError(f"language enumeration exceeded {budget} nodes")
-            cand = w + c
-            if oracle.accepts(cand):
-                out.add(cand)
-                stack.append(cand)
-    return out
+
+    def _offsets(self, u: str, v: str, first: int, last: int) -> list[int]:
+        """n in [first, last] such that u occurs at some p and v at p + n."""
+        occ_u = _occurrences(self._prefix, u)
+        occ_v = set(_occurrences(self._prefix, v))
+        return [n for n in range(first, last + 1)
+                if any(p + n in occ_v for p in occ_u)]
+
+    def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
+        return WindowSet(n_max + 1, tuple(
+            n - len(u) for n in self._offsets(u, v, len(u), len(u) + n_max)))
+
+    def cylinder_hits(self, u: str, v: str, n_max: int) -> WindowSet:
+        return WindowSet(n_max + 1, tuple(self._offsets(u, v, 1, n_max)))
 
 
-def _require_in_language(oracle, w: str) -> None:
-    if w and not oracle.accepts(w):
-        raise ValueError(f"word {format_word(w)} is not in the language")
+def language(oracle, max_len: int, node_budget: int | None = None) -> set[str]:
+    """All accepted words of length <= max_len, including the empty word."""
+    charge("word_len", max_len)
+    return oracle.words(max_len, node_budget)
+
+
+def _require_in_language(oracle, *words: str) -> None:
+    for w in words:
+        if w and not oracle.accepts(w):
+            raise ValueError(f"word {format_word(w)} is not in the language")
 
 
 def gap_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
-    """{|w| <= n_max : u w v is in the language}, as a WindowSet.
-
-    For spacing shifts this is computed directly from the gap criterion
-    (cross distances between the 1-positions of u and of v), with no word
-    enumeration; the all-zero filler word witnesses admissibility.
-    """
+    """{|w| <= n_max : u w v is in the language}, as a WindowSet."""
     check_word(u), check_word(v)
     charge("iter_steps", n_max)
-    _require_in_language(oracle, u)
-    _require_in_language(oracle, v)
-    horizon = n_max + 1
-    if isinstance(oracle, SpacingShift):
-        p_set = oracle.p_set
-        u_ones = one_positions(u)
-        v_ones = one_positions(v)
-        if u_ones and v_ones:
-            worst = len(u) + n_max + v_ones[-1] - u_ones[0]
-            if worst >= p_set.horizon:
-                raise ValueError(
-                    f"gap {worst} not decidable below horizon {p_set.horizon}")
-        members = []
-        for s in range(0, n_max + 1):
-            if all((len(u) + s + j - i) in p_set for i in u_ones for j in v_ones):
-                members.append(s)
-        return WindowSet(horizon, tuple(members))
-    if isinstance(oracle, FullShift):
-        return setfam.full_window(horizon)
-    if isinstance(oracle, SturmianShift):
-        prefix = sturmian_prefix(oracle.spec)
-        occ_u = _occurrences(prefix, u)
-        occ_v = set(_occurrences(prefix, v))
-        members = []
-        for s in range(0, n_max + 1):
-            off = len(u) + s
-            if any(p + off in occ_v for p in occ_u):
-                members.append(s)
-        return WindowSet(horizon, tuple(members))
-    # Generic fallback: depth-first over filler words, prefix-pruned.
-    budget = cap("enum_nodes")
-    visited = 0
-    members = []
-    for s in range(0, n_max + 1):
-        stack = [u]
-        found = False
-        while stack and not found:
-            w = stack.pop()
-            if len(w) == len(u) + s:
-                if oracle.accepts(w + v):
-                    found = True
-                continue
-            for c in "01":
-                visited += 1
-                if visited > budget:
-                    raise BudgetError("gap_set enumeration budget exceeded")
-                cand = w + c
-                if oracle.accepts(cand):
-                    stack.append(cand)
-        if found:
-            members.append(s)
-    return WindowSet(horizon, tuple(members))
+    _require_in_language(oracle, u, v)
+    return oracle.gaps(u, v, n_max)
 
 
 def _occurrences(text: str, w: str) -> list[int]:
@@ -317,35 +329,10 @@ def _merged_word(u: str, v: str, n: int) -> str | None:
 
 
 def cylinder_hitting_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
-    """{1 <= n <= n_max : shift^n(cylinder u) meets cylinder v}.
-
-    For n >= |u| the pinned blocks do not overlap and membership reduces to
-    the gap set; smaller n are decided by the direct overlap construction.
-    Note the merged word fills free slots with 0, which is sound for spacing
-    shifts and the full shift; for Sturmian oracles occurrences are searched
-    instead.
-    """
+    """{1 <= n <= n_max : shift^n(cylinder u) meets cylinder v}."""
     check_word(u), check_word(v)
-    _require_in_language(oracle, u)
-    _require_in_language(oracle, v)
-    horizon = n_max + 1
-    members = set()
-    if isinstance(oracle, SturmianShift):
-        prefix = sturmian_prefix(oracle.spec)
-        occ_u = _occurrences(prefix, u)
-        occ_v = set(_occurrences(prefix, v))
-        for n in range(1, n_max + 1):
-            if any(p + n in occ_v for p in occ_u):
-                members.add(n)
-        return WindowSet(horizon, tuple(sorted(members)))
-    for n in range(1, min(len(u), n_max + 1)):
-        merged = _merged_word(u, v, n)
-        if merged is not None and oracle.accepts(merged):
-            members.add(n)
-    if n_max >= len(u):
-        gaps = gap_set(oracle, u, v, n_max - len(u))
-        members.update(len(u) + s for s in gaps.members)
-    return WindowSet(horizon, tuple(sorted(members)))
+    _require_in_language(oracle, u, v)
+    return oracle.cylinder_hits(u, v, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +372,7 @@ def fs_transitivity_report(oracle, word_len: int, n_max: int,
             g = gap_set(oracle, u, v, n_max)
             rows.append(PairRow(u, v, g, setfam.classify(g, params)))
     p_verdict = None
-    if isinstance(oracle, SpacingShift):
+    if oracle.p_set is not None:
         p_verdict = setfam.classify(oracle.p_set, params)
     return TransitivityReport(
         word_len=word_len, n_max=n_max, params=params, rows=tuple(rows),

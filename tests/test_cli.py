@@ -31,6 +31,30 @@ def test_bad_generator_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BAD_PARAMETERS = [
+    ["classify-set", "--gap", "0"],
+    ["classify-set", "--tail-policy", "foo"],
+    ["classify-set", "--horizon", "8", "--members", "3,9"],
+    ["shadow", "--candidates", "1"],
+    ["shadow", "--deltas", "0"],
+    ["shadow", "--length", "1"],
+    ["interval-devaney", "--margin", "1"],
+    ["p-chaos", "--chain-nodes", "1"],
+    ["spacing", "--word-len", "0"],   # an empty analysis: zero word pairs
+    ["interval-devaney", "--cells", "0"],
+    ["sturmian", "--word", "012"],
+    ["sturmian", "--prefix-len", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_PARAMETERS, ids=" ".join)
+def test_bad_parameter_exits_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())   # rejected before any report
+
+
 def test_budget_breach_exits_3(tmp_path, capsys):
     assert main(["spacing", "--word-len", "17", "--out", str(tmp_path)]) == 3
     assert "word_len budget exceeded: 17 > 16" in capsys.readouterr().err

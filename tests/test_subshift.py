@@ -150,22 +150,37 @@ def test_gap_set_undecidable_horizon():
         gap_set(SpacingShift(evens(16)), "1", "1", 32)
 
 
+def dfs_gap_set(oracle, u, v, n_max, budget=2 ** 20):
+    """Brute-force gap set: depth-first over filler words, prefix-pruned,
+    asking the oracle nothing but accepts."""
+    visited = 0
+    members = []
+    for s in range(0, n_max + 1):
+        stack = [u]
+        found = False
+        while stack and not found:
+            w = stack.pop()
+            if len(w) == len(u) + s:
+                if oracle.accepts(w + v):
+                    found = True
+                continue
+            for c in "01":
+                visited += 1
+                assert visited <= budget, "gap set enumeration budget exceeded"
+                cand = w + c
+                if oracle.accepts(cand):
+                    stack.append(cand)
+        if found:
+            members.append(s)
+    return WindowSet(n_max + 1, tuple(members))
+
+
 def test_gap_set_generic_fallback_agrees():
-    """A wrapper that hides the SpacingShift type forces the DFS fallback."""
-
-    class Opaque:
-        kind = "opaque"
-
-        def __init__(self, p):
-            self._o = SpacingShift(p)
-
-        def accepts(self, w):
-            return self._o.accepts(w)
-
+    """The cross-distance kernel agrees with filler-word enumeration."""
     for members in ([1, 2, 5], [2, 4, 6, 8, 10, 12], [1, 4, 9, 16]):
         p = window_set(32, members)
         fast = gap_set(SpacingShift(p), "1", "1", 10)
-        slow = gap_set(Opaque(p), "1", "1", 10)
+        slow = dfs_gap_set(SpacingShift(p), "1", "1", 10)
         assert fast.members == slow.members
 
 
@@ -269,6 +284,25 @@ def test_occurrences_match_decimal_prefix():
         expected = tuple(i for i in range(len(ref) - len(w) + 1)
                          if ref.startswith(w, i))
         assert occ.members == expected
+
+
+def test_sturmian_hitting_sets_match_prefix_scan():
+    """Both Sturmian kernels agree with a direct scan of the Decimal prefix."""
+    spec = golden_spec(400)
+    ref = decimal_prefix(400)
+    oracle = SturmianShift(spec)
+
+    def meets(u, v, n):
+        return any(ref.startswith(u, p) and ref.startswith(v, p + n)
+                   for p in range(len(ref)))
+
+    words = sorted(w for w in language(oracle, 3) if w)
+    for u in words:
+        for v in words:
+            assert cylinder_hitting_set(oracle, u, v, 12).members == tuple(
+                n for n in range(1, 13) if meets(u, v, n)), (u, v)
+            assert gap_set(oracle, u, v, 12).members == tuple(
+                s for s in range(13) if meets(u, v, len(u) + s)), (u, v)
 
 
 def test_periodicity_probe():
