@@ -25,6 +25,16 @@ class ConfigError(Exception):
     pass
 
 
+def _fraction(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as e:
+        raise ValueError(str(e)) from None
+
+
+_fraction.__name__ = "Fraction"   # argparse names the type in its errors
+
+
 def _floats(s: str) -> tuple[float, ...]:
     out = tuple(float(t) for t in s.split(",") if t.strip())
     if not out:
@@ -77,14 +87,14 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
     "interval-devaney": [
         ("map", str, "S", "builtin map name or @file"),
         ("cells", int, 10, "interval grid cells"),
-        ("margin", Fraction, Fraction(1, 100), "shrink cells by this margin"),
-        ("delta", Fraction, Fraction(1, 2), "sensitivity threshold"),
+        ("margin", _fraction, Fraction(1, 100), "shrink cells by this margin"),
+        ("delta", _fraction, Fraction(1, 2), "sensitivity threshold"),
         ("steps", int, 64, "iteration window length"),
         ("gap", int, 16, "syndetic gap bound"),
         ("block", int, 8, "thickness block length"),
         ("cofinite-head", int, 16, "largest admissible co-finite head"),
         ("burnin", int, 8, "density burn-in prefix"),
-        ("density-eps", Fraction, Fraction(1, 16), "periodic-point cell size"),
+        ("density-eps", _fraction, Fraction(1, 16), "periodic-point cell size"),
         ("density-steps", int, 10, "largest period searched"),
     ],
     "shadow": [
@@ -111,7 +121,7 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
         ("challenge", str, "auto", "auto|crossing|none"),
         ("chain-delta", float, 0.02, "chain graph tolerance"),
         ("chain-nodes", int, 129, "chain graph size"),
-        ("density-eps", Fraction, Fraction(1, 64), "periodic-point cell size"),
+        ("density-eps", _fraction, Fraction(1, 64), "periodic-point cell size"),
         ("density-steps", int, 10, "largest period searched"),
         ("gap", int, 2, "syndetic gap bound"),
         ("block", int, 4, "thickness block length"),
@@ -157,7 +167,7 @@ def _load_ini(path: str) -> dict[str, dict[str, object]]:
                 raise ConfigError(f"unknown option {key!r} in [{section}]")
             try:
                 vals[key.replace("-", "_")] = known[key](raw)
-            except (ValueError, ZeroDivisionError) as e:
+            except ValueError as e:
                 raise ConfigError(f"bad value for {key} in [{section}]: {e}")
         out[section] = vals
     return out
@@ -508,12 +518,17 @@ def _run(section: str, opts: dict[str, object], seed: str):
             gap=o.gap, block=o.block, cofinite_head=o.cofinite_head,
             burnin=o.burnin,
             tail_policy=opts.get("tail_policy", setfam.CENSORED))
-        if section in ("classify-set", "spacing"):
-            window, source = _load_window(
-                o.members if section == "classify-set" else o.p, o.horizon)
+        # horizon: the shortest window that the section classifies.
+        if section == "classify-set":
+            window, source = _load_window(o.members, o.horizon)
+            horizon = window.horizon
+        if section == "spacing":
+            window, source = _load_window(o.p, o.horizon)
+            horizon = min(window.horizon, o.n_max + 1)
         if section == "sturmian":
             spec = subshift.golden_spec(o.prefix_len)
             word = subshift.parse_word(o.word)
+            horizon = o.prefix_len - len(word) + 1
         if "map" in opts:
             m, name = _load_map(o.map)
         if section == "interval-devaney":
@@ -523,6 +538,9 @@ def _run(section: str, opts: dict[str, object], seed: str):
                 density_epsilon=o.density_eps,
                 density_n_max=o.density_steps)
             survey.grid(m)
+            horizon = o.steps + 1
+        if "density_eps" in opts and o.density_eps <= 0:
+            raise ValueError("density-eps must be positive")
         if section in ("shadow", "p-chaos"):
             system = shadowing.IntervalSystem(m, name=name)
             system.grid(o.candidates)
@@ -531,6 +549,8 @@ def _run(section: str, opts: dict[str, object], seed: str):
                          trials=o.trials, candidates=o.candidates,
                          challenges=_challenges_for(name, o.challenge),
                          params=family, seed=seed)
+            horizon = o.length
+        family.check_horizon(horizon)
         if section == "shadow" and o.target not in shadowing.TARGETS:
             raise ConfigError(f"unknown target {o.target!r}")
         if section == "p-chaos":

@@ -11,11 +11,6 @@ breakpoints merged with the g-preimages of f's breakpoints), periodic points
 computed on an explicit window [1, N].  Intervals are closed; a boundary-only
 intersection counts as a hit unless strict=True.  The sensitivity comparison
 is strict (>).
-
-Approximate fallbacks for maps given only as point functions live in
-SampledMap; everything it reports is labelled approximate and errs one-sided
-(sampled diameters and hits are lower bounds, so members are sound and
-misses are possible).
 """
 
 from __future__ import annotations
@@ -23,13 +18,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import setfam
 from .budgets import BudgetError, cap, charge
 from .setfam import FamilyParams, FamilyVerdict, WindowSet
 
-Rat = Fraction
 Interval = tuple[Fraction, Fraction]
 
 
@@ -101,9 +95,6 @@ def builtin(name: str) -> PLMap:
     raise ValueError(f"unknown builtin map {name!r}")
 
 
-BUILTIN_NAMES = ("S", "tent", "example211", "identity")
-
-
 def parse_pl_text(text: str) -> PLMap:
     """Text format: first line domain=a,b then one x:y line per breakpoint."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
@@ -125,12 +116,6 @@ def parse_pl_text(text: str) -> PLMap:
     if (m.lo, m.hi) != (lo, hi):
         raise ValueError("domain line disagrees with breakpoints")
     return m
-
-
-def format_pl_text(m: PLMap) -> str:
-    lines = [f"domain={m.lo},{m.hi}"]
-    lines.extend(f"{x}:{y}" for x, y in zip(m.xs, m.ys))
-    return "\n".join(lines)
 
 
 def pl_eval(m: PLMap, x: Fraction | int | str) -> Fraction:
@@ -204,7 +189,6 @@ def pl_power(m: PLMap, n: int, breakpoint_budget: int | None = None) -> PLMap:
 
 @dataclass(frozen=True)
 class PeriodicReport:
-    period: int
     points: tuple[tuple[Fraction, int], ...]   # (point, prime period)
     segments: tuple[tuple[Fraction, Fraction], ...]  # slope-1 fixed stretches
 
@@ -251,7 +235,7 @@ def periodic_points(m: PLMap, period: int) -> PeriodicReport:
                 prime = d
                 break
         out.append((p, prime))
-    return PeriodicReport(period=period, points=tuple(out),
+    return PeriodicReport(points=tuple(out),
                           segments=tuple((a, b) for a, b in segments))
 
 
@@ -323,8 +307,6 @@ def periodic_density_report(m: PLMap, epsilon: Fraction | str,
 @dataclass(frozen=True)
 class HittingSet:
     window: WindowSet
-    tag: str
-    approximate: bool = False
 
 
 def _iterate_images(m: PLMap, u: Interval, n_max: int) -> list[Interval]:
@@ -345,7 +327,7 @@ def sensitivity_hitting_set(m: PLMap, u: Interval, delta: Fraction | str,
     for n, (a, b) in enumerate(_iterate_images(m, u, n_max), start=1):
         if b - a > delta:
             members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)), tag=f"sensitivity(delta={delta})")
+    return HittingSet(WindowSet(n_max + 1, tuple(members)))
 
 
 def intervals_meet(a: Interval, b: Interval, strict: bool = False) -> bool:
@@ -362,7 +344,7 @@ def transitivity_hitting_set(m: PLMap, u: Interval, v: Interval, n_max: int,
     for n, img in enumerate(_iterate_images(m, u, n_max), start=1):
         if intervals_meet(img, v, strict):
             members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)), tag="transitivity")
+    return HittingSet(WindowSet(n_max + 1, tuple(members)))
 
 
 def leo_check(m: PLMap, u: Interval, n_max: int) -> int | None:
@@ -377,63 +359,6 @@ def leo_check(m: PLMap, u: Interval, n_max: int) -> int | None:
     if last_bad == n_max:
         return None
     return last_bad + 1
-
-
-# ---------------------------------------------------------------------------
-# Sampled fallback for maps given as point functions.
-
-class SampledMap:
-    """Grid-sampled stand-in for a map that is not piecewise linear.
-
-    Diameters and hits are estimated from forward orbits of sample points,
-    so every reported member is genuine and missed members are possible
-    (one-sided error); reports carry approximate=True.
-    """
-
-    def __init__(self, func: Callable[[float], float], lo: float, hi: float,
-                 mesh: float = 1e-3):
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if mesh <= 0 or mesh > (hi - lo):
-            raise ValueError("bad sampling mesh")
-        self.func = func
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.mesh = float(mesh)
-
-    def samples(self, u: tuple[float, float]) -> list[float]:
-        a, b = max(self.lo, float(u[0])), min(self.hi, float(u[1]))
-        if a > b:
-            raise ValueError("empty interval")
-        n = max(2, int(round((b - a) / self.mesh)) + 1)
-        return [a + (b - a) * i / (n - 1) for i in range(n)]
-
-
-def sampled_sensitivity(sm: SampledMap, u: tuple[float, float], delta: float,
-                        n_max: int) -> HittingSet:
-    charge("iter_steps", n_max)
-    pts = sm.samples(u)
-    members = []
-    for n in range(1, n_max + 1):
-        pts = [sm.func(x) for x in pts]
-        if max(pts) - min(pts) > delta:
-            members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)),
-                      tag=f"sensitivity(delta={delta})", approximate=True)
-
-
-def sampled_transitivity(sm: SampledMap, u: tuple[float, float],
-                         v: tuple[float, float], n_max: int) -> HittingSet:
-    charge("iter_steps", n_max)
-    pts = sm.samples(u)
-    lo, hi = float(v[0]), float(v[1])
-    members = []
-    for n in range(1, n_max + 1):
-        pts = [sm.func(x) for x in pts]
-        if any(lo <= x <= hi for x in pts):
-            members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)),
-                      tag="transitivity", approximate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ class FamilyParams:
         if self.tail_policy not in (CENSORED, STRICT):
             raise ValueError(f"tail_policy must be censored|strict, got {self.tail_policy!r}")
 
+    def check_horizon(self, horizon: int) -> None:
+        """ValueError unless a set on this horizon can be classified."""
+        if self.burnin > horizon:
+            raise ValueError(f"burnin {self.burnin} exceeds horizon {horizon}")
+
 
 @dataclass(frozen=True)
 class FamilyVerdict:
@@ -240,8 +245,7 @@ def _thickly_syndetic(a: WindowSet, p: FamilyParams) -> bool:
 
 def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
     """Classify a window set against all families at the given parameters."""
-    if p.burnin > a.horizon:
-        raise ValueError(f"burnin {p.burnin} exceeds horizon {a.horizon}")
+    p.check_horizon(a.horizon)
     if not a.members:
         return FamilyVerdict(
             horizon=a.horizon,
@@ -301,11 +305,6 @@ def union(a: WindowSet, b: WindowSet) -> WindowSet:
     return window_set(a.horizon, set(a.members) | set(b.members))
 
 
-def intersection(a: WindowSet, b: WindowSet) -> WindowSet:
-    _same_horizon(a, b)
-    return window_set(a.horizon, set(a.members) & set(b.members))
-
-
 def dilate(a: WindowSet, n: int) -> WindowSet:
     """{n*a : a in A, n*a < horizon}, same horizon."""
     if n < 1:
@@ -318,13 +317,6 @@ def shift_down(a: WindowSet, q: int) -> WindowSet:
     if q < 0:
         raise ValueError("shift must be >= 0")
     return WindowSet(a.horizon, tuple(m - q for m in a.members if m >= q))
-
-
-def offset_up(a: WindowSet, q: int) -> WindowSet:
-    """A + q elementwise, dropping members at or above the horizon."""
-    if q < 0:
-        raise ValueError("offset must be >= 0")
-    return WindowSet(a.horizon, tuple(m + q for m in a.members if m + q < a.horizon))
 
 
 def with_horizon(a: WindowSet, horizon: int) -> WindowSet:
@@ -386,7 +378,3 @@ def parse_window_text(text: str) -> WindowSet:
         raise ValueError(f"bad member list {body!r}")
     ws = WindowSet(horizon, tuple(members))
     return ws
-
-
-def format_window_text(a: WindowSet) -> str:
-    return f"horizon={a.horizon}\n" + ",".join(str(m) for m in a.members)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
@@ -137,8 +138,6 @@ SCHEMES = ("zero", "uniform", "bounded", "adversarial")
 class PseudoOrbit:
     points: np.ndarray
     delta: float
-    scheme: str
-    seed: str
     label: str
     valid_set: WindowSet = field(repr=False)
 
@@ -197,8 +196,7 @@ def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform"
             jump = min(cap_, max(-cap_, target - fx))
         pts[n] = system.clamp(fx + jump)
     return PseudoOrbit(
-        points=pts, delta=delta, scheme=scheme, seed=seed,
-        label=label or scheme,
+        points=pts, delta=delta, label=label or scheme,
         valid_set=recompute_valid_set(system, pts, delta),
     )
 
@@ -209,10 +207,8 @@ def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform"
 @dataclass(frozen=True)
 class TraceReport:
     x0: float
-    eps: float
     hits: WindowSet
     cardinality: int
-    full: bool
 
 
 def trace_set(system, orbit: PseudoOrbit, x0: float, eps: float) -> TraceReport:
@@ -220,8 +216,7 @@ def trace_set(system, orbit: PseudoOrbit, x0: float, eps: float) -> TraceReport:
     pts = orbit_points(system, x0, len(orbit))
     hit = np.abs(pts - orbit.points) < eps + FLOAT_SLACK
     hits = WindowSet(len(orbit), tuple(int(i) for i in np.flatnonzero(hit)))
-    return TraceReport(x0=float(x0), eps=eps, hits=hits,
-                       cardinality=len(hits), full=len(hits) == len(orbit))
+    return TraceReport(x0=float(x0), hits=hits, cardinality=len(hits))
 
 
 def _trace_mask(system, orbit: PseudoOrbit, candidates: np.ndarray,
@@ -237,12 +232,8 @@ def _trace_mask(system, orbit: PseudoOrbit, candidates: np.ndarray,
     return mask
 
 
-OBJECTIVES = ("max_cardinality", "min_max_gap", "max_lower_density")
-
-
 @dataclass(frozen=True)
 class BestTracer:
-    objective: str
     score: float
     report: TraceReport
 
@@ -270,17 +261,9 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
                 gaps[i] = max([lead] + list(np.diff(idx))) if len(idx) > 1 else lead
         k = int(gaps.argmin())
         score = float(-gaps[k])
-    elif objective == "max_lower_density":
-        burnin = min(8, n_steps)
-        counts = np.cumsum(mask, axis=1)
-        ns = np.arange(burnin, n_steps + 1)
-        dens = counts[:, burnin - 1:] / ns
-        lows = dens.min(axis=1)
-        k = int(lows.argmax())
-        score = float(lows[k])
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    return BestTracer(objective=objective, score=score,
+    return BestTracer(score=score,
                       report=trace_set(system, orbit, float(candidates[k]), eps))
 
 
@@ -295,16 +278,6 @@ _TARGET_OBJECTIVE = {
     "thick": "max_cardinality",
     "piecewise_syndetic": "max_cardinality",
 }
-
-
-def target_met(hits: WindowSet, target: str, params: FamilyParams) -> bool:
-    if target == "full":
-        return len(hits) == hits.horizon
-    v = setfam.classify(hits, params)
-    try:
-        return bool(getattr(v, target))
-    except AttributeError:
-        raise ValueError(f"unknown target {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +331,6 @@ class ProbeResult:
     length: int
     n_candidates: int
     trials: int
-    params: FamilyParams
     deltas: tuple[float, ...]
     rows: tuple[ProbeRow, ...]
     verdict: str                 # pass | falsified | undetermined
@@ -383,6 +355,7 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     params = params or FamilyParams()
+    params.check_horizon(length)   # every trace set has horizon length
     objective = _TARGET_OBJECTIVE[target]
     candidates = system.grid(n_candidates)
     rows = []
@@ -408,15 +381,15 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
         for orbit, is_challenge in orbits:
             bt = best_tracer(system, orbit, candidates, eps, objective)
             hits = bt.report.hits
-            ok = target_met(hits, target, params)
+            verdict = setfam.classify(hits, params)
+            ok = (len(hits) == hits.horizon if target == "full"
+                  else getattr(verdict, target))
             gap = setfam.max_gap(hits, CENSORED) if hits.members else None
-            verdict = setfam.classify(hits, params) if hits.members else None
             rows.append(ProbeRow(
                 delta=delta, label=orbit.label,
                 valid_count=len(orbit.valid_set),
                 tracer=bt.report.x0, cardinality=bt.report.cardinality,
-                trace_max_gap=gap,
-                tags=verdict.tags() if verdict else (),
+                trace_max_gap=gap, tags=verdict.tags(),
                 ok=ok, challenge=is_challenge,
             ))
             if not ok:
@@ -438,7 +411,7 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
         witness = next((r for r in reversed(rows) if not r.ok), None)
     return ProbeResult(
         eps=eps, target=target, length=length, n_candidates=len(candidates),
-        trials=trials, params=params, deltas=tuple(ladder), rows=tuple(rows),
+        trials=trials, deltas=tuple(ladder), rows=tuple(rows),
         verdict=verdict, delta_pass=delta_pass, witness=witness,
     )
 
@@ -573,12 +546,9 @@ def chain_recurrent_nodes(g: ChainGraph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PChaosReport:
-    map_name: str
     density: interval.DensityReport
     probe: ProbeResult
     aux_probe: ProbeResult
-    chain_delta: float
-    chain_nodes: int
     chain_transitive: bool
     chain_mixing: bool
     evidence: bool
@@ -599,8 +569,8 @@ def p_chaos_report(m: PLMap, map_name: str, *, eps: float,
     being folded into the evidence flag, since the relaxed notion is strictly
     weaker and a pass there decides nothing about the headline one.
     """
-    from fractions import Fraction
-    density_epsilon = Fraction(density_epsilon) if density_epsilon else Fraction(1, 16)
+    density_epsilon = (Fraction(1, 16) if density_epsilon is None
+                       else Fraction(density_epsilon))
     density = interval.periodic_density_report(m, density_epsilon, density_n_max)
     system = IntervalSystem(m, name=map_name)
     probe = fg_shadowing_probe(system, eps, deltas, length, trials,
@@ -626,8 +596,7 @@ def p_chaos_report(m: PLMap, map_name: str, *, eps: float,
         f"mixing={'true' if mixing else 'false'}",
     )
     return PChaosReport(
-        map_name=map_name, density=density, probe=probe, aux_probe=aux,
-        chain_delta=chain_delta, chain_nodes=chain_nodes,
+        density=density, probe=probe, aux_probe=aux,
         chain_transitive=transitive, chain_mixing=mixing,
         evidence=evidence, notes=notes,
     )

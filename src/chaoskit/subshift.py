@@ -1,9 +1,7 @@
 """Binary subshifts at desk scale: spacing shifts, Sturmian words, languages.
 
 Words are plain str over the alphabet {'0','1'}; the empty word is allowed
-and spelled '-' in text interfaces.  Shift-space points x, y carry the metric
-2^{-J(x,y)} with J the least index where they differ; for equal-length words
-word_distance implements the same formula.
+and spelled '-' in text interfaces.
 
 A spacing shift is the set of 0/1 sequences whose 1-positions have all
 pairwise differences inside a prescribed set P of positive integers.  On a
@@ -52,18 +50,6 @@ def parse_word(text: str) -> str:
 
 def format_word(w: str) -> str:
     return w if w else EMPTY_WORD_TEXT
-
-
-def word_distance(x: str, y: str) -> Fraction:
-    """2^(-j) with j the least differing index; 0 for equal words."""
-    check_word(x)
-    check_word(y)
-    if len(x) != len(y) or not x:
-        raise ValueError("word_distance needs two non-empty words of equal length")
-    for j, (a, b) in enumerate(zip(x, y)):
-        if a != b:
-            return Fraction(1, 2 ** j)
-    return Fraction(0)
 
 
 def one_positions(w: str) -> list[int]:
@@ -221,14 +207,6 @@ def golden_spec(prefix_len: int = 10_000) -> SturmianSpec:
     return SturmianSpec(alpha=Fraction(a, b), ulp=Fraction(1, b * b), prefix_len=prefix_len)
 
 
-def sturmian_symbol(spec: SturmianSpec, n: int) -> int:
-    """x_n = 1 iff frac(n*alpha) in [1-alpha, 1), certified."""
-    if not 0 <= n < spec.prefix_len:
-        raise ValueError(f"symbol index {n} outside certified range [0, {spec.prefix_len})")
-    p, q = spec.alpha.numerator, spec.alpha.denominator
-    return 1 if (n * p) % q >= q - p else 0
-
-
 @lru_cache(maxsize=8)
 def sturmian_prefix(spec: SturmianSpec, length: int | None = None) -> str:
     length = spec.prefix_len if length is None else length
@@ -348,9 +326,6 @@ class PairRow:
 
 @dataclass(frozen=True)
 class TransitivityReport:
-    word_len: int
-    n_max: int
-    params: FamilyParams
     rows: tuple[PairRow, ...]
     all_syndetic: bool
     all_thick: bool
@@ -375,7 +350,7 @@ def fs_transitivity_report(oracle, word_len: int, n_max: int,
     if oracle.p_set is not None:
         p_verdict = setfam.classify(oracle.p_set, params)
     return TransitivityReport(
-        word_len=word_len, n_max=n_max, params=params, rows=tuple(rows),
+        rows=tuple(rows),
         all_syndetic=all(r.verdict.syndetic for r in rows),
         all_thick=all(r.verdict.thick for r in rows),
         all_thickly_syndetic=all(r.verdict.thickly_syndetic for r in rows),

@@ -1,10 +1,13 @@
 """End-to-end command-line checks: exit codes, report tokens, config
 precedence, and byte-level determinism of emitted files."""
 
+from pathlib import Path
+
 import pytest
 
-from chaoskit import interval
 from chaoskit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read(path):
@@ -44,14 +47,37 @@ BAD_PARAMETERS = [
     ["interval-devaney", "--cells", "0"],
     ["sturmian", "--word", "012"],
     ["sturmian", "--prefix-len", "0"],
+    # burnin beyond the horizon that the section classifies
+    ["classify-set", "--burnin", "300"],
+    ["classify-set", "--horizon", "4"],
+    ["spacing", "--n-max", "-1"],
+    ["spacing", "--n-max", "2"],
+    ["interval-devaney", "--steps", "0"],
+    ["interval-devaney", "--steps", "-1"],
+    ["shadow", "--length", "3", "--burnin", "4"],
+    ["sturmian", "--prefix-len", "40", "--burnin", "64"],
+    # x/0 on a Fraction option, rejected by argparse
+    ["interval-devaney", "--delta", "1/0"],
+    ["interval-devaney", "--margin", "1/0"],
+    ["p-chaos", "--density-eps", "1/0"],
+    ["interval-devaney", "--density-eps", "0"],
+    ["p-chaos", "--density-eps", "0"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_PARAMETERS, ids=" ".join)
 def test_bad_parameter_exits_2(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as e:   # a value argparse cannot convert
+        code = e.code
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"chaoskit {argv[0]}: error: argument {argv[1]}: " in err
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+    assert code == 2 and "Traceback" not in err
     assert not any(tmp_path.iterdir())   # rejected before any report
 
 
@@ -137,7 +163,7 @@ def test_interval_half_swap_report(tmp_path, capsys):
 
 def test_interval_map_from_file(tmp_path):
     map_file = tmp_path / "copy_of_tent.txt"
-    map_file.write_text(interval.format_pl_text(interval.builtin("tent")))
+    map_file.write_text("domain=0,1\n0:0\n1/2:1\n1:0\n")
     assert main(["interval-devaney", "--map", f"@{map_file}",
                  "--delta", "1/4", "--density-eps", "1/64",
                  "--out", str(tmp_path / "out")]) == 0
@@ -173,12 +199,14 @@ def test_bad_ini_section(tmp_path):
     assert main(["--config", str(cfg), "classify-set"]) == 2
     cfg.write_text("[classify-set]\nwrong-key=1\n")
     assert main(["--config", str(cfg), "classify-set"]) == 2
+    cfg.write_text("[interval-devaney]\ndelta=1/0\n")
+    assert main(["--config", str(cfg), "interval-devaney"]) == 2
 
 
 def test_dump_config_round_trip(tmp_path, capsys):
     assert main(["--dump-config"]) == 0
     first = capsys.readouterr().out
-    assert first.startswith("[run]\nseed=42\nout=.\n")
+    assert first == (GOLDEN / "dump-config.ini").read_text()
     cfg = tmp_path / "dumped.ini"
     cfg.write_text(first)
     assert main(["--config", str(cfg), "--dump-config"]) == 0

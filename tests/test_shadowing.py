@@ -10,15 +10,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from chaoskit import shadowing
 from chaoskit.budgets import BudgetError
 from chaoskit.interval import builtin
-from chaoskit.setfam import FamilyParams, WindowSet
+from chaoskit.setfam import FamilyParams, WindowSet, classify
 from chaoskit.shadowing import (
-    IntervalSystem, PseudoOrbit, best_tracer, chain_graph, chain_mixing_check,
-    chain_period, chain_recurrent_nodes, chain_transitive_check,
-    crossing_challenge, fg_shadowing_probe, make_pseudo_orbit, orbit_points,
-    p_chaos_report, recompute_valid_set, strongly_connected_components,
-    target_met, trace_set, two_point_swap,
+    BestTracer, IntervalSystem, PseudoOrbit, TraceReport, best_tracer,
+    chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
+    chain_transitive_check, crossing_challenge, fg_shadowing_probe,
+    make_pseudo_orbit, orbit_points, p_chaos_report, recompute_valid_set,
+    strongly_connected_components, trace_set, two_point_swap,
 )
 
 TENT = IntervalSystem(builtin("tent"), name="tent")
@@ -31,8 +32,7 @@ TIGHT = FamilyParams(gap=2, block=4, cofinite_head=2, burnin=4)
 
 def manual_orbit(system, points, delta):
     pts = np.array(points, dtype=float)
-    return PseudoOrbit(points=pts, delta=delta, scheme="uniform",
-                       seed="manual", label="manual",
+    return PseudoOrbit(points=pts, delta=delta, label="manual",
                        valid_set=recompute_valid_set(system, pts, delta))
 
 
@@ -103,7 +103,7 @@ def test_trace_set_frozen():
     orb = manual_orbit(IDENT, [0.3, 0.3, 0.9], 1.0)
     rep = trace_set(IDENT, orb, 0.35, 0.1)
     assert rep.hits.members == (0, 1)
-    assert rep.cardinality == 2 and not rep.full
+    assert rep.cardinality == 2
     rep = trace_set(IDENT, orb, 0.85, 0.1)
     assert rep.hits.members == (2,)
 
@@ -136,23 +136,37 @@ def test_best_tracer_objectives_disagree():
         best_tracer(IDENT, orb, cands, 0.4, "most_style_points")
 
 
-def test_best_tracer_lower_density():
-    orb = manual_orbit(IDENT, [0.3] * 6, 1.0)
-    bt = best_tracer(IDENT, orb, np.array([0.0, 0.3]), 0.01,
-                     "max_lower_density")
-    assert bt.report.x0 == 0.3 and bt.score == 1.0
+def test_probe_row_ok_follows_target(monkeypatch):
+    # Every row traces with the given hit set, so its ok is the target's
+    # verdict on exactly that set.
+    cases = [
+        (range(10), "full", True),
+        (range(1, 10), "full", False),
+        (range(1, 10), "cofinite", True),
+        (range(1, 10), "syndetic", True),
+        ((), "full", False),
+        ((), "piecewise_syndetic", False),
+    ]
+    for members, target, ok in cases:
+        hits = WindowSet(10, tuple(members))
+        monkeypatch.setattr(shadowing, "best_tracer", lambda *a: BestTracer(
+            score=0.0, report=TraceReport(x0=0.0, hits=hits,
+                                          cardinality=len(hits))))
+        res = fg_shadowing_probe(IDENT, 0.05, [0.01], 10, trials=1,
+                                 target=target, params=TIGHT,
+                                 n_candidates=11, seed="ok")
+        assert [r.ok for r in res.rows] == [ok], (members, target)
+        assert res.rows[0].tags == classify(hits, TIGHT).tags()
 
 
-def test_target_met():
-    params = TIGHT
-    full = WindowSet(10, tuple(range(10)))
-    assert target_met(full, "full", params)
-    drop0 = WindowSet(10, tuple(range(1, 10)))
-    assert not target_met(drop0, "full", params)
-    assert target_met(drop0, "cofinite", params)
-    assert target_met(drop0, "syndetic", params)
-    with pytest.raises(ValueError):
-        target_met(full, "bounded_above", params)
+def test_probe_rejects_bad_arguments_up_front(monkeypatch):
+    # Both are refused before any pseudo-orbit is traced.
+    monkeypatch.setattr(shadowing, "best_tracer", None)
+    with pytest.raises(ValueError, match="unknown target"):
+        fg_shadowing_probe(IDENT, 0.05, [0.01], 10, trials=1,
+                           target="bounded_above")
+    with pytest.raises(ValueError, match="burnin 4 exceeds horizon 3"):
+        fg_shadowing_probe(TENT, 0.05, [0.01], 3, trials=1, params=TIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +289,10 @@ def test_p_chaos_tent():
     assert rep.evidence
     assert any("mixing=true" in n for n in rep.notes)
     assert rep.aux_probe.target == "piecewise_syndetic"
+
+
+def test_p_chaos_zero_density_epsilon_raises():
+    # Zero is a bad scale, not a request for the default.
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        p_chaos_report(builtin("tent"), "tent", eps=0.05, deltas=[0.01],
+                       length=10, trials=1, density_epsilon=0)

@@ -20,7 +20,7 @@ from chaoskit.subshift import (
     FullShift, SpacingShift, SturmianShift, cylinder_hitting_set, gap_set,
     golden_spec, language, occurrence_gaps, parse_word, periodicity_probe,
     spacing_dense_periodic, dense_periodic_witness_ok, spacing_member,
-    spacing_witness, sturmian_prefix, word_distance,
+    spacing_witness, sturmian_prefix,
 )
 
 
@@ -33,7 +33,7 @@ def nonpowers(h=128):
 
 
 # ---------------------------------------------------------------------------
-# Words and the metric.
+# Words.
 
 def test_word_basics():
     assert parse_word("-") == ""
@@ -41,14 +41,6 @@ def test_word_basics():
     with pytest.raises(ValueError):
         parse_word("012")
     assert subshift.format_word("") == "-"
-
-
-def test_word_distance():
-    assert word_distance("0110", "0100") == Fraction(1, 4)
-    assert word_distance("1", "0") == 1
-    assert word_distance("111", "111") == 0
-    with pytest.raises(ValueError):
-        word_distance("01", "011")
 
 
 def test_spacing_member():
