@@ -544,11 +544,12 @@ def _run(section: str, opts: dict[str, object], seed: str):
         if section in ("shadow", "p-chaos"):
             system = shadowing.IntervalSystem(m, name=name)
             system.grid(o.candidates)
-            shadowing.check_pseudo_orbits(o.deltas, o.length)
+            challenges = _challenges_for(name, o.challenge)
+            shadowing.check_pseudo_orbits(o.deltas, o.length, o.trials,
+                                          challenges)
             probe = dict(eps=o.eps, deltas=o.deltas, length=o.length,
                          trials=o.trials, candidates=o.candidates,
-                         challenges=_challenges_for(name, o.challenge),
-                         params=family, seed=seed)
+                         challenges=challenges, params=family, seed=seed)
             horizon = o.length
         family.check_horizon(horizon)
         if section == "shadow" and o.target not in shadowing.TARGETS:

@@ -17,17 +17,20 @@ The probes are grid searches and their verdicts are grid-relative:
   undetermined  anything in between (random failures only)
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
-with an edge i -> j whenever d(f(p_i), p_j) < delta.  Chain transitivity is
-strong connectivity; chain mixing additionally needs an aperiodic graph
-(cycle-length gcd 1).
+with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
+then the successors of each node are one index range, stored as
+range(lo, hi), and every chain check runs on the ranges in O(n log n) time
+and O(n) memory.  Chain transitivity is strong connectivity; chain mixing
+additionally needs an aperiodic graph (cycle-length gcd 1).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +43,24 @@ from .setfam import CENSORED, FamilyParams, WindowSet
 FLOAT_SLACK = 2.0 ** -40
 
 JUMP_FRACTION = 0.9  # jumps are capped at this fraction of delta
+
+
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """Per row r, the least j in [lo[r], hi[r]) with pred(j)[r] true, else hi[r].
+
+    pred takes one index into an array of the given size per row and must be
+    monotone in j on each row's interval (false, then true); bisection, all
+    rows at once.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(np.minimum(mid, size - 1))
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid + 1, lo)
 
 
 class IntervalSystem:
@@ -74,9 +95,10 @@ class IntervalSystem:
 class DiscreteSystem:
     """A finite metric space (points on the real line) with an index map.
 
-    step snaps its argument to the nearest listed point and returns that
-    point's image; useful as a worked fixture where pseudo-orbits with
-    delta below the minimum spacing are exact orbits.
+    The points must ascend strictly.  step snaps its argument to the nearest
+    listed point (the lower one on a tie) and returns that point's image;
+    useful as a worked fixture where pseudo-orbits with delta below the
+    minimum spacing are exact orbits.
     """
 
     def __init__(self, points: Sequence[float], images: Sequence[int],
@@ -86,24 +108,34 @@ class DiscreteSystem:
         if any(not 0 <= i < len(points) for i in images):
             raise ValueError("image indices out of range")
         self.points = np.array([float(p) for p in points])
-        self.images = tuple(images)
+        if not np.all(np.diff(self.points) > 0):
+            raise ValueError("points must be strictly ascending")
+        self.images = np.array(images, dtype=np.intp)
         self.name = name
-        self.lo = float(self.points.min())
-        self.hi = float(self.points.max())
+        self.lo = float(self.points[0])
+        self.hi = float(self.points[-1])
 
     def clamp(self, x: float) -> float:
         return min(self.hi, max(self.lo, x))
 
-    def _nearest(self, x: float) -> int:
-        return int(np.abs(self.points - x).argmin())
+    def _nearest(self, arr: np.ndarray) -> np.ndarray:
+        """Index of the nearest point to each value, the lowest on a tie."""
+        pts = self.points
+        k = np.searchsorted(pts, arr)
+        left, right = np.maximum(k - 1, 0), np.minimum(k, len(pts) - 1)
+        d_left, d_right = np.abs(arr - pts[left]), np.abs(arr - pts[right])
+        best = np.where(d_left <= d_right, left, right)
+        d = np.minimum(d_left, d_right)
+        # Rounded distances fall toward arr, so the points at distance d below
+        # best form one run ending at best; argmin takes its first.
+        return _first_true(lambda j: np.abs(arr - pts[j]) <= d,
+                           np.zeros(len(arr), dtype=np.intp), best + 1, len(pts))
 
     def step(self, x: float) -> float:
-        return float(self.points[self.images[self._nearest(x)]])
+        return float(self.step_array(np.array([float(x)]))[0])
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
-        idx = np.abs(arr[:, None] - self.points[None, :]).argmin(axis=1)
-        image = np.array(self.images)
-        return self.points[image[idx]]
+        return self.points[self.images[self._nearest(arr)]]
 
     def grid(self, n: int) -> np.ndarray:
         return self.points.copy()
@@ -154,14 +186,20 @@ def recompute_valid_set(system, points: np.ndarray, delta: float) -> WindowSet:
     return WindowSet(len(points) - 1, tuple(int(i) for i in np.flatnonzero(hit)))
 
 
-def check_pseudo_orbits(deltas: Sequence[float], length: int) -> None:
-    """ValueError unless the delta ladder is non-empty and positive, length >= 2."""
+def check_pseudo_orbits(deltas: Sequence[float], length: int, trials: int = 1,
+                        challenges: Sequence = ()) -> None:
+    """ValueError unless the delta ladder is non-empty and positive, length >= 2,
+    and each delta gets at least one pseudo-orbit (a trial or a challenge)."""
     if not deltas:
         raise ValueError("empty delta ladder")
     if any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
     if length < 2:
         raise ValueError("length must be >= 2")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if trials == 0 and not challenges:
+        raise ValueError("trials 0 and no challenge: no pseudo-orbit to trace")
 
 
 def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform",
@@ -351,7 +389,7 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     probe is falsified when a challenge defeats the grid at every delta.
     """
     ladder = sorted(set(float(d) for d in deltas), reverse=True)
-    check_pseudo_orbits(ladder, length)
+    check_pseudo_orbits(ladder, length, trials, challenges)
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     params = params or FamilyParams()
@@ -417,110 +455,193 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
 
 
 # ---------------------------------------------------------------------------
-# Chain graphs.
+# Chain graphs.  The grid ascends and fl(f(p_i) - p_j) falls as j rises, so
+# the exact predicate holds on one run of j; the graph algorithms below work
+# on those ranges and never list an edge.
 
 @dataclass(frozen=True)
 class ChainGraph:
     points: tuple[float, ...]
     delta: float
-    succ: tuple[tuple[int, ...], ...]
+    succ: tuple[range, ...]
 
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """The strongly connected components, found once per graph."""
+        return strongly_connected_components(self)
+
 
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
-    """Edges i -> j whenever d(f(p_i), p_j) < delta + slack."""
+    """Edges i -> j whenever d(f(p_i), p_j) < delta + slack; succ[i] is the
+    range of those j (the system's grid must ascend)."""
     pts = system.grid(n_nodes)
-    charge("enum_nodes", len(pts))
+    n = len(pts)
+    charge("enum_nodes", n)
     fx = system.step_array(pts)
-    close = np.abs(fx[:, None] - pts[None, :]) < delta + FLOAT_SLACK
-    succ = tuple(tuple(int(j) for j in np.flatnonzero(close[i]))
-                 for i in range(len(pts)))
-    return ChainGraph(points=tuple(float(p) for p in pts), delta=delta, succ=succ)
+    tol = delta + FLOAT_SLACK
+    # abs(fx - p) < tol, split into its two halves, each monotone in j.
+    lo = _first_true(lambda j: fx - pts[j] < tol,
+                     np.zeros(n, dtype=np.intp), np.full(n, n), n)
+    hi = _first_true(lambda j: ~(fx - pts[j] > -tol), lo, np.full(n, n), n)
+    succ = tuple(map(range, lo.tolist(), hi.tolist()))
+    return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
 
 
-def _reverse(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    rev: list[list[int]] = [[] for _ in succ]
-    for u, outs in enumerate(succ):
-        for v in outs:
-            rev[v].append(u)
-    return rev
+def _bounds(g: ChainGraph) -> tuple[list[int], list[int]]:
+    return [r.start for r in g.succ], [r.stop for r in g.succ]
 
 
-def _finish_order(succ: Sequence[Sequence[int]]) -> list[int]:
-    n = len(succ)
-    seen = [False] * n
-    order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen[root] = True
-        while stack:
-            u, i = stack.pop()
-            if i < len(succ[u]):
-                stack.append((u, i + 1))
-                v = succ[u][i]
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, 0))
-            else:
-                order.append(u)
-    return order
+def _unvisited(n: int):
+    """A "next unvisited index" union-find: find(x) is the least unvisited
+    index >= x (n when none is left); visit(v) removes v."""
+    nxt = list(range(n + 1))
+
+    def find(x: int) -> int:
+        root = x
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[x] != root:
+            nxt[x], x = root, nxt[x]
+        return root
+
+    def visit(v: int) -> None:
+        nxt[v] = v + 1
+
+    return find, visit
 
 
 def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
-    """Kosaraju's two-pass algorithm, iterative."""
-    order = _finish_order(g.succ)
-    rev = _reverse(g.succ)
-    comp = [-1] * len(g)
-    comps: list[list[int]] = []
-    for root in reversed(order):
-        if comp[root] != -1:
+    """Kosaraju's two passes over the successor ranges, O(n log n).
+
+    The forward pass finds each unvisited successor through the union-find.
+    The reverse pass needs an unassigned u with lo[u] <= v < hi[u]: a max-hi
+    segment tree over the nodes sorted by lo answers it, so no reverse edge
+    list is built.
+    """
+    n = len(g)
+    lo, hi = _bounds(g)
+    find, visit = _unvisited(n)
+    order = []
+    for root in range(n):
+        if find(root) != root:
             continue
-        cid = len(comps)
-        comps.append([])
+        visit(root)
         stack = [root]
-        comp[root] = cid
         while stack:
-            u = stack.pop()
-            comps[cid].append(u)
-            for v in rev[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    stack.append(v)
+            u = stack[-1]
+            v = find(lo[u])
+            if v < hi[u]:
+                visit(v)
+                stack.append(v)
+            else:
+                order.append(stack.pop())
+
+    by_lo = sorted(range(n), key=lo.__getitem__)
+    lo_sorted = [lo[u] for u in by_lo]
+    pos = [0] * n
+    for k, u in enumerate(by_lo):
+        pos[u] = k
+    size = 1 << n.bit_length()      # > n, so a prefix never covers the root
+    tree = [-1] * (2 * size)
+    tree[size:size + n] = [hi[u] for u in by_lo]
+    for i in range(size - 1, 0, -1):
+        a, b = tree[2 * i], tree[2 * i + 1]
+        tree[i] = a if a > b else b
+
+    def remove(u: int) -> None:
+        i = pos[u] + size
+        tree[i] = -1
+        while i > 1:
+            a, b = tree[i], tree[i ^ 1]
+            i >>= 1
+            top = a if a > b else b
+            if tree[i] == top:
+                break
+            tree[i] = top
+
+    def predecessor(v: int) -> int:
+        """An unassigned u with lo[u] <= v < hi[u], or -1: walk up from the
+        end of the prefix lo <= v, trying each tree node that tiles it."""
+        i = size + bisect_right(lo_sorted, v)
+        while i > 1:
+            if i & 1 and tree[i - 1] > v:
+                i -= 1
+                while i < size:
+                    i = 2 * i if tree[2 * i] > v else 2 * i + 1
+                return by_lo[i - size]
+            i >>= 1
+        return -1
+
+    comps: list[list[int]] = []
+    assigned = [False] * n
+    for root in reversed(order):
+        if assigned[root]:
+            continue
+        comp = [root]
+        assigned[root] = True
+        remove(root)
+        for v in comp:      # comp grows while it is walked
+            u = predecessor(v)
+            while u >= 0:
+                assigned[u] = True
+                remove(u)
+                comp.append(u)
+                u = predecessor(v)
+        comps.append(comp)
     return comps
 
 
 def chain_transitive_check(g: ChainGraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    return len(g.components) == 1
 
 
 def chain_period(g: ChainGraph) -> int | None:
     """gcd of cycle lengths of a strongly connected graph (None otherwise).
 
     Computed as gcd over all edges u->v of dist(u)+1-dist(v) for BFS levels
-    from an arbitrary root; 1 means aperiodic.
+    from node 0; 1 means aperiodic.  Over one successor range [lo, hi) that
+    gcd is gcd(dist(u)+1-dist(lo), G(lo, hi)), where G is the gcd of the
+    consecutive level differences inside the range; G is read from a sparse
+    table built one level at a time, so memory stays O(n).
     """
     if not chain_transitive_check(g):
         return None
-    dist = [-1] * len(g)
-    dist[0] = 0
+    n = len(g)
+    lo, hi = _bounds(g)
+    find, visit = _unvisited(n)
+    dist = [0] * n
+    visit(0)
     queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in g.succ[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    g_val = 0
-    for u, outs in enumerate(g.succ):
-        for v in outs:
-            g_val = gcd(g_val, dist[u] + 1 - dist[v])
-    return abs(g_val) if g_val else None
+    for u in queue:         # queue grows while it is walked
+        d = dist[u] + 1
+        v = find(lo[u])
+        while v < hi[u]:
+            dist[v] = d
+            visit(v)
+            queue.append(v)
+            v = find(v + 1)
+    dist_ = np.array(dist, dtype=np.int64)
+    lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    rows = np.flatnonzero(hi_ > lo_)
+    if not len(rows):
+        return None
+    lo_, hi_ = lo_[rows], hi_[rows]
+    g_rows = np.abs(dist_[rows] + 1 - dist_[lo_])
+    # G over the differences dist[k+1] - dist[k], k in [lo, hi - 1).
+    span = hi_ - 1 - lo_
+    level_of = np.frexp(np.maximum(span, 1))[1] - 1     # floor(log2(span))
+    table = np.abs(np.diff(dist_))
+    for j in range(int(level_of.max()) + 1):
+        q = np.flatnonzero((level_of == j) & (span > 0))
+        if len(q):
+            g_rows[q] = np.gcd(g_rows[q], np.gcd(
+                table[lo_[q]], table[lo_[q] + span[q] - (1 << j)]))
+        table = np.gcd(table[:-(1 << j)], table[1 << j:])
+    g_val = int(np.gcd.reduce(g_rows))
+    return g_val if g_val else None
 
 
 def chain_mixing_check(g: ChainGraph) -> bool:
@@ -529,15 +650,12 @@ def chain_mixing_check(g: ChainGraph) -> bool:
 
 def chain_recurrent_nodes(g: ChainGraph) -> tuple[int, ...]:
     """Nodes lying on some cycle: SCC of size > 1, or a self-loop."""
-    comps = strongly_connected_components(g)
     out = []
-    for comp in comps:
+    for comp in g.components:
         if len(comp) > 1:
             out.extend(comp)
-        else:
-            u = comp[0]
-            if u in g.succ[u]:
-                out.append(u)
+        elif comp[0] in g.succ[comp[0]]:
+            out.append(comp[0])
     return tuple(sorted(out))
 
 

@@ -17,6 +17,7 @@ crosses 0, and the largest strongly connected component has period 2.
 
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import numpy as np
@@ -278,10 +279,11 @@ def test_criterion_09_shadowing_contrast():
 
 
 def _induced(g: ChainGraph, keep) -> ChainGraph:
-    """Sub-graph of g on the nodes in keep (ascending), re-indexed."""
-    index = {u: k for k, u in enumerate(keep)}
-    succ = tuple(tuple(index[v] for v in g.succ[u] if v in index)
-                 for u in keep)
+    """Sub-graph of g on the nodes in keep (ascending), re-indexed.
+
+    The re-index is monotone, so each successor range maps onto a range."""
+    succ = tuple(range(bisect_left(keep, g.succ[u].start),
+                       bisect_left(keep, g.succ[u].stop)) for u in keep)
     return ChainGraph(points=tuple(g.points[u] for u in keep),
                       delta=g.delta, succ=succ)
 

@@ -62,6 +62,10 @@ BAD_PARAMETERS = [
     ["p-chaos", "--density-eps", "1/0"],
     ["interval-devaney", "--density-eps", "0"],
     ["p-chaos", "--density-eps", "0"],
+    # no pseudo-orbit to trace: no trials and no challenge
+    ["shadow", "--trials", "0"],
+    ["shadow", "--trials", "-1"],
+    ["p-chaos", "--trials", "0"],
 ]
 
 

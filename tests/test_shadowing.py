@@ -6,6 +6,7 @@ so expected values can be frozen.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from chaoskit.budgets import BudgetError
 from chaoskit.interval import builtin
 from chaoskit.setfam import FamilyParams, WindowSet, classify
 from chaoskit.shadowing import (
-    BestTracer, IntervalSystem, PseudoOrbit, TraceReport, best_tracer,
-    chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
+    BestTracer, ChainGraph, DiscreteSystem, IntervalSystem, PseudoOrbit,
+    TraceReport, best_tracer, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
     chain_transitive_check, crossing_challenge, fg_shadowing_probe,
     make_pseudo_orbit, orbit_points, p_chaos_report, recompute_valid_set,
     strongly_connected_components, trace_set, two_point_swap,
@@ -263,11 +264,208 @@ def test_chain_half_swap_interval():
 
 def test_chain_two_point_swap():
     g = chain_graph(two_point_swap(), 2, 0.5)
-    assert g.succ == ((1,), (0,))
+    assert tuple(map(tuple, g.succ)) == ((1,), (0,))
     assert chain_transitive_check(g)
     assert chain_period(g) == 2
     assert not chain_mixing_check(g)
     assert chain_recurrent_nodes(g) == (0, 1)
+
+
+# The dense build and the tuple-walking Kosaraju and BFS period that the
+# range form replaced, kept as an oracle.
+
+def dense_chain_succ(system, n_nodes, delta):
+    pts = system.grid(n_nodes)
+    fx = system.step_array(pts)
+    close = np.abs(fx[:, None] - pts[None, :]) < delta + shadowing.FLOAT_SLACK
+    return tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in close)
+
+
+def oracle_sccs(succ):
+    n = len(succ)
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack = [(root, 0)]
+        seen[root] = True
+        while stack:
+            u, i = stack.pop()
+            if i < len(succ[u]):
+                stack.append((u, i + 1))
+                v = succ[u][i]
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append((v, 0))
+            else:
+                order.append(u)
+    rev = [[] for _ in succ]
+    for u, outs in enumerate(succ):
+        for v in outs:
+            rev[v].append(u)
+    comp = [-1] * n
+    comps = []
+    for root in reversed(order):
+        if comp[root] != -1:
+            continue
+        comp[root] = len(comps)
+        comps.append([])
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            comps[-1].append(u)
+            for v in rev[u]:
+                if comp[v] == -1:
+                    comp[v] = comp[root]
+                    stack.append(v)
+    return comps
+
+
+def oracle_period(succ):
+    if len(oracle_sccs(succ)) != 1:
+        return None
+    dist = [-1] * len(succ)
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in succ[u]:
+                if dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        queue = nxt
+    g_val = 0
+    for u, outs in enumerate(succ):
+        for v in outs:
+            g_val = gcd(g_val, dist[u] + 1 - dist[v])
+    return abs(g_val) if g_val else None
+
+
+def assert_matches_oracle(g, succ):
+    assert tuple(map(tuple, g.succ)) == succ
+    comps = oracle_sccs(succ)
+    assert ({frozenset(c) for c in strongly_connected_components(g)}
+            == {frozenset(c) for c in comps})
+    period = oracle_period(succ)
+    assert chain_period(g) == period
+    assert chain_transitive_check(g) == (len(comps) == 1)
+    assert chain_mixing_check(g) == (len(comps) == 1 and period == 1)
+    recurrent = sorted(u for c in comps for u in c
+                       if len(c) > 1 or u in succ[u])
+    assert chain_recurrent_nodes(g) == tuple(recurrent)
+
+
+@pytest.mark.parametrize("system", [TENT, S, EX, IDENT], ids=lambda s: s.name)
+@pytest.mark.parametrize("n_nodes", [129, 1001, 2001])
+def test_chain_ranges_match_dense_oracle(system, n_nodes):
+    # Below the grid spacing, near it, and well above it.
+    for delta in (1e-4, 1.0 / (n_nodes - 1), 0.01, 0.03):
+        g = chain_graph(system, n_nodes, delta)
+        assert_matches_oracle(g, dense_chain_succ(system, n_nodes, delta))
+
+
+def test_chain_ranges_match_dense_oracle_on_discrete_systems():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        points = np.cumsum(rng.choice([0.5, 1.0, 1.5], size=n)) - 3.0
+        if trial % 2:
+            images = np.roll(np.arange(n), int(rng.integers(1, n + 1)))
+        else:
+            images = rng.integers(0, n, size=n)
+        system = DiscreteSystem(points, images)
+        delta = float(rng.choice([0.25, 0.5, 1.0, 1.6, 3.0]))
+        g = chain_graph(system, n, delta)
+        assert_matches_oracle(g, dense_chain_succ(system, n, delta))
+
+
+def block_cycle_succ(rng):
+    """Blocks of nodes in a cycle, each node pointing at the whole next
+    block (period = number of blocks), with a few ranges stretched by one
+    node at either end, which can close shorter or longer cycles."""
+    sizes = rng.integers(1, 8, size=int(rng.integers(2, 7)))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(starts[-1])
+    succ = []
+    for b, size in enumerate(sizes):
+        nb = (b + 1) % len(sizes)
+        succ += [[int(starts[nb]), int(starts[nb + 1])]] * int(size)
+    for u in rng.integers(0, n, size=int(rng.integers(0, 3))):
+        end = int(rng.integers(0, 2))
+        succ[u] = list(succ[u])      # a block's nodes share one list
+        succ[u][end] = min(max(succ[u][end] + (1 if end else -1), 0), n)
+    return tuple(range(lo, hi) for lo, hi in succ)
+
+
+def test_chain_checks_match_oracle_on_range_graphs():
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        if trial % 2:
+            succ = block_cycle_succ(rng)
+        else:
+            n = int(rng.integers(1, 30))
+            lo = rng.integers(0, n, size=n)
+            hi = np.minimum(lo + rng.integers(0, 6, size=n), n)
+            succ = tuple(map(range, lo.tolist(), hi.tolist()))
+        g = ChainGraph(points=tuple(map(float, range(len(succ)))), delta=0.0,
+                       succ=succ)
+        assert_matches_oracle(g, tuple(map(tuple, succ)))
+
+
+def test_chain_components_found_once_per_graph(monkeypatch):
+    calls = []
+    original = shadowing.strongly_connected_components
+    monkeypatch.setattr(shadowing, "strongly_connected_components",
+                        lambda g: calls.append(g) or original(g))
+    g = chain_graph(TENT, 129, 0.02)
+    chain_transitive_check(g)
+    chain_mixing_check(g)
+    chain_period(g)
+    chain_recurrent_nodes(g)
+    assert calls == [g]
+
+
+def test_discrete_nearest_matches_argmin():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        if trial % 3:
+            points = np.sort(rng.choice(np.arange(-40, 40) / 8, size=n,
+                                        replace=False))
+        else:
+            points = np.cumsum(rng.uniform(1e-3, 1.0, size=n))
+        system = DiscreteSystem(points, rng.integers(0, n, size=n))
+        span = points[-1] - points[0] + 1
+        mids = (points[:-1] + points[1:]) / 2          # exact ties
+        arr = np.concatenate([
+            mids, points, rng.uniform(points[0] - span, points[-1] + span, 50),
+            [points[0] - 1e300, points[-1] + 1e300, -1e18, 1e18]])
+        want = np.abs(arr[:, None] - points[None, :]).argmin(axis=1)
+        assert np.array_equal(system._nearest(arr), want)
+        assert np.array_equal(system.step_array(arr),
+                              points[system.images[want]])
+        assert system.step(arr[0]) == points[system.images[want[0]]]
+
+
+def test_discrete_points_must_ascend():
+    for points in ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            DiscreteSystem(points, [0] * len(points))
+
+
+def test_probe_needs_a_pseudo_orbit():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            fg_shadowing_probe(TENT, 0.05, [0.01], 10, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        fg_shadowing_probe(EX, 0.05, [0.01], 10, trials=-1,
+                           challenges=[crossing_challenge()])
+    # A challenge alone is something to trace.
+    res = fg_shadowing_probe(EX, 0.05, [1e-4], 64, trials=0,
+                             n_candidates=2001, challenges=[crossing_challenge()])
+    assert res.verdict == "falsified" and len(res.rows) == 1
 
 
 def test_chain_budget():
