@@ -11,6 +11,11 @@ breakpoints merged with the g-preimages of f's breakpoints), periodic points
 computed on an explicit window [1, N].  Intervals are closed; a boundary-only
 intersection counts as a hit unless strict=True.  The sensitivity comparison
 is strict (>).
+
+The image of an interval depends on the interval alone, so every image orbit
+f^n(U) is eventually periodic: it is iterated to its first repeat only, each
+test runs once per distinct image, and the remaining steps of the window
+follow by index.
 """
 
 from __future__ import annotations
@@ -309,25 +314,40 @@ class HittingSet:
     window: WindowSet
 
 
-def _iterate_images(m: PLMap, u: Interval, n_max: int) -> list[Interval]:
+def _orbit(m: PLMap, u: Interval, n_max: int) -> tuple[list[Interval], list[int]]:
+    """The distinct images f^1(U), f^2(U), ... and, for each step n in
+    [1, N], the index of f^n(U) among them.
+
+    pl_image is a function of the interval alone, so at the first repeat
+    f^n(U) = f^k(U) the orbit cycles with period n - k and the remaining
+    steps are filled by index.  The budget is charged for all N steps.
+    """
     charge("iter_steps", n_max)
-    images = []
+    images: list[Interval] = []
+    first: dict[Interval, int] = {}
     cur = (Fraction(u[0]), Fraction(u[1]))
-    for _ in range(n_max):
+    while len(images) < n_max:
         cur = pl_image(m, cur)
+        k = first.setdefault(cur, len(images))
+        if k < len(images):
+            break
         images.append(cur)
-    return images
+    n = len(images)
+    return images, [t if t < n else k + (t - k) % (n - k) for t in range(n_max)]
+
+
+def _hits(flags: list[bool], index: list[int], n_max: int) -> HittingSet:
+    """The steps whose image is flagged, on the window [0, N]."""
+    return HittingSet(WindowSet(n_max + 1, tuple(
+        n for n, k in enumerate(index, start=1) if flags[k])))
 
 
 def sensitivity_hitting_set(m: PLMap, u: Interval, delta: Fraction | str,
                             n_max: int) -> HittingSet:
     """{n in [1, N] : diam(f^n(U)) > delta}, exact, strict comparison."""
     delta = Fraction(delta)
-    members = []
-    for n, (a, b) in enumerate(_iterate_images(m, u, n_max), start=1):
-        if b - a > delta:
-            members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)))
+    images, index = _orbit(m, u, n_max)
+    return _hits([b - a > delta for a, b in images], index, n_max)
 
 
 def intervals_meet(a: Interval, b: Interval, strict: bool = False) -> bool:
@@ -340,22 +360,17 @@ def transitivity_hitting_set(m: PLMap, u: Interval, v: Interval, n_max: int,
                              strict: bool = False) -> HittingSet:
     """{n in [1, N] : f^n(U) meets V}; boundary touches count unless strict."""
     v = (Fraction(v[0]), Fraction(v[1]))
-    members = []
-    for n, img in enumerate(_iterate_images(m, u, n_max), start=1):
-        if intervals_meet(img, v, strict):
-            members.append(n)
-    return HittingSet(WindowSet(n_max + 1, tuple(members)))
+    images, index = _orbit(m, u, n_max)
+    return _hits([intervals_meet(img, v, strict) for img in images], index, n_max)
 
 
 def leo_check(m: PLMap, u: Interval, n_max: int) -> int | None:
     """Least n* with f^n(U) equal to the whole domain for all n in [n*, N];
     None when no such stabilization is observed on the window."""
     full = m.domain
-    images = _iterate_images(m, u, n_max)
-    last_bad = 0
-    for n, img in enumerate(images, start=1):
-        if img != full:
-            last_bad = n
+    images, index = _orbit(m, u, n_max)
+    bad = [img != full for img in images]
+    last_bad = max((n for n, k in enumerate(index, start=1) if bad[k]), default=0)
     if last_bad == n_max:
         return None
     return last_bad + 1

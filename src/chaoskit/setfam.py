@@ -214,31 +214,34 @@ def _linked_span(a: WindowSet, g: int) -> int:
     return best
 
 
-def _block_starts(a: WindowSet, n: int) -> WindowSet:
-    """Start positions of runs of n consecutive members, as a WindowSet."""
-    width = a.horizon - n + 1
-    if width < 1:
-        return WindowSet(1, ())
-    inside = set(a.members)
-    starts = []
-    run = 0
-    for i in range(a.horizon - 1, -1, -1):
-        run = run + 1 if i in inside else 0
-        if run >= n and i < width:
-            starts.append(i)
-    starts.reverse()
-    return WindowSet(width, tuple(starts))
+def _runs(a: WindowSet) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive members, as (start, end) with end exclusive."""
+    runs: list[tuple[int, int]] = []
+    for m in a.members:
+        if runs and runs[-1][1] == m:
+            runs[-1] = (runs[-1][0], m + 1)
+        else:
+            runs.append((m, m + 1))
+    return runs
 
 
 def _thickly_syndetic(a: WindowSet, p: FamilyParams) -> bool:
+    # The n-block starts of a run [s, e) are s .. e - n, on the window
+    # [0, horizon - n + 1); inside a run they are 1 apart, so their gaps are
+    # the first start, the jumps between runs of length >= n and the tail.
     # Block-start gaps follow the tail policy, as the syndetic check does:
     # the starts of 1-blocks are the members themselves, so a censored check
     # here could pass a set that fails strict syndeticity.
+    runs = _runs(a)
     for n in range(1, p.block + 1):
-        if n > a.horizon:
+        runs = [(s, e) for s, e in runs if e - s >= n]
+        if not runs:
             return False
-        starts = _block_starts(a, n)
-        if not starts.members or max_gap(starts, p.tail_policy) > p.gap:
+        gap = max([runs[0][0]]
+                  + [s - (e - n) for (_, e), (s, _) in zip(runs, runs[1:])])
+        if p.tail_policy == STRICT:
+            gap = max(gap, a.horizon + 1 - runs[-1][1])
+        if gap > p.gap:
             return False
     return True
 
@@ -278,18 +281,23 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
 
 
 def _density_bounds(a: WindowSet, burnin: int) -> tuple[Fraction, Fraction]:
-    lo = hi = None
-    count = a.count_below(burnin)
-    idx = count
-    for n in range(burnin, a.horizon + 1):
-        if n > burnin:
-            if idx < len(a.members) and a.members[idx] == n - 1:
-                count += 1
-                idx += 1
-        d = Fraction(count, n)
-        lo = d if lo is None or d < lo else lo
-        hi = d if hi is None or d > hi else hi
-    return lo, hi
+    """min and max of count(n)/n over n in [burnin, horizon], count(n) being
+    |A ∩ [0, n)|.  Between members the count is constant and the ratio falls
+    as n rises, so the minimum sits at a member n = m or at the horizon and
+    the maximum at n = m + 1 or at the burn-in; (count, n) pairs are
+    compared by cross-multiplying."""
+    members = a.members
+    lo_c = hi_c = a.count_below(burnin)
+    lo_n = hi_n = burnin
+    for i in range(lo_c, len(members)):
+        m = members[i]
+        if i * lo_n < lo_c * m:
+            lo_c, lo_n = i, m
+        if (i + 1) * hi_n > hi_c * (m + 1):
+            hi_c, hi_n = i + 1, m + 1
+    if len(members) * lo_n < lo_c * a.horizon:
+        lo_c, lo_n = len(members), a.horizon
+    return Fraction(lo_c, lo_n), Fraction(hi_c, hi_n)
 
 
 # ---------------------------------------------------------------------------

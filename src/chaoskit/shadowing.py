@@ -473,6 +473,54 @@ class ChainGraph:
         """The strongly connected components, found once per graph."""
         return strongly_connected_components(self)
 
+    @cached_property
+    def period(self) -> int | None:
+        """gcd of cycle lengths of a strongly connected graph (None
+        otherwise), found once per graph.
+
+        Computed as gcd over all edges u->v of dist(u)+1-dist(v) for BFS
+        levels from node 0; 1 means aperiodic.  Over one successor range
+        [lo, hi) that gcd is gcd(dist(u)+1-dist(lo), G(lo, hi)), where G is
+        the gcd of the consecutive level differences inside the range; G is
+        read from a sparse table built one level at a time, so memory stays
+        O(n).
+        """
+        if not chain_transitive_check(self):
+            return None
+        n = len(self)
+        lo, hi = _bounds(self)
+        find, visit = _unvisited(n)
+        dist = [0] * n
+        visit(0)
+        queue = [0]
+        for u in queue:         # queue grows while it is walked
+            d = dist[u] + 1
+            v = find(lo[u])
+            while v < hi[u]:
+                dist[v] = d
+                visit(v)
+                queue.append(v)
+                v = find(v + 1)
+        dist_ = np.array(dist, dtype=np.int64)
+        lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        rows = np.flatnonzero(hi_ > lo_)
+        if not len(rows):
+            return None
+        lo_, hi_ = lo_[rows], hi_[rows]
+        g_rows = np.abs(dist_[rows] + 1 - dist_[lo_])
+        # G over the differences dist[k+1] - dist[k], k in [lo, hi - 1).
+        span = hi_ - 1 - lo_
+        level_of = np.frexp(np.maximum(span, 1))[1] - 1     # floor(log2(span))
+        table = np.abs(np.diff(dist_))
+        for j in range(int(level_of.max()) + 1):
+            q = np.flatnonzero((level_of == j) & (span > 0))
+            if len(q):
+                g_rows[q] = np.gcd(g_rows[q], np.gcd(
+                    table[lo_[q]], table[lo_[q] + span[q] - (1 << j)]))
+            table = np.gcd(table[:-(1 << j)], table[1 << j:])
+        g_val = int(np.gcd.reduce(g_rows))
+        return g_val if g_val else None
+
 
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     """Edges i -> j whenever d(f(p_i), p_j) < delta + slack; succ[i] is the
@@ -599,49 +647,9 @@ def chain_transitive_check(g: ChainGraph) -> bool:
 
 
 def chain_period(g: ChainGraph) -> int | None:
-    """gcd of cycle lengths of a strongly connected graph (None otherwise).
-
-    Computed as gcd over all edges u->v of dist(u)+1-dist(v) for BFS levels
-    from node 0; 1 means aperiodic.  Over one successor range [lo, hi) that
-    gcd is gcd(dist(u)+1-dist(lo), G(lo, hi)), where G is the gcd of the
-    consecutive level differences inside the range; G is read from a sparse
-    table built one level at a time, so memory stays O(n).
-    """
-    if not chain_transitive_check(g):
-        return None
-    n = len(g)
-    lo, hi = _bounds(g)
-    find, visit = _unvisited(n)
-    dist = [0] * n
-    visit(0)
-    queue = [0]
-    for u in queue:         # queue grows while it is walked
-        d = dist[u] + 1
-        v = find(lo[u])
-        while v < hi[u]:
-            dist[v] = d
-            visit(v)
-            queue.append(v)
-            v = find(v + 1)
-    dist_ = np.array(dist, dtype=np.int64)
-    lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-    rows = np.flatnonzero(hi_ > lo_)
-    if not len(rows):
-        return None
-    lo_, hi_ = lo_[rows], hi_[rows]
-    g_rows = np.abs(dist_[rows] + 1 - dist_[lo_])
-    # G over the differences dist[k+1] - dist[k], k in [lo, hi - 1).
-    span = hi_ - 1 - lo_
-    level_of = np.frexp(np.maximum(span, 1))[1] - 1     # floor(log2(span))
-    table = np.abs(np.diff(dist_))
-    for j in range(int(level_of.max()) + 1):
-        q = np.flatnonzero((level_of == j) & (span > 0))
-        if len(q):
-            g_rows[q] = np.gcd(g_rows[q], np.gcd(
-                table[lo_[q]], table[lo_[q] + span[q] - (1 << j)]))
-        table = np.gcd(table[:-(1 << j)], table[1 << j:])
-    g_val = int(np.gcd.reduce(g_rows))
-    return g_val if g_val else None
+    """gcd of cycle lengths of a strongly connected graph (None otherwise);
+    see ChainGraph.period."""
+    return g.period
 
 
 def chain_mixing_check(g: ChainGraph) -> bool:

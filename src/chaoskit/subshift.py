@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import setfam
 from .budgets import BudgetError, cap, charge
 from .setfam import FamilyParams, FamilyVerdict, WindowSet
@@ -143,6 +145,8 @@ class SpacingShift(Shift):
 
     def __init__(self, p_set: WindowSet):
         self.p_set = p_set
+        self._in_p = np.zeros(p_set.horizon, dtype=bool)   # P's indicator
+        self._in_p[list(p_set.members)] = True
 
     def accepts(self, w: str) -> bool:
         return spacing_member(self.p_set, w)
@@ -150,7 +154,9 @@ class SpacingShift(Shift):
     def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
         """The gap criterion on cross distances between the 1-positions of u
         and of v, with no word enumeration; the all-zero filler word
-        witnesses admissibility."""
+        witnesses admissibility.  u 0^s v passes iff d + s is in P for every
+        distinct cross distance d = |u| + j - i, so the members are the AND
+        of one shifted indicator of P per d."""
         u_ones = one_positions(u)
         v_ones = one_positions(v)
         if u_ones and v_ones:
@@ -158,12 +164,10 @@ class SpacingShift(Shift):
             if worst >= self.p_set.horizon:
                 raise ValueError(
                     f"gap {worst} not decidable below horizon {self.p_set.horizon}")
-        members = []
-        for s in range(0, n_max + 1):
-            if all((len(u) + s + j - i) in self.p_set
-                   for i in u_ones for j in v_ones):
-                members.append(s)
-        return WindowSet(n_max + 1, tuple(members))
+        ok = np.ones(n_max + 1, dtype=bool)
+        for d in {len(u) + j - i for i in u_ones for j in v_ones}:
+            ok &= self._in_p[d:d + n_max + 1]
+        return WindowSet(n_max + 1, tuple(np.flatnonzero(ok).tolist()))
 
 
 @dataclass(frozen=True)

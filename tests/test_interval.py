@@ -5,14 +5,15 @@ either computed by an independent route (iterated pointwise evaluation vs
 symbolic composition) or frozen by hand.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoskit import setfam
-from chaoskit.budgets import BudgetError
+from chaoskit import interval, setfam
+from chaoskit.budgets import BudgetError, cap
 from chaoskit.interval import (
     SurveyParams, builtin, devaney_report, leo_check, parse_pl_text,
     periodic_density_report, periodic_points, pl_compose, pl_eval, pl_image,
@@ -197,6 +198,99 @@ def test_transitivity_strict_vs_touching():
     assert 1 not in strict.window
 
 
+# ---------------------------------------------------------------------------
+# Image orbits: the cycle-detecting orbit against the step-by-step loop.
+
+def stepwise_images(m, u, n_max):
+    """f^1(U), ..., f^N(U), one pl_image call per step."""
+    cur, out = (F(u[0]), F(u[1])), []
+    for _ in range(n_max):
+        cur = pl_image(m, cur)
+        out.append(cur)
+    return out
+
+
+def stepwise_leo(m, u, n_max):
+    bad = [n for n, img in enumerate(stepwise_images(m, u, n_max), start=1)
+           if img != m.domain]
+    last_bad = bad[-1] if bad else 0
+    return None if last_bad == n_max else last_bad + 1
+
+
+def random_pl_map(rng):
+    inner = sorted({F(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 4))})
+    xs = [F(0)] + inner + [F(1)]
+    return pl_map([(x, F(rng.randint(0, 10), 10)) for x in xs])
+
+
+def random_interval(rng, m):
+    a, b = sorted(m.lo + (m.hi - m.lo) * F(rng.randint(0, 24), 24) for _ in range(2))
+    return (a, b)
+
+
+# f(x) = x / 2: the image of [a, b] is [a/2, b/2], so no orbit repeats.
+HALVING = pl_map([(0, 0), (1, F(1, 2))])
+
+
+def orbit_cases():
+    rng = random.Random(8)
+    for m in (S, TENT, EX, IDENT, HALVING):
+        grid = SurveyParams(cells=5).grid(m)
+        for u in grid:
+            for v in grid:
+                yield m, u, v, 64
+    for _ in range(60):
+        m = random_pl_map(rng)
+        yield m, random_interval(rng, m), random_interval(rng, m), 40
+
+
+def test_orbit_tiles_the_stepwise_images():
+    repeats = 0
+    for m, u, _, n_max in orbit_cases():
+        images, index = interval._orbit(m, u, n_max)
+        assert len(set(images)) == len(images)
+        assert [images[k] for k in index] == stepwise_images(m, u, n_max)
+        repeats += len(images) < n_max
+    assert 0 < repeats < len(list(orbit_cases()))   # both kinds are covered
+
+
+def test_hitting_sets_and_leo_match_stepwise_loop():
+    for m, u, v, n_max in orbit_cases():
+        images = stepwise_images(m, u, n_max)
+        for strict in (False, True):
+            want = tuple(n for n, img in enumerate(images, start=1)
+                         if interval.intervals_meet(img, v, strict))
+            got = transitivity_hitting_set(m, u, v, n_max, strict).window
+            assert got == setfam.WindowSet(n_max + 1, want)
+        for delta in (F(0), F(1, 4), (m.hi - m.lo) / 2):
+            want = tuple(n for n, (a, b) in enumerate(images, start=1) if b - a > delta)
+            got = sensitivity_hitting_set(m, u, delta, n_max).window
+            assert got == setfam.WindowSet(n_max + 1, want)
+        assert leo_check(m, u, n_max) == stepwise_leo(m, u, n_max)
+
+
+def test_repeating_orbit_charges_the_whole_window(monkeypatch):
+    """identity repeats at step 1, yet the step budget is charged for all
+    N steps, so the cap is hit at the same N as with no repeat."""
+    u = (F(1, 4), F(1, 2))
+    charged = []
+    monkeypatch.setattr(interval, "charge",
+                        lambda name, amount: charged.append((name, amount)))
+    transitivity_hitting_set(IDENT, u, u, 100)
+    sensitivity_hitting_set(IDENT, u, F(1, 8), 100)
+    leo_check(IDENT, u, 100)
+    assert charged == [("iter_steps", 100)] * 3
+    monkeypatch.undo()
+    n_cap = cap("iter_steps")
+    assert transitivity_hitting_set(IDENT, u, u, n_cap).window.members \
+        == tuple(range(1, n_cap + 1))
+    for call in (lambda: transitivity_hitting_set(IDENT, u, u, n_cap + 1),
+                 lambda: sensitivity_hitting_set(IDENT, u, F(1, 8), n_cap + 1),
+                 lambda: leo_check(IDENT, u, n_cap + 1)):
+        with pytest.raises(BudgetError):
+            call()
+
+
 def test_dilation_embedding():
     import random
     rng = random.Random("dilate")
@@ -280,6 +374,23 @@ def test_devaney_report_identity():
     assert all(v is False for v in rep.verdicts.values())
     # Transitivity already fails, so nothing is flagged as anomalous.
     assert not rep.anomalies
+
+
+def test_survey_keeps_no_state_between_calls(monkeypatch):
+    """A second identical survey and periodic-point search make as many
+    pl_image and pl_compose calls as the first, so no orbit or power
+    outlives the call that made it."""
+    calls = []
+    for name in ("pl_image", "pl_compose"):
+        monkeypatch.setattr(interval, name, lambda *a, f=getattr(interval, name),
+                            name=name: calls.append(name) or f(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        devaney_report(TENT, SurveyParams(cells=4, n_steps=32), "tent")
+        periodic_points(TENT, 4)
+        counts.append((calls.count("pl_image"), calls.count("pl_compose")))
+    assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
 def test_survey_grid_margin():

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, assume, settings
@@ -53,12 +54,111 @@ def test_cofinite_head_frozen():
     assert least_cofinite_head(empty_window(16)) == 16
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the per-prefix density scan and the per-n block-start sets that
+# classify used to build, kept to check the linear passes against.
+
+def block_starts(a, n):
+    """Start positions of runs of n consecutive members, as a WindowSet."""
+    width = a.horizon - n + 1
+    if width < 1:
+        return WindowSet(1, ())
+    inside = set(a.members)
+    starts = []
+    run = 0
+    for i in range(a.horizon - 1, -1, -1):
+        run = run + 1 if i in inside else 0
+        if run >= n and i < width:
+            starts.append(i)
+    starts.reverse()
+    return WindowSet(width, tuple(starts))
+
+
+def thickly_syndetic_by_starts(a, p):
+    for n in range(1, p.block + 1):
+        if n > a.horizon:
+            return False
+        starts = block_starts(a, n)
+        if not starts.members or max_gap(starts, p.tail_policy) > p.gap:
+            return False
+    return True
+
+
+def density_bounds_by_prefix(a, burnin):
+    """min and max of |A ∩ [0, n)| / n, one Fraction per n in [burnin, horizon]."""
+    ratios = [Fraction(a.count_below(n), n) for n in range(burnin, a.horizon + 1)]
+    return min(ratios), max(ratios)
+
+
+def oracle_classify(a, p):
+    """classify's verdict, built from the oracles and the public helpers."""
+    p.check_horizon(a.horizon)
+    if not a.members:
+        return setfam.FamilyVerdict(
+            horizon=a.horizon, syndetic=False, max_gap=None, thick=False,
+            longest_block=0, thickly_syndetic=False, piecewise_syndetic=False,
+            cofinite=False, cofinite_head=a.horizon,
+            lower_density=Fraction(0), upper_density=Fraction(0))
+    gap, block = max_gap(a, p.tail_policy), longest_block(a)
+    lo, hi = density_bounds_by_prefix(a, p.burnin)
+    head = least_cofinite_head(a)
+    return setfam.FamilyVerdict(
+        horizon=a.horizon, syndetic=gap <= p.gap, max_gap=gap,
+        thick=block >= p.block, longest_block=block,
+        thickly_syndetic=thickly_syndetic_by_starts(a, p),
+        piecewise_syndetic=(block >= p.block
+                            or (gap <= p.gap and a.horizon >= p.block)
+                            or setfam._linked_span(a, p.gap) >= p.block),
+        cofinite=head <= p.cofinite_head, cofinite_head=head,
+        lower_density=lo, upper_density=hi)
+
+
 def test_block_starts_frozen():
     a = window_set(8, [0, 1, 2, 5, 6])
-    starts = setfam._block_starts(a, 2)
+    starts = block_starts(a, 2)
     assert starts.horizon == 7
     assert starts.members == (0, 1, 5)
-    assert setfam._block_starts(a, 9).members == ()
+    assert block_starts(a, 9).members == ()
+
+
+def test_linear_passes_match_oracles_on_every_small_set():
+    """Every subset of every horizon up to 9: the thickly-syndetic check at
+    gap and block 1..3 under both tail policies, and both density bounds at
+    every burn-in."""
+    for h in range(1, 10):
+        for mask in range(1, 1 << h):
+            a = WindowSet(h, tuple(n for n in range(h) if mask >> n & 1))
+            for gap, block, policy in product((1, 2, 3), (1, 2, 3), (CENSORED, STRICT)):
+                p = FamilyParams(gap=gap, block=block, tail_policy=policy)
+                assert setfam._thickly_syndetic(a, p) == thickly_syndetic_by_starts(a, p)
+            for burnin in range(1, h + 1):
+                assert setfam._density_bounds(a, burnin) \
+                    == density_bounds_by_prefix(a, burnin)
+
+
+oracle_cases = st.integers(1, 90).flatmap(lambda h: st.tuples(
+    st.just(h), st.sets(st.integers(0, h - 1)),
+    st.builds(FamilyParams, gap=st.integers(1, 12), block=st.integers(1, 12),
+              cofinite_head=st.integers(0, 12), burnin=st.integers(1, h),
+              tail_policy=st.sampled_from([CENSORED, STRICT]))))
+
+
+@given(oracle_cases)
+@settings(max_examples=400)
+@example(case=(20, set(), FamilyParams(burnin=5)))
+@example(case=(20, set(range(20)), FamilyParams(burnin=20, tail_policy=STRICT)))
+@example(case=(20, {5, 6, 7, 12}, FamilyParams(gap=5, block=2, burnin=5)))
+@example(case=(20, {5, 6, 7, 12}, FamilyParams(gap=5, block=2, burnin=5,
+                                               tail_policy=STRICT)))
+# The strict tail of the block starts is (horizon - n + 1) - (end - n).
+@example(case=(20, set(range(10)), FamilyParams(gap=10, block=3, burnin=1,
+                                                tail_policy=STRICT)))
+def test_classify_matches_oracle(case):
+    """The linear density pass and the run-based thickly-syndetic check give
+    the verdict of the prefix scan and the block-start sets, field for field."""
+    h, members, p = case
+    a = window_set(h, members)
+    assert classify(a, p) == oracle_classify(a, p)
 
 
 # ---------------------------------------------------------------------------

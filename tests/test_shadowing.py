@@ -427,6 +427,22 @@ def test_chain_components_found_once_per_graph(monkeypatch):
     assert calls == [g]
 
 
+def test_chain_period_found_once_per_graph(monkeypatch):
+    """The BFS levels are taken once per graph, however many checks ask:
+    one _unvisited union-find for the SCC forward pass, one for the BFS."""
+    calls = []
+    original = shadowing._unvisited
+    monkeypatch.setattr(shadowing, "_unvisited",
+                        lambda n: calls.append(n) or original(n))
+    g = chain_graph(TENT, 129, 0.02)
+    chain_transitive_check(g)
+    chain_mixing_check(g)
+    chain_period(g)
+    chain_recurrent_nodes(g)
+    assert chain_period(g) == 1
+    assert calls == [129, 129]
+
+
 def test_discrete_nearest_matches_argmin():
     rng = np.random.default_rng(11)
     for trial in range(300):

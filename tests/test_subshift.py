@@ -176,6 +176,43 @@ def test_gap_set_generic_fallback_agrees():
         assert fast.members == slow.members
 
 
+def all_pairs_gaps(p_set, u, v, n_max):
+    """SpacingShift.gaps by testing every pair of 1-positions for every s."""
+    u_ones, v_ones = subshift.one_positions(u), subshift.one_positions(v)
+    if u_ones and v_ones:
+        worst = len(u) + n_max + v_ones[-1] - u_ones[0]
+        if worst >= p_set.horizon:
+            raise ValueError(f"gap {worst} not decidable below horizon {p_set.horizon}")
+    return WindowSet(n_max + 1, tuple(
+        s for s in range(n_max + 1)
+        if all(len(u) + s + j - i in p_set for i in u_ones for j in v_ones)))
+
+
+def test_spacing_gaps_match_all_pairs():
+    """The AND of shifted indicators equals the all-pairs test, including
+    words without 1s and the undecidable-horizon error."""
+    rng = random.Random(8)
+    checked = errors = 0
+    for _ in range(400):
+        h = rng.randint(1, 80)
+        p = window_set(h, (q for q in range(h) if rng.random() < rng.random()))
+        u = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        v = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        n_max = rng.randint(0, 60)
+        try:
+            want = all_pairs_gaps(p, u, v, n_max)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                SpacingShift(p).gaps(u, v, n_max)
+            errors += 1
+            continue
+        got = SpacingShift(p).gaps(u, v, n_max)
+        assert got == want
+        assert all(type(s) is int for s in got.members)
+        checked += 1
+    assert checked > 200 and errors > 50
+
+
 # ---------------------------------------------------------------------------
 # Dense periodic points in spacing shifts.
 
