@@ -1,9 +1,8 @@
 """Exact piecewise-linear interval maps over the rationals.
 
 Everything in this module is computed with fractions.Fraction: evaluation,
-images of closed intervals, composition (breakpoints of f∘g are g's
-breakpoints merged with the g-preimages of f's breakpoints), periodic points
-(per-piece linear solve), and the hitting sets
+images of closed intervals, composition, periodic points, and the hitting
+sets
 
   N_f(U, V)     = {n : f^n(U) ∩ V nonempty}          (transitivity)
   N_f(U, delta) = {n : diam(f^n(U)) > delta}         (sensitivity)
@@ -11,6 +10,15 @@ breakpoints merged with the g-preimages of f's breakpoints), periodic points
 computed on an explicit window [1, N].  Intervals are closed; a boundary-only
 intersection counts as a hit unless strict=True.  The sensitivity comparison
 is strict (>).
+
+The breakpoints of f∘g are g's breakpoints merged with the g-preimages of
+f's breakpoints.  Each piece of g is monotone, so the preimages on it come
+out in order and carry known values, and the composed map is emitted sorted,
+evaluating f only at g's breakpoint values.
+
+The periodic points of period n are the fixed points of f^n, solved piece by
+piece.  Every point of a periodic orbit is one of them, so each orbit is
+walked once under f and its length is the prime period of all its points.
 
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
@@ -20,7 +28,7 @@ follow by index.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -135,13 +143,6 @@ def pl_eval(m: PLMap, x: Fraction | int | str) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def pl_iterate(m: PLMap, x: Fraction | int | str, n: int) -> Fraction:
-    x = Fraction(x)
-    for _ in range(n):
-        x = pl_eval(m, x)
-    return x
-
-
 def pl_image(m: PLMap, iv: Interval) -> Interval:
     """Exact image of a closed subinterval: extremes occur at the endpoints
     or at interior breakpoints."""
@@ -157,26 +158,37 @@ def pl_image(m: PLMap, iv: Interval) -> Interval:
 
 
 def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMap:
-    """Exact f∘g (apply g first); domains must agree."""
+    """Exact f∘g (apply g first); domains must agree.
+
+    On each non-flat piece of g the solutions of g(x) = b, b in f.xs, lie
+    strictly inside the piece and ascend with b on a rising piece and with -b
+    on a falling one.  So the breakpoints come out in order, and their values
+    are known without evaluating g: f(g.ys[i]) at g's own breakpoints and
+    f.ys[j] where g(x) = f.xs[j]."""
     if f.domain != g.domain:
         raise ValueError("compose needs maps on the same domain")
     limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
-    xs = set(g.xs)
+    count = len(g.xs)
+    xs = [g.xs[0]]
+    ys = [pl_eval(f, g.ys[0])]
     for i in range(len(g.xs) - 1):
         x0, x1 = g.xs[i], g.xs[i + 1]
         y0, y1 = g.ys[i], g.ys[i + 1]
-        if y0 == y1:
-            continue
-        lo_y, hi_y = (y0, y1) if y0 < y1 else (y1, y0)
-        for b in f.xs:
-            if lo_y < b < hi_y:
-                # solve g(x) = b on this piece
-                xs.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-        if len(xs) > limit:
-            raise BudgetError(f"compose exceeded {limit} breakpoints")
-    xs_sorted = tuple(sorted(xs))
-    ys = tuple(pl_eval(f, pl_eval(g, x)) for x in xs_sorted)
-    return PLMap(xs_sorted, ys)
+        if y0 != y1:
+            if y0 < y1:
+                inner = range(bisect_right(f.xs, y0), bisect_left(f.xs, y1))
+            else:
+                inner = range(bisect_left(f.xs, y0) - 1, bisect_right(f.xs, y1) - 1, -1)
+            scale = (x1 - x0) / (y1 - y0)
+            for j in inner:
+                xs.append(x0 + (f.xs[j] - y0) * scale)
+                ys.append(f.ys[j])
+            count += len(inner)
+            if count > limit:
+                raise BudgetError(f"compose exceeded {limit} breakpoints")
+        xs.append(x1)
+        ys.append(pl_eval(f, y1))
+    return PLMap(tuple(xs), tuple(ys))
 
 
 def pl_power(m: PLMap, n: int, breakpoint_budget: int | None = None) -> PLMap:
@@ -229,18 +241,26 @@ def _merge_segments(segs: list[Interval]) -> list[Interval]:
 
 
 def periodic_points(m: PLMap, period: int) -> PeriodicReport:
-    """Exact fixed points of m^period with prime periods by divisor filtering."""
+    """Exact fixed points of m^period with their prime periods.
+
+    Each orbit is walked once under m until it returns, at most period steps,
+    and its length is the prime period of every point on it.  The orbit of a
+    listed point is listed throughout: an orbit that met a slope-1 fixed
+    segment of m^period would lie in such segments, as m is one-to-one on a
+    segment and m^period is the identity on its image."""
     power = pl_power(m, period)
     points, segments = _fixed_of(power)
-    out = []
+    prime: dict[Fraction, int] = {}
     for p in points:
-        prime = period
-        for d in range(1, period):
-            if period % d == 0 and pl_iterate(m, p, d) == p:
-                prime = d
-                break
-        out.append((p, prime))
-    return PeriodicReport(points=tuple(out),
+        if p in prime:
+            continue
+        orbit = [p]
+        x = pl_eval(m, p)
+        while x != p:
+            orbit.append(x)
+            x = pl_eval(m, x)
+        prime.update(dict.fromkeys(orbit, len(orbit)))
+    return PeriodicReport(points=tuple((p, prime[p]) for p in points),
                           segments=tuple((a, b) for a, b in segments))
 
 

@@ -201,38 +201,23 @@ def least_cofinite_head(a: WindowSet) -> int:
     return head
 
 
-def _linked_span(a: WindowSet, g: int) -> int:
-    """Longest span first..last of a maximal run whose successive gaps are <= g."""
-    best = 0
-    start = None
-    prev = None
-    for m in a.members:
-        if prev is None or m - prev > g:
-            start = m
-        best = max(best, m - start + 1)
-        prev = m
-    return best
-
-
 def _runs(a: WindowSet) -> list[tuple[int, int]]:
     """Maximal runs of consecutive members, as (start, end) with end exclusive."""
-    runs: list[tuple[int, int]] = []
-    for m in a.members:
-        if runs and runs[-1][1] == m:
-            runs[-1] = (runs[-1][0], m + 1)
-        else:
-            runs.append((m, m + 1))
-    return runs
+    m = a.members
+    if not m:
+        return []
+    cuts = [i for i in range(1, len(m)) if m[i] != m[i - 1] + 1]
+    return [(m[i], m[j - 1] + 1) for i, j in zip([0] + cuts, cuts + [len(m)])]
 
 
-def _thickly_syndetic(a: WindowSet, p: FamilyParams) -> bool:
+def _thickly_syndetic(runs: list[tuple[int, int]], horizon: int,
+                      p: FamilyParams) -> bool:
     # The n-block starts of a run [s, e) are s .. e - n, on the window
     # [0, horizon - n + 1); inside a run they are 1 apart, so their gaps are
     # the first start, the jumps between runs of length >= n and the tail.
     # Block-start gaps follow the tail policy, as the syndetic check does:
     # the starts of 1-blocks are the members themselves, so a censored check
     # here could pass a set that fails strict syndeticity.
-    runs = _runs(a)
     for n in range(1, p.block + 1):
         runs = [(s, e) for s, e in runs if e - s >= n]
         if not runs:
@@ -240,14 +225,18 @@ def _thickly_syndetic(a: WindowSet, p: FamilyParams) -> bool:
         gap = max([runs[0][0]]
                   + [s - (e - n) for (_, e), (s, _) in zip(runs, runs[1:])])
         if p.tail_policy == STRICT:
-            gap = max(gap, a.horizon + 1 - runs[-1][1])
+            gap = max(gap, horizon + 1 - runs[-1][1])
         if gap > p.gap:
             return False
     return True
 
 
 def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
-    """Classify a window set against all families at the given parameters."""
+    """Classify a window set against all families at the given parameters.
+
+    Every verdict is read from the maximal runs of consecutive members, which
+    are built in one pass: successive differences are 1 inside a run and
+    s' - e + 1 from a run [s, e) to the next one [s', e')."""
     p.check_horizon(a.horizon)
     if not a.members:
         return FamilyVerdict(
@@ -258,45 +247,54 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
             cofinite=False, cofinite_head=a.horizon,
             lower_density=Fraction(0), upper_density=Fraction(0),
         )
-    gap = max_gap(a, p.tail_policy)
-    block = longest_block(a)
+    runs = _runs(a)
+    jumps = [s - e + 1 for (_, e), (s, _) in zip(runs, runs[1:])]
+    block = max(e - s for s, e in runs)
+    # The gaps are the leading gap, 1 inside any run of two or more members
+    # and the jumps between runs.
+    gap = max(runs[0][0], 1 if block > 1 else 0, *jumps)
+    if p.tail_policy == STRICT:
+        gap = max(gap, a.horizon + 1 - runs[-1][1])
+    # The longest span of members whose successive gaps are <= p.gap.
+    span, first = 0, runs[0][0]
+    for (s, e), jump in zip(runs, [0] + jumps):
+        if jump > p.gap:
+            first = s
+        span = max(span, e - first)
     syndetic = gap <= p.gap
     thick = block >= p.block
-    piecewise = (
-        thick
-        or (syndetic and a.horizon >= p.block)
-        or _linked_span(a, p.gap) >= p.block
-    )
-    head = least_cofinite_head(a)
-    lo, hi = _density_bounds(a, p.burnin)
+    piecewise = thick or (syndetic and a.horizon >= p.block) or span >= p.block
+    head = runs[-1][0] if runs[-1][1] == a.horizon else a.horizon
+    lo, hi = _density_bounds(a, runs, p.burnin)
     return FamilyVerdict(
         horizon=a.horizon,
         syndetic=syndetic, max_gap=gap,
         thick=thick, longest_block=block,
-        thickly_syndetic=_thickly_syndetic(a, p),
+        thickly_syndetic=_thickly_syndetic(runs, a.horizon, p),
         piecewise_syndetic=piecewise,
         cofinite=head <= p.cofinite_head, cofinite_head=head,
         lower_density=lo, upper_density=hi,
     )
 
 
-def _density_bounds(a: WindowSet, burnin: int) -> tuple[Fraction, Fraction]:
+def _density_bounds(a: WindowSet, runs: list[tuple[int, int]],
+                    burnin: int) -> tuple[Fraction, Fraction]:
     """min and max of count(n)/n over n in [burnin, horizon], count(n) being
-    |A ∩ [0, n)|.  Between members the count is constant and the ratio falls
-    as n rises, so the minimum sits at a member n = m or at the horizon and
-    the maximum at n = m + 1 or at the burn-in; (count, n) pairs are
-    compared by cross-multiplying."""
-    members = a.members
+    |A ∩ [0, n)|.  Between runs the count is constant and the ratio falls as
+    n rises; across a run [s, e) it rises, as count(s) <= s.  So the minimum
+    sits at a run start or at the horizon and the maximum at a run end or at
+    the burn-in; (count, n) pairs are compared by cross-multiplying."""
     lo_c = hi_c = a.count_below(burnin)
     lo_n = hi_n = burnin
-    for i in range(lo_c, len(members)):
-        m = members[i]
-        if i * lo_n < lo_c * m:
-            lo_c, lo_n = i, m
-        if (i + 1) * hi_n > hi_c * (m + 1):
-            hi_c, hi_n = i + 1, m + 1
-    if len(members) * lo_n < lo_c * a.horizon:
-        lo_c, lo_n = len(members), a.horizon
+    count = 0
+    for s, e in runs:
+        if s > burnin and count * lo_n < lo_c * s:
+            lo_c, lo_n = count, s
+        count += e - s
+        if e > burnin and count * hi_n > hi_c * e:
+            hi_c, hi_n = count, e
+    if count * lo_n < lo_c * a.horizon:
+        lo_c, lo_n = count, a.horizon
     return Fraction(lo_c, lo_n), Fraction(hi_c, hi_n)
 
 

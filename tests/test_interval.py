@@ -17,14 +17,21 @@ from chaoskit.budgets import BudgetError, cap
 from chaoskit.interval import (
     SurveyParams, builtin, devaney_report, leo_check, parse_pl_text,
     periodic_density_report, periodic_points, pl_compose, pl_eval, pl_image,
-    pl_iterate, pl_map, pl_power, sensitivity_hitting_set,
-    transitivity_hitting_set,
+    pl_map, pl_power, sensitivity_hitting_set, transitivity_hitting_set,
 )
 
 S = builtin("S")
 TENT = builtin("tent")
 EX = builtin("example211")
 IDENT = builtin("identity")
+
+
+def pl_iterate(m, x, n):
+    """m applied n times to x, one pl_eval per step."""
+    x = F(x)
+    for _ in range(n):
+        x = pl_eval(m, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +324,166 @@ def test_backward_covering_slope_two():
     for m in big.window.members:
         if m >= 2:
             assert m // 2 in small.window
+
+
+# ---------------------------------------------------------------------------
+# The ordered compose and the orbit walk for prime periods, against the
+# set-and-sort compose and the divisor filter they replaced.
+
+def compose_by_sorting(f, g, breakpoint_budget=None):
+    """f∘g from the sorted set of g's breakpoints and the solved g-preimages
+    of f's, with f(g(x)) evaluated at each."""
+    limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
+    xs = set(g.xs)
+    for i in range(len(g.xs) - 1):
+        x0, x1 = g.xs[i], g.xs[i + 1]
+        y0, y1 = g.ys[i], g.ys[i + 1]
+        if y0 == y1:
+            continue
+        lo_y, hi_y = min(y0, y1), max(y0, y1)
+        for b in f.xs:
+            if lo_y < b < hi_y:
+                xs.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
+        if len(xs) > limit:
+            raise BudgetError(f"compose exceeded {limit} breakpoints")
+    xs = tuple(sorted(xs))
+    return interval.PLMap(xs, tuple(pl_eval(f, pl_eval(g, x)) for x in xs))
+
+
+def periodic_points_by_divisors(m, period):
+    """The fixed points of m^period (built with compose_by_sorting), each
+    with the least divisor d of the period for which iterating m d times
+    from the point afresh returns to it."""
+    power = m
+    for _ in range(period - 1):
+        power = compose_by_sorting(m, power)
+    points, segments = interval._fixed_of(power)
+    out = []
+    for p in points:
+        prime = period
+        for d in range(1, period):
+            if period % d == 0 and pl_iterate(m, p, d) == p:
+                prime = d
+                break
+        out.append((p, prime))
+    return interval.PeriodicReport(points=tuple(out), segments=tuple(segments))
+
+
+def zigzag(a, b):
+    """Three full branches: 0 -> 0, a -> 1, b -> 0, 1 -> 1."""
+    return pl_map([(0, 0), (a, 1), (b, 0), (1, 1)])
+
+
+ZIGZAGS = [zigzag(F(16, 64), F(36, 64)), zigzag(F(21, 64), F(41, 64)),
+           zigzag(F(28, 64), F(48, 64))]
+
+# x + 1/2 on [1/4, 1/2] and x - 1/2 on [3/4, 1], so the square is the
+# identity on both stretches; slopes 3 and -3 elsewhere.
+STRETCH = pl_map([(0, 0), (F(1, 4), F(3, 4)), (F(1, 2), 1),
+                  (F(3, 4), F(1, 4)), (1, F(1, 2))])
+
+
+def random_maps(count, seed):
+    """random_pl_map, with every third map pinning about half its breakpoints
+    to the diagonal, so that slope-1 fixed stretches occur."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m = random_pl_map(rng)
+        if k % 3 == 0:
+            m = pl_map([(x, x if rng.random() < 0.5 else y)
+                        for x, y in zip(m.xs, m.ys)])
+        yield m
+
+
+def test_compose_matches_sorting_oracle():
+    """Every power of S and tent up to the power cap, of example211 up to 8
+    and of the zigzags up to 6, composed one step at a time, and f∘g and g∘f
+    for 60 random pairs: the same breakpoints and values."""
+    for m, top in [(S, cap("power")), (TENT, cap("power")), (EX, 8),
+                   *((z, 6) for z in ZIGZAGS)]:
+        power = m
+        for _ in range(top - 1):
+            want = compose_by_sorting(m, power)
+            power = pl_compose(m, power)
+            assert power == want
+    maps = list(random_maps(120, "compose"))
+    flat_pieces = 0
+    for f, g in zip(maps[::2], maps[1::2]):
+        assert pl_compose(f, g) == compose_by_sorting(f, g)
+        assert pl_compose(g, f) == compose_by_sorting(g, f)
+        flat_pieces += any(a == b for a, b in zip(g.ys, g.ys[1:]))
+    assert flat_pieces > 0
+
+
+def budget_error(compose, f, g, budget):
+    """The BudgetError message compose raises, or None."""
+    try:
+        compose(f, g, budget)
+    except BudgetError as err:
+        return str(err)
+    return None
+
+
+def test_compose_budget_parity():
+    """At a budget of exactly the composed map's breakpoint count neither
+    compose raises; one below it both raise with the same message.  A g with
+    no rising or falling piece is never checked, whatever its size."""
+    pairs = [(TENT, pl_power(TENT, 5)), (EX, pl_power(EX, 3)), (S, S),
+             (ZIGZAGS[0], ZIGZAGS[1]), (STRETCH, TENT), (TENT, STRETCH)]
+    maps = list(random_maps(40, "budget"))
+    pairs += zip(maps[::2], maps[1::2])
+    for f, g in pairs:
+        n = len(pl_compose(f, g).xs)
+        for budget in (n - 1, n, n + 1):
+            got = budget_error(pl_compose, f, g, budget)
+            assert got == budget_error(compose_by_sorting, f, g, budget)
+            assert (got is not None) == (budget < n)
+    flat = pl_map([(F(k, 8), F(1, 2)) for k in range(9)])
+    for budget in (1, 8, 9):
+        assert budget_error(pl_compose, TENT, flat, budget) is None
+        assert budget_error(compose_by_sorting, TENT, flat, budget) is None
+
+
+def test_periodic_points_match_divisor_oracle():
+    cases = [(S, cap("power")), (TENT, 10), (EX, 6), (STRETCH, 6),
+             *((z, 5) for z in ZIGZAGS),
+             *((m, 4) for m in random_maps(60, "periodic"))]
+    segments = 0
+    for m, top in cases:
+        for n in range(1, top + 1):
+            got = periodic_points(m, n)
+            assert got == periodic_points_by_divisors(m, n)
+            segments += bool(got.segments)
+    assert segments > 0
+
+
+def test_orbits_of_listed_points_stay_listed():
+    """m is one-to-one on a slope-1 fixed stretch of m^n and m^n is the
+    identity on its image, so an orbit that met a stretch would lie in
+    stretches throughout: the orbit of a listed point is listed."""
+    for n in range(1, 7):
+        rep = periodic_points(STRETCH, n)
+        if n % 2 == 0:
+            assert rep.segments == ((F(1, 4), F(1, 2)), (F(3, 4), 1))
+        listed = dict(rep.points)
+        assert len(listed) > 1
+        for p, prime in rep.points:
+            orbit = [pl_iterate(STRETCH, p, k) for k in range(prime)]
+            assert all(listed.get(q) == prime for q in orbit)
+
+
+def test_prime_periods_cost_one_eval_per_point(monkeypatch):
+    """Beyond building tent^10, periodic_points(tent, 10) evaluates tent once
+    per periodic point: each orbit is walked once, not once per divisor."""
+    calls = []
+    real = interval.pl_eval
+    monkeypatch.setattr(interval, "pl_eval",
+                        lambda m, x: calls.append(x) or real(m, x))
+    pl_power(TENT, 10)
+    power_calls = len(calls)
+    calls.clear()
+    assert len(periodic_points(TENT, 10).points) == 1024
+    assert len(calls) - power_calls == 1024
 
 
 # ---------------------------------------------------------------------------

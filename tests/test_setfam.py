@@ -84,6 +84,19 @@ def thickly_syndetic_by_starts(a, p):
     return True
 
 
+def linked_span(a, g):
+    """Longest span first..last of a maximal run whose successive gaps are <= g."""
+    best = 0
+    start = None
+    prev = None
+    for m in a.members:
+        if prev is None or m - prev > g:
+            start = m
+        best = max(best, m - start + 1)
+        prev = m
+    return best
+
+
 def density_bounds_by_prefix(a, burnin):
     """min and max of |A ∩ [0, n)| / n, one Fraction per n in [burnin, horizon]."""
     ratios = [Fraction(a.count_below(n), n) for n in range(burnin, a.horizon + 1)]
@@ -108,7 +121,7 @@ def oracle_classify(a, p):
         thickly_syndetic=thickly_syndetic_by_starts(a, p),
         piecewise_syndetic=(block >= p.block
                             or (gap <= p.gap and a.horizon >= p.block)
-                            or setfam._linked_span(a, p.gap) >= p.block),
+                            or linked_span(a, p.gap) >= p.block),
         cofinite=head <= p.cofinite_head, cofinite_head=head,
         lower_density=lo, upper_density=hi)
 
@@ -122,17 +135,20 @@ def test_block_starts_frozen():
 
 
 def test_linear_passes_match_oracles_on_every_small_set():
-    """Every subset of every horizon up to 9: the thickly-syndetic check at
-    gap and block 1..3 under both tail policies, and both density bounds at
-    every burn-in."""
+    """Every subset of every horizon up to 9: the thickly-syndetic check and
+    the whole verdict at gap and block 1..3 under both tail policies, and both
+    density bounds at every burn-in."""
     for h in range(1, 10):
         for mask in range(1, 1 << h):
             a = WindowSet(h, tuple(n for n in range(h) if mask >> n & 1))
             for gap, block, policy in product((1, 2, 3), (1, 2, 3), (CENSORED, STRICT)):
                 p = FamilyParams(gap=gap, block=block, tail_policy=policy)
-                assert setfam._thickly_syndetic(a, p) == thickly_syndetic_by_starts(a, p)
+                assert setfam._thickly_syndetic(setfam._runs(a), a.horizon, p) \
+                    == thickly_syndetic_by_starts(a, p)
+                p = replace(p, burnin=1)
+                assert classify(a, p) == oracle_classify(a, p)
             for burnin in range(1, h + 1):
-                assert setfam._density_bounds(a, burnin) \
+                assert setfam._density_bounds(a, setfam._runs(a), burnin) \
                     == density_bounds_by_prefix(a, burnin)
 
 
