@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -75,7 +76,7 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
         ("witness", str, "", "u,k,v triple for a glued-word witness"),
     ],
     "sturmian": [
-        ("prefix-len", int, 10_000, "certified prefix length"),
+        ("prefix-len", int, 10_000, "length of the Sturmian prefix"),
         ("word-len", int, 8, "factor-count table up to this length"),
         ("word", str, "010", "factor whose occurrence set is classified"),
         ("gap", int, 34, "syndetic gap bound for occurrence sets"),
@@ -293,11 +294,10 @@ def run_classify(a: WindowSet, source: str, params: FamilyParams):
 
 
 def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
-                params: FamilyParams, k_max: int, witness: str):
+                params: FamilyParams, k_max: int,
+                witness: subshift.SpacingWitness | None):
     if not p.members:
         raise ConfigError("empty spacing set: nothing to survey")
-    if word_len < 1:
-        raise ConfigError("word_len < 1: no word pairs to survey")
     oracle = subshift.SpacingShift(p)
     rep = subshift.fs_transitivity_report(oracle, word_len, n_max, params)
     dp = subshift.spacing_dense_periodic(p, k_max)
@@ -321,16 +321,10 @@ def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
     headline = (f"all_syndetic={_fb(rep.all_syndetic)} "
                 f"all_thick={_fb(rep.all_thick)} "
                 f"dense_periodic={_pf(dp.passed)}")
-    if witness:
-        try:
-            u_s, k_s, v_s = witness.split(",")
-            w = subshift.spacing_witness(
-                subshift.parse_word(u_s), int(k_s), subshift.parse_word(v_s), p)
-        except ValueError as e:
-            raise ConfigError(f"bad witness triple {witness!r}: {e}")
+    if witness is not None:
         lines.append(
-            f"witness: word={subshift.format_word(w.word)} k={w.k} "
-            f"member={_fb(w.member)} block_start={_fb(w.block_start)}")
+            f"witness: word={subshift.format_word(witness.word)} k={witness.k} "
+            f"member={_fb(witness.member)} block_start={_fb(witness.block_start)}")
     lines.append("")
     rows = [["u", "v", "members", "max_gap", "longest_block", "cofinite_head",
              "syndetic", "thick", "thickly_syndetic", "cofinite"]]
@@ -351,15 +345,13 @@ def run_sturmian(spec: subshift.SturmianSpec, word_len: int, word: str,
     counts = {n: sum(1 for w in lang if len(w) == n)
               for n in range(1, word_len + 1)}
     complexity_ok = all(counts[n] == n + 1 for n in counts)
-    if not word:
-        raise ConfigError("empty word: nothing to locate")
     occ = subshift.occurrence_gaps(spec, word)
     if not occ.members:
         raise ConfigError(f"word {word} does not occur in the prefix")
     v = setfam.classify(occ, params)
     lines = [
         "sturmian factor survey (golden rotation)",
-        f"alpha={spec.alpha} ulp={spec.ulp} prefix_len={spec.prefix_len}",
+        f"alpha=(sqrt(5)-1)/2 prefix_len={spec.prefix_len}",
         "factors: " + " ".join(f"n={n}:{counts[n]}" for n in sorted(counts)),
         f"complexity_matches_n_plus_1={_fb(complexity_ok)}",
         f"word={word} occurrences={len(occ)} max_gap={v.max_gap}",
@@ -482,6 +474,21 @@ def run_pchaos(m: interval.PLMap, name: str, *, eps, deltas, length, trials,
     return "\n".join(lines), files, headline
 
 
+# Options that a run needs positive (and finite, for floats); a zero would
+# leave the survey nothing to search or compare against.
+_POSITIVE = ("word_len", "k_max", "delta", "density_eps", "density_steps",
+             "chain_delta", "eps")
+
+
+def _spacing_witness(text: str, p: WindowSet) -> subshift.SpacingWitness:
+    try:
+        u_s, k_s, v_s = text.split(",")
+        return subshift.spacing_witness(
+            subshift.parse_word(u_s), int(k_s), subshift.parse_word(v_s), p)
+    except ValueError as e:
+        raise ConfigError(f"bad witness triple {text!r}: {e}")
+
+
 # ---------------------------------------------------------------------------
 # Dispatch.  report-all runs its fixtures through the same _run as the
 # subcommands, on each section's built-in defaults plus these overrides; INI
@@ -514,6 +521,10 @@ def _run(section: str, opts: dict[str, object], seed: str):
     """
     o = argparse.Namespace(**opts)
     try:
+        for dest in _POSITIVE:
+            if dest in opts and not 0 < opts[dest] < math.inf:
+                raise ValueError(f"{dest.replace('_', '-')} must be positive "
+                                 f"and finite, got {opts[dest]}")
         family = FamilyParams(
             gap=o.gap, block=o.block, cofinite_head=o.cofinite_head,
             burnin=o.burnin,
@@ -525,9 +536,19 @@ def _run(section: str, opts: dict[str, object], seed: str):
         if section == "spacing":
             window, source = _load_window(o.p, o.horizon)
             horizon = min(window.horizon, o.n_max + 1)
+            # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
+            # and u 0^n_max v puts their 1s 2w - 1 + n_max apart.
+            widest = 2 * o.word_len - 1 + o.n_max
+            if widest >= window.horizon:
+                raise ValueError(
+                    f"word-len {o.word_len} and n-max {o.n_max} need gap "
+                    f"{widest}, not decidable below horizon {window.horizon}")
+            witness = _spacing_witness(o.witness, window) if o.witness else None
         if section == "sturmian":
             spec = subshift.golden_spec(o.prefix_len)
             word = subshift.parse_word(o.word)
+            if not word:
+                raise ValueError("empty word: nothing to locate")
             horizon = o.prefix_len - len(word) + 1
         if "map" in opts:
             m, name = _load_map(o.map)
@@ -539,8 +560,6 @@ def _run(section: str, opts: dict[str, object], seed: str):
                 density_n_max=o.density_steps)
             survey.grid(m)
             horizon = o.steps + 1
-        if "density_eps" in opts and o.density_eps <= 0:
-            raise ValueError("density-eps must be positive")
         if section in ("shadow", "p-chaos"):
             system = shadowing.IntervalSystem(m, name=name)
             system.grid(o.candidates)
@@ -562,7 +581,7 @@ def _run(section: str, opts: dict[str, object], seed: str):
         return run_classify(window, source, family)
     if section == "spacing":
         return run_spacing(window, source, o.word_len, o.n_max, family,
-                           o.k_max, o.witness)
+                           o.k_max, witness)
     if section == "sturmian":
         return run_sturmian(spec, o.word_len, word, family)
     if section == "interval-devaney":

@@ -89,9 +89,10 @@ def builtin(name: str) -> PLMap:
     S           on [-1, 1]: 2x+2 / -2x / -x; transitive but the two halves
                 swap, so same-side returns happen only at even times
     tent        on [0, 1]
-    example211  on [0, 1]: slopes ±3, two exchanged... rather two invariant
-                halves [0,1/2] and [1/2,1], dense periodic points, no
-                shadowing across the midpoint
+    example211  on [0, 1]: slopes ±3; each half [0,1/2] and [1/2,1] is
+                mapped onto itself, so periodic points are dense, but no
+                orbit crosses the midpoint and a pseudo-orbit that does
+                cannot be shadowed
     identity    on [0, 1]
     """
     if name == "S":
@@ -413,6 +414,8 @@ class SurveyParams:
     def grid(self, m: PLMap) -> list[Interval]:
         lo, hi = m.domain
         width = (hi - lo) / self.cells
+        if self.margin < 0:
+            raise ValueError("margin must be >= 0")
         if 2 * self.margin >= width:
             raise ValueError("margin too large for the cell width")
         out = []

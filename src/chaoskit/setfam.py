@@ -339,8 +339,6 @@ def with_horizon(a: WindowSet, horizon: int) -> WindowSet:
 # Generators: all | evens | multiples(k) | complement(powers(2)) | explicit
 # (explicit meaning the literal member list form).
 
-_GENERATORS = ("all", "evens", "multiples", "complement(powers(2))")
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and n & (n - 1) == 0

@@ -26,6 +26,7 @@ additionally needs an aperiodic graph (cycle-length gcd 1).
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -188,12 +189,13 @@ def recompute_valid_set(system, points: np.ndarray, delta: float) -> WindowSet:
 
 def check_pseudo_orbits(deltas: Sequence[float], length: int, trials: int = 1,
                         challenges: Sequence = ()) -> None:
-    """ValueError unless the delta ladder is non-empty and positive, length >= 2,
-    and each delta gets at least one pseudo-orbit (a trial or a challenge)."""
+    """ValueError unless the delta ladder is non-empty, positive and finite,
+    length >= 2, and each delta gets at least one pseudo-orbit (a trial or a
+    challenge)."""
     if not deltas:
         raise ValueError("empty delta ladder")
-    if any(d <= 0 for d in deltas):
-        raise ValueError("delta must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError("delta must be positive and finite")
     if length < 2:
         raise ValueError("length must be >= 2")
     if trials < 0:

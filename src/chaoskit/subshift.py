@@ -9,11 +9,9 @@ window, P is a WindowSet and a gap can only be decided when it is below the
 horizon of P; otherwise a horizon error is raised rather than guessed.
 
 A Sturmian word is coded from an irrational rotation: x_n = 1 iff
-frac(n*alpha) lies in [1-alpha, 1).  The irrational alpha is represented by a
-high-precision rational surrogate plus an error bound ulp; every emitted
-symbol is certified, meaning the exact rational comparison has margin larger
-than the accumulated uncertainty n*ulp (otherwise the spec is rejected or a
-precision error is raised).
+frac(n*alpha) lies in [1-alpha, 1), that is iff floor((n+1)*alpha) -
+floor(n*alpha) = 1.  For the golden rotation alpha = (sqrt(5)-1)/2 the floors
+are integer square roots, so every symbol is exact and nothing is approximated.
 
 Each shift is a subclass of Shift that carries its own kernels.  A new shift
 defines accepts(w) (the factor test) and gaps(u, v, n_max) (its gap-set
@@ -25,8 +23,8 @@ The survey code calls only the module functions, so it needs no change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -172,62 +170,40 @@ class SpacingShift(Shift):
 
 @dataclass(frozen=True)
 class SturmianSpec:
-    """Certified rational surrogate for the rotation number.
+    """The golden rotation coding, observed on its first prefix_len symbols."""
 
-    alpha approximates the true irrational to within ulp.  Validity over
-    prefix_len symbols requires every comparison frac(n*alpha) vs 1-alpha
-    (and the wrap-around at 0/1) to have margin > (n+1)*ulp, which the
-    constructor checks; an invalid surrogate is rejected outright.
-    """
-
-    alpha: Fraction
-    ulp: Fraction
     prefix_len: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.ulp <= 0:
-            raise ValueError("ulp must be positive")
         if self.prefix_len < 1:
             raise ValueError("prefix_len must be >= 1")
-        p, q = self.alpha.numerator, self.alpha.denominator
-        threshold = q - p  # frac(n*alpha) >= 1-alpha  <=>  (n*p mod q) >= q-p
-        for n in range(1, self.prefix_len):
-            r = (n * p) % q
-            margin = min(abs(r - threshold), r, q - r)
-            if Fraction(margin, q) <= (n + 1) * self.ulp:
-                raise ValueError(
-                    f"surrogate too coarse: symbol {n} within precision budget "
-                    f"of a coding boundary")
 
 
 def golden_spec(prefix_len: int = 10_000) -> SturmianSpec:
-    """Surrogate for alpha = (sqrt(5)-1)/2 from a Fibonacci convergent."""
-    a, b = 1, 1
-    while b < 4 * prefix_len ** 2:  # convergent error ~ 1/b^2 << 1/(n*b)
-        a, b = b, a + b
-    # a/b = F_k/F_{k+1} -> alpha, with |alpha - a/b| < 1/b^2.
-    return SturmianSpec(alpha=Fraction(a, b), ulp=Fraction(1, b * b), prefix_len=prefix_len)
+    """The coding of alpha = (sqrt(5)-1)/2 over prefix_len symbols."""
+    return SturmianSpec(prefix_len)
+
+
+def _floor_alpha(k: int) -> int:
+    """floor(k * (sqrt(5)-1)/2) for k >= 0, in integers: floor(x/2) =
+    floor(floor(x)/2) and floor(k*sqrt(5)) = isqrt(5k^2)."""
+    return (isqrt(5 * k * k) - k) // 2
 
 
 @lru_cache(maxsize=8)
-def sturmian_prefix(spec: SturmianSpec, length: int | None = None) -> str:
-    length = spec.prefix_len if length is None else length
-    if length > spec.prefix_len:
-        raise ValueError("prefix longer than the certified range")
-    p, q = spec.alpha.numerator, spec.alpha.denominator
-    t = q - p
-    return "".join("1" if (n * p) % q >= t else "0" for n in range(length))
+def sturmian_prefix(spec: SturmianSpec) -> str:
+    """x_0 .. x_{prefix_len-1} of the mechanical word of the golden rotation."""
+    floors = [_floor_alpha(k) for k in range(spec.prefix_len + 1)]
+    return "".join("01"[b - a] for a, b in zip(floors, floors[1:]))
 
 
 class SturmianShift(Shift):
     """Orbit closure of the coded rotation, observed through a finite prefix.
 
-    accepts(w) means w occurs in the certified prefix; this is exact for
-    the true Sturmian language up to the usual finite-window caveat (factors
+    accepts(w) means w occurs in the prefix; this is exact for the true
+    Sturmian language up to the usual finite-window caveat (factors
     recur with bounded gaps, so a 10^4 prefix sees every short factor).
-    Every kernel reads the certified prefix directly.
+    Every kernel reads the prefix directly.
     """
 
     def __init__(self, spec: SturmianSpec):
@@ -237,12 +213,12 @@ class SturmianShift(Shift):
     def accepts(self, w: str) -> bool:
         check_word(w)
         if len(w) > self.spec.prefix_len // 4:
-            raise BudgetError("word too long for the certified prefix")
+            raise BudgetError("word too long for the prefix")
         return w == "" or w in self._prefix
 
     def words(self, max_len: int, node_budget: int | None = None) -> set[str]:
         if max_len > self.spec.prefix_len // 4:
-            raise BudgetError("max_len too large for the certified prefix")
+            raise BudgetError("max_len too large for the prefix")
         prefix = self._prefix
         out: set[str] = {""}
         for n in range(1, max_len + 1):
@@ -251,11 +227,12 @@ class SturmianShift(Shift):
         return out
 
     def _offsets(self, u: str, v: str, first: int, last: int) -> list[int]:
-        """n in [first, last] such that u occurs at some p and v at p + n."""
-        occ_u = _occurrences(self._prefix, u)
-        occ_v = set(_occurrences(self._prefix, v))
-        return [n for n in range(first, last + 1)
-                if any(p + n in occ_v for p in occ_u)]
+        """n in [first, last] such that u occurs at some p and v at p + n;
+        each n reads v's occurrence indicator at every start of u at once."""
+        occ_u = np.array(_occurrences(self._prefix, u), dtype=np.intp)
+        at_v = np.zeros(len(self._prefix) + last + 1, dtype=bool)
+        at_v[_occurrences(self._prefix, v)] = True
+        return [n for n in range(first, last + 1) if at_v[occ_u + n].any()]
 
     def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
         return WindowSet(n_max + 1, tuple(
@@ -447,12 +424,12 @@ def spacing_witness(u: str, k: int, v: str, p_set: WindowSet) -> SpacingWitness:
 # Occurrence statistics and periodicity probe.
 
 def occurrence_gaps(spec: SturmianSpec, w: str) -> WindowSet:
-    """Start positions of w in the certified prefix, as a WindowSet."""
+    """Start positions of w in the prefix, as a WindowSet."""
     check_word(w)
     if not w:
         raise ValueError("occurrence_gaps needs a non-empty word")
     if len(w) > spec.prefix_len // 4:
-        raise BudgetError("word too long for the certified prefix")
+        raise BudgetError("word too long for the prefix")
     prefix = sturmian_prefix(spec)
     horizon = len(prefix) - len(w) + 1
     occ = [i for i in _occurrences(prefix, w) if i < horizon]

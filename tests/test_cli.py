@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chaoskit import subshift
 from chaoskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +67,23 @@ BAD_PARAMETERS = [
     ["shadow", "--trials", "0"],
     ["shadow", "--trials", "-1"],
     ["p-chaos", "--trials", "0"],
+    # survey gaps 2 * word-len - 1 + n-max at or past the horizon of P
+    ["spacing", "--n-max", "123"],
+    ["spacing", "--word-len", "1", "--n-max", "127"],
+    ["spacing", "--p", "all", "--n-max", "200"],
+    # zero or non-finite values that leave a verdict resting on no evidence
+    ["spacing", "--k-max", "0"],
+    ["sturmian", "--word-len", "0"],
+    ["interval-devaney", "--density-steps", "0"],
+    ["p-chaos", "--density-steps", "0"],
+    ["interval-devaney", "--delta", "0"],
+    ["p-chaos", "--chain-delta", "0"],
+    ["shadow", "--eps", "0"],
+    ["p-chaos", "--eps", "0"],
+    ["shadow", "--deltas", "nan"],
+    ["shadow", "--deltas", "inf"],
+    ["shadow", "--eps", "nan"],
+    ["interval-devaney", "--margin=-1/20"],   # cells reach past the domain
 ]
 
 
@@ -135,6 +153,16 @@ def test_spacing_witness_line(tmp_path):
     assert ("witness: word=100001 k=4 member=true block_start=false"
             in read(tmp_path / "report.txt"))
     assert main(["spacing", "--witness", "1,x,1", "--out", str(tmp_path)]) == 2
+
+
+def test_spacing_witness_checked_before_survey(tmp_path, monkeypatch, capsys):
+    def survey(*args):
+        raise AssertionError("survey ran before the witness was checked")
+
+    monkeypatch.setattr(subshift, "fs_transitivity_report", survey)
+    assert main(["spacing", "--witness", "1,x,1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad witness triple")
+    assert not any(tmp_path.iterdir())
 
 
 def test_sturmian_report(tmp_path):

@@ -1,8 +1,9 @@
 """Subshift fixtures with independent oracles.
 
 The spacing-shift fast paths (gap criterion, cross distances) are checked
-against plain filler-word enumeration; the certified Sturmian coding is
-checked against a 60-digit Decimal computation of the rotation.
+against plain filler-word enumeration; the exact integer Sturmian coding is
+checked against a certified rational surrogate of the rotation and against a
+60-digit Decimal computation of it.
 """
 
 import random
@@ -270,7 +271,7 @@ def test_spacing_witness_block_start_sufficient(seed, k):
 
 
 # ---------------------------------------------------------------------------
-# Sturmian coding, against a Decimal oracle.
+# Sturmian coding, against a certified rational surrogate and a Decimal oracle.
 
 def decimal_prefix(n):
     getcontext().prec = 60
@@ -282,20 +283,36 @@ def decimal_prefix(n):
     return "".join(out)
 
 
+def surrogate_prefix(length):
+    """The coding from a Fibonacci convergent a/b of alpha, |alpha - a/b| <
+    1/b^2, with every symbol certified: frac(n*a/b) must stay more than
+    (n+1)/b^2 away from the coding boundaries 1 - a/b and 0."""
+    a, b = 1, 1
+    while b < 4 * length ** 2:
+        a, b = b, a + b
+    ulp = Fraction(1, b * b)
+    threshold = b - a   # frac(n*a/b) >= 1 - a/b  <=>  (n*a mod b) >= b - a
+    out = []
+    for n in range(length):
+        r = (n * a) % b
+        if n:
+            margin = min(abs(r - threshold), r, b - r)
+            assert Fraction(margin, b) > (n + 1) * ulp, n
+        out.append("1" if r >= threshold else "0")
+    return "".join(out)
+
+
 def test_sturmian_first_symbols_frozen():
-    spec = golden_spec(400)
-    assert sturmian_prefix(spec, 8) == "01011010"
+    assert sturmian_prefix(golden_spec(8)) == "01011010"
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 55, 89, 400, 1597, 4181, 10_000])
+def test_sturmian_matches_certified_surrogate(length):
+    assert sturmian_prefix(golden_spec(length)) == surrogate_prefix(length)
 
 
 def test_sturmian_matches_decimal_oracle():
-    spec = golden_spec(400)
-    assert sturmian_prefix(spec) == decimal_prefix(400)
-
-
-def test_sturmian_certification_rejects_coarse_surrogate():
-    with pytest.raises(ValueError):
-        subshift.SturmianSpec(alpha=Fraction(2, 3), ulp=Fraction(1, 9),
-                              prefix_len=50)
+    assert sturmian_prefix(golden_spec(10_000)) == decimal_prefix(10_000)
 
 
 def test_factor_complexity_small():
