@@ -18,6 +18,7 @@ ENUM_NODE_CAP = 2 ** 20    # nodes visited per enumeration call
 POWER_CAP = 12             # largest exponent for exact map composition
 BREAKPOINT_CAP = 2 ** 16   # breakpoints of a composed piecewise-linear map
 ITER_STEP_CAP = 4096       # image-iteration horizon for hitting sets
+PREFIX_LEN_CAP = 2 ** 17   # symbols of the golden Sturmian prefix
 
 
 class BudgetError(RuntimeError):
@@ -45,6 +46,7 @@ def cap(name: str) -> int:
         "power": POWER_CAP,
         "breakpoints": BREAKPOINT_CAP,
         "iter_steps": ITER_STEP_CAP,
+        "prefix_len": PREFIX_LEN_CAP,
     }[name]
     return max(1, int(base * _multiplier()))
 

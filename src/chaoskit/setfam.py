@@ -188,19 +188,6 @@ def longest_block(a: WindowSet) -> int:
     return best
 
 
-def least_cofinite_head(a: WindowSet) -> int:
-    """Least m with [m, horizon) ⊆ A; horizon if the tail is broken at the end."""
-    if not a.members or a.members[-1] != a.horizon - 1:
-        return a.horizon
-    head = a.horizon - 1
-    for m in reversed(a.members[:-1]):
-        if m == head - 1:
-            head = m
-        else:
-            break
-    return head
-
-
 def _runs(a: WindowSet) -> list[tuple[int, int]]:
     """Maximal runs of consecutive members, as (start, end) with end exclusive."""
     m = a.members

@@ -30,13 +30,12 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import interval, setfam
+from . import setfam
 from .budgets import charge
 from .interval import PLMap
 from .setfam import CENSORED, FamilyParams, WindowSet
@@ -259,19 +258,6 @@ def trace_set(system, orbit: PseudoOrbit, x0: float, eps: float) -> TraceReport:
     return TraceReport(x0=float(x0), hits=hits, cardinality=len(hits))
 
 
-def _trace_mask(system, orbit: PseudoOrbit, candidates: np.ndarray,
-                eps: float) -> np.ndarray:
-    charge("iter_steps", len(orbit))
-    tol = eps + FLOAT_SLACK
-    cur = np.array(candidates, dtype=float)
-    mask = np.empty((len(cur), len(orbit)), dtype=bool)
-    for n in range(len(orbit)):
-        mask[:, n] = np.abs(cur - orbit.points[n]) < tol
-        if n < len(orbit) - 1:
-            cur = system.step_array(cur)
-    return mask
-
-
 @dataclass(frozen=True)
 class BestTracer:
     score: float
@@ -282,28 +268,39 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
                 objective: str = "max_cardinality") -> BestTracer:
     """Grid-search the best tracing start among the candidates.
 
+    Each candidate is scored while its orbit is iterated, so memory is
+    O(candidates) whatever the orbit length.  max_cardinality counts the hits
+    and scores their number.  min_max_gap keeps the last hit (-1 before any)
+    and the largest gap so far: a hit at step n opens a gap of n after no
+    earlier hit (the leading gap) and of n - last otherwise; a candidate that
+    never hits has gap len(orbit) + 1, and the score is minus the gap.
     Ties break toward the first (smallest) candidate, so results are
-    deterministic for ascending grids.
+    deterministic for ascending grids.  The winner is traced again through
+    trace_set for its report.
     """
-    mask = _trace_mask(system, orbit, candidates, eps)
-    n_steps = mask.shape[1]
-    if objective == "max_cardinality":
-        scores = mask.sum(axis=1)
-        k = int(scores.argmax())
-        score = float(scores[k])
-    elif objective == "min_max_gap":
-        worst = n_steps + 1
-        gaps = np.full(len(candidates), worst)
-        for i in range(len(candidates)):
-            idx = np.flatnonzero(mask[i])
-            if len(idx):
-                lead = int(idx[0])
-                gaps[i] = max([lead] + list(np.diff(idx))) if len(idx) > 1 else lead
-        k = int(gaps.argmin())
-        score = float(-gaps[k])
-    else:
+    if objective not in ("max_cardinality", "min_max_gap"):
         raise ValueError(f"unknown objective {objective!r}")
-    return BestTracer(score=score,
+    charge("iter_steps", len(orbit))
+    tol = eps + FLOAT_SLACK
+    cur = np.array(candidates, dtype=float)
+    by_gap = objective == "min_max_gap"
+    count = np.zeros(len(cur), dtype=np.int64)    # hits, or the largest gap
+    last = np.full(len(cur), -1, dtype=np.int64)
+    for n, p in enumerate(orbit.points):
+        if n:
+            cur = system.step_array(cur)
+        hit = np.abs(cur - p) < tol
+        if by_gap:
+            idx = np.flatnonzero(hit)
+            count[idx] = np.maximum(count[idx], n - np.maximum(last[idx], 0))
+            last[idx] = n
+        else:
+            count += hit
+    if by_gap:
+        count[last < 0] = len(orbit) + 1
+        count = -count
+    k = int(count.argmax())
+    return BestTracer(score=float(count[k]),
                       report=trace_set(system, orbit, float(candidates[k]), eps))
 
 
@@ -667,64 +664,3 @@ def chain_recurrent_nodes(g: ChainGraph) -> tuple[int, ...]:
         elif comp[0] in g.succ[comp[0]]:
             out.append(comp[0])
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# Combined periodic-density + tracing report.
-
-@dataclass(frozen=True)
-class PChaosReport:
-    density: interval.DensityReport
-    probe: ProbeResult
-    aux_probe: ProbeResult
-    chain_transitive: bool
-    chain_mixing: bool
-    evidence: bool
-    notes: tuple[str, ...]
-
-
-def p_chaos_report(m: PLMap, map_name: str, *, eps: float,
-                   deltas: Sequence[float], length: int, trials: int,
-                   n_candidates: int = 1001, chain_delta: float = 0.02,
-                   chain_nodes: int = 129, seed: str = "p-chaos",
-                   params: FamilyParams | None = None,
-                   density_epsilon=None, density_n_max: int = 10,
-                   challenges: Sequence[Challenge] = ()) -> PChaosReport:
-    """Dense periodic points (exact) plus tracing probes plus chain structure.
-
-    The headline probe targets full traces; the auxiliary panel relaxes the
-    target to piecewise-syndetic trace sets and is reported alongside without
-    being folded into the evidence flag, since the relaxed notion is strictly
-    weaker and a pass there decides nothing about the headline one.
-    """
-    density_epsilon = (Fraction(1, 16) if density_epsilon is None
-                       else Fraction(density_epsilon))
-    density = interval.periodic_density_report(m, density_epsilon, density_n_max)
-    system = IntervalSystem(m, name=map_name)
-    probe = fg_shadowing_probe(system, eps, deltas, length, trials,
-                               target="full", params=params,
-                               n_candidates=n_candidates, seed=seed,
-                               challenges=challenges)
-    aux = fg_shadowing_probe(system, eps, deltas, length, trials,
-                             target="piecewise_syndetic", params=params,
-                             n_candidates=n_candidates, seed=seed + "/aux",
-                             challenges=challenges)
-    g = chain_graph(system, chain_nodes, chain_delta)
-    transitive = chain_transitive_check(g)
-    mixing = chain_mixing_check(g)
-    evidence = density.covered_fraction == 1 and probe.verdict == "pass"
-    notes = (
-        f"periodic points cover {density.covered_fraction} of the "
-        f"{density.cells} cells at scale {density.epsilon}",
-        f"tracing probe (target=full): {probe.verdict}",
-        f"auxiliary panel (target=piecewise_syndetic): {aux.verdict} "
-        f"(reported, not asserted)",
-        f"chain graph ({chain_nodes} nodes, delta={chain_delta}): "
-        f"transitive={'true' if transitive else 'false'} "
-        f"mixing={'true' if mixing else 'false'}",
-    )
-    return PChaosReport(
-        density=density, probe=probe, aux_probe=aux,
-        chain_transitive=transitive, chain_mixing=mixing,
-        evidence=evidence, notes=notes,
-    )

@@ -177,6 +177,10 @@ class SturmianSpec:
     def __post_init__(self) -> None:
         if self.prefix_len < 1:
             raise ValueError("prefix_len must be >= 1")
+        limit = cap("prefix_len")
+        if self.prefix_len > limit:
+            raise BudgetError(f"prefix_len budget exceeded: "
+                              f"{self.prefix_len} > {limit}")
 
 
 def golden_spec(prefix_len: int = 10_000) -> SturmianSpec:

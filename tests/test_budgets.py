@@ -6,6 +6,7 @@ from chaoskit.budgets import BudgetError, ENV_OVERRIDE, cap, charge
 def test_default_caps():
     assert cap("word_len") == 16
     assert cap("power") == 12
+    assert cap("prefix_len") == 2 ** 17
     charge("word_len", 16)
     with pytest.raises(BudgetError, match=r"word_len budget exceeded: 17 > 16"):
         charge("word_len", 17)

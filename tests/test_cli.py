@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from chaoskit import subshift
+from chaoskit import shadowing, subshift
+from chaoskit.budgets import cap
 from chaoskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,6 +109,15 @@ def test_budget_breach_exits_3(tmp_path, capsys):
     assert "word_len budget exceeded: 17 > 16" in capsys.readouterr().err
 
 
+def test_sturmian_prefix_cap_exits_3_before_any_work(tmp_path, capsys):
+    n = cap("prefix_len") + 1
+    assert main(["sturmian", "--prefix-len", str(n),
+                 "--out", str(tmp_path)]) == 3
+    assert (f"budget exceeded: prefix_len budget exceeded: {n} > {n - 1}"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # classify-set.
 
@@ -180,6 +190,20 @@ def test_sturmian_rejects_empty_word(tmp_path):
     assert main(["sturmian", "--word", "-", "--out", str(tmp_path)]) == 2
 
 
+def test_sturmian_word_checked_before_survey(tmp_path, monkeypatch, capsys):
+    def survey(*args):
+        raise AssertionError("survey ran before the word was checked")
+
+    monkeypatch.setattr(subshift, "language", survey)
+    assert main(["sturmian", "--word", "0000", "--out", str(tmp_path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: word 0000 does not occur in the prefix\n")
+    assert main(["sturmian", "--prefix-len", "40", "--word", "01001010010",
+                 "--out", str(tmp_path)]) == 3
+    assert "word too long for the prefix" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # interval-devaney.
 
@@ -207,6 +231,29 @@ def test_interval_map_from_file(tmp_path):
 def test_interval_missing_map_file(tmp_path):
     assert main(["interval-devaney", "--map", "@/no/such/file",
                  "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# p-chaos.
+
+def test_pchaos_routes_every_option(tmp_path, monkeypatch):
+    probes = []
+    original = shadowing.fg_shadowing_probe
+    monkeypatch.setattr(shadowing, "fg_shadowing_probe",
+                        lambda *a, **k: probes.append(original(*a, **k))
+                        or probes[-1])
+    assert main(["p-chaos", "--chain-nodes", "65", "--chain-delta", "0.05",
+                 "--density-eps", "1/16", "--candidates", "2001",
+                 "--trials", "2", "--out", str(tmp_path)]) == 0
+    rep = read(tmp_path / "report.txt")
+    assert "cells at scale 1/16" in rep
+    assert "chain graph (65 nodes, delta=0.05)" in rep
+    assert [p.target for p in probes] == ["full", "piecewise_syndetic"]
+    for probe, name in zip(probes, ("probe.csv", "aux_probe.csv")):
+        assert (probe.n_candidates, probe.trials) == (2001, 2)
+        # Two trials at each of the three default deltas; tent gets no
+        # challenge.
+        assert len(read(tmp_path / name).splitlines()) == 1 + 2 * 3
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from chaoskit import setfam
 from chaoskit.setfam import (
     CENSORED, STRICT, FamilyParams, WindowSet, classify, dilate,
-    empty_window, from_generator, full_window, least_cofinite_head,
-    longest_block, max_gap, shift_down, union, window_set,
+    empty_window, from_generator, full_window, longest_block, max_gap,
+    shift_down, union, window_set,
 )
 
 
@@ -22,6 +22,20 @@ def evens(h):
 
 def nonpowers(h):
     return from_generator("complement(powers(2))", h)
+
+
+def least_cofinite_head(a):
+    """Least m with [m, horizon) ⊆ A; horizon if the tail is broken at the
+    end.  The member scan that classify's run-based head is checked against."""
+    if not a.members or a.members[-1] != a.horizon - 1:
+        return a.horizon
+    head = a.horizon - 1
+    for m in reversed(a.members[:-1]):
+        if m == head - 1:
+            head = m
+        else:
+            break
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +61,16 @@ def test_longest_block_frozen():
 
 
 def test_cofinite_head_frozen():
-    assert least_cofinite_head(full_window(16)) == 0
-    assert least_cofinite_head(evens(16)) == 16     # last point 15 missing
-    assert least_cofinite_head(window_set(16, range(5, 16))) == 5
-    assert least_cofinite_head(WindowSet(16, (14, 15))) == 14
-    assert least_cofinite_head(empty_window(16)) == 16
+    cases = [
+        (full_window(16), 0),
+        (evens(16), 16),                  # last point 15 missing
+        (window_set(16, range(5, 16)), 5),
+        (WindowSet(16, (14, 15)), 14),
+        (empty_window(16), 16),
+    ]
+    for a, head in cases:
+        assert least_cofinite_head(a) == head
+        assert classify(a, FamilyParams()).cofinite_head == head
 
 
 # ---------------------------------------------------------------------------

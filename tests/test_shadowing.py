@@ -5,7 +5,7 @@ are ascending, and the float comparisons all use the shared slack constant,
 so expected values can be frozen.
 """
 
-from fractions import Fraction as F
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -19,7 +19,7 @@ from chaoskit.shadowing import (
     BestTracer, ChainGraph, DiscreteSystem, IntervalSystem, PseudoOrbit,
     TraceReport, best_tracer, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
     chain_transitive_check, crossing_challenge, fg_shadowing_probe,
-    make_pseudo_orbit, orbit_points, p_chaos_report, recompute_valid_set,
+    make_pseudo_orbit, orbit_points, recompute_valid_set,
     strongly_connected_components, trace_set, two_point_swap,
 )
 
@@ -135,6 +135,89 @@ def test_best_tracer_objectives_disagree():
     assert by_gap.report.x0 == 1.0 and by_gap.score == -1
     with pytest.raises(ValueError):
         best_tracer(IDENT, orb, cands, 0.4, "most_style_points")
+
+
+# The C x L hit mask scored one row at a time, which the running scores of
+# best_tracer replaced, kept as an oracle.
+
+def mask_scores(system, orbit, candidates, eps, objective):
+    """Each candidate's score, higher is better: its hit count, or minus
+    its largest gap (leading gap included, len(orbit) + 1 with no hit)."""
+    tol = eps + shadowing.FLOAT_SLACK
+    cur = np.array(candidates, dtype=float)
+    mask = np.empty((len(cur), len(orbit)), dtype=bool)
+    for n in range(len(orbit)):
+        mask[:, n] = np.abs(cur - orbit.points[n]) < tol
+        if n < len(orbit) - 1:
+            cur = system.step_array(cur)
+    if objective == "max_cardinality":
+        return mask.sum(axis=1).astype(float)
+    gaps = np.full(len(candidates), len(orbit) + 1)
+    for i in range(len(candidates)):
+        idx = np.flatnonzero(mask[i])
+        if len(idx):
+            lead = int(idx[0])
+            gaps[i] = max([lead] + list(np.diff(idx))) if len(idx) > 1 else lead
+    return -gaps.astype(float)
+
+
+def assert_tracer_matches_mask(system, orbit, candidates, eps, objective):
+    scores = mask_scores(system, orbit, candidates, eps, objective)
+    k = int(scores.argmax())      # the first of the best
+    bt = best_tracer(system, orbit, candidates, eps, objective)
+    assert bt.score == scores[k]
+    assert bt.report == trace_set(system, orbit, float(candidates[k]), eps)
+    return scores
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "bounded", "adversarial"])
+@pytest.mark.parametrize("system", [TENT, S, EX], ids=lambda s: s.name)
+def test_best_tracer_matches_mask_oracle(system, scheme):
+    # The eps ladder runs from no hits at all, through candidates that never
+    # hit beside ones that do, to many exact ties at the best score.
+    never_hit = tied = 0
+    for length in (10, 64):
+        orbit = make_pseudo_orbit(system, 0.01, length, scheme=scheme,
+                                  seed=f"oracle/{system.name}", target=0.7)
+        candidates = system.grid(1001)
+        for objective in ("max_cardinality", "min_max_gap"):
+            for eps in (1e-9, 0.002, 0.05, 0.5):
+                scores = assert_tracer_matches_mask(
+                    system, orbit, candidates, eps, objective)
+                miss = 0.0 if objective == "max_cardinality" else -(length + 1)
+                never_hit += (0 < (scores == miss).sum() < len(scores))
+                tied += (scores == scores.max()).sum() > 1
+    assert never_hit and tied
+
+
+def test_best_tracer_without_any_hit():
+    orb = manual_orbit(IDENT, [0.3] * 6, 1.0)
+    cands = np.array([0.9, 0.95])
+    for objective, score in (("max_cardinality", 0), ("min_max_gap", -7)):
+        bt = best_tracer(IDENT, orb, cands, 0.1, objective)
+        assert bt.score == score and bt.report.x0 == 0.9
+        assert_tracer_matches_mask(IDENT, orb, cands, 0.1, objective)
+
+
+def test_best_tracer_memory_is_linear_in_candidates():
+    # A C x L mask alone takes C * L bytes.
+    orbit = make_pseudo_orbit(TENT, 0.01, 512, scheme="uniform", seed="mem")
+    candidates = TENT.grid(20_001)
+    for objective in ("max_cardinality", "min_max_gap"):
+        tracemalloc.start()
+        try:
+            best_tracer(TENT, orbit, candidates, 0.05, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(candidates) * len(orbit) / 4, objective
+
+
+def test_best_tracer_rejects_objective_before_work(monkeypatch):
+    monkeypatch.setattr(shadowing, "charge", None)
+    orb = manual_orbit(IDENT, [0.3] * 6, 1.0)
+    with pytest.raises(ValueError, match="unknown objective"):
+        best_tracer(IDENT, orb, np.array([0.3]), 0.1, "most_style_points")
 
 
 def test_probe_row_ok_follows_target(monkeypatch):
@@ -487,26 +570,3 @@ def test_probe_needs_a_pseudo_orbit():
 def test_chain_budget():
     with pytest.raises(BudgetError):
         chain_graph(TENT, 2 ** 20 + 1, 0.01)
-
-
-# ---------------------------------------------------------------------------
-# Combined report.
-
-def test_p_chaos_tent():
-    rep = p_chaos_report(builtin("tent"), "tent", eps=0.05,
-                         deltas=[0.01, 1e-4], length=10, trials=3,
-                         n_candidates=10_001, seed="t",
-                         density_epsilon=F(1, 64))
-    assert rep.density.covered_fraction == 1
-    assert rep.probe.verdict == "pass"
-    assert rep.chain_transitive and rep.chain_mixing
-    assert rep.evidence
-    assert any("mixing=true" in n for n in rep.notes)
-    assert rep.aux_probe.target == "piecewise_syndetic"
-
-
-def test_p_chaos_zero_density_epsilon_raises():
-    # Zero is a bad scale, not a request for the default.
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        p_chaos_report(builtin("tent"), "tent", eps=0.05, deltas=[0.01],
-                       length=10, trials=1, density_epsilon=0)
