@@ -1,8 +1,7 @@
 """Exact piecewise-linear interval maps over the rationals.
 
-Everything in this module is computed with fractions.Fraction: evaluation,
-images of closed intervals, composition, periodic points, and the hitting
-sets
+Everything in this module is exact: evaluation, images of closed intervals,
+composition, periodic points, and the hitting sets
 
   N_f(U, V)     = {n : f^n(U) ∩ V nonempty}          (transitivity)
   N_f(U, delta) = {n : diam(f^n(U)) > delta}         (sensitivity)
@@ -10,6 +9,12 @@ sets
 computed on an explicit window [1, N].  Intervals are closed; a boundary-only
 intersection counts as a hit unless strict=True.  The sensitivity comparison
 is strict (>).
+
+A map stores Python-int numerators over one denominator for its breakpoints
+and one for its values, in lowest terms.  The engine compares and combines
+rationals by cross-multiplying ints, and carries single points as reduced
+(numerator, denominator) pairs; fractions.Fraction appears only at the API
+boundary (the xs/ys views, pl_eval, pl_image and the reports).
 
 The breakpoints of f∘g are g's breakpoints merged with the g-preimages of
 f's breakpoints.  Each piece of g is monotone, so the preimages on it come
@@ -23,7 +28,8 @@ walked once under f and its length is the prime period of all its points.
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
 test runs once per distinct image, and the remaining steps of the window
-follow by index.
+follow by index.  The survey iterates each grid cell's orbit once and tests
+it against every target cell.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import lt
 from typing import Sequence
 
 from . import setfam
@@ -38,30 +47,53 @@ from .budgets import BudgetError, cap, charge
 from .setfam import FamilyParams, FamilyVerdict, WindowSet
 
 Interval = tuple[Fraction, Fraction]
+Ratio = tuple[int, int]   # (numerator, denominator > 0) in lowest terms
 
 
 @dataclass(frozen=True)
 class PLMap:
     """Continuous piecewise-linear self-map of [xs[0], xs[-1]].
 
-    xs are strictly increasing breakpoints; ys the values there.  Linear
-    interpolation between breakpoints.  Self-map is enforced: all ys must lie
-    inside the domain (extremes of a PL map sit at breakpoints).
+    Breakpoint i is X[i] / dx with value Y[i] / dy; both are brought to
+    lowest terms when the map is built, so equal maps have equal fields.
+    xs are strictly increasing; linear interpolation between breakpoints.
+    Self-map is enforced: all ys must lie inside the domain (extremes of a
+    PL map sit at breakpoints).
     """
 
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
+    X: tuple[int, ...]
+    dx: int
+    Y: tuple[int, ...]
+    dy: int
 
     def __post_init__(self) -> None:
-        if len(self.xs) < 2 or len(self.xs) != len(self.ys):
+        X, Y, dx, dy = self.X, self.Y, self.dx, self.dy
+        if len(X) < 2 or len(X) != len(Y):
             raise ValueError("need matching xs/ys with at least two breakpoints")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        lo, hi = self.xs[0], self.xs[-1]
-        for y in self.ys:
-            if not lo <= y <= hi:
-                raise ValueError(f"value {y} escapes the domain [{lo}, {hi}]")
+        if dx < 1 or dy < 1:
+            raise ValueError("denominators must be positive")
+        if not all(map(lt, X, X[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        lo, hi = X[0] * dy, X[-1] * dy
+        if not (lo <= min(Y) * dx and max(Y) * dx <= hi):
+            y = next(y for y in Y if not lo <= y * dx <= hi)
+            raise ValueError(f"value {Fraction(y, dy)} escapes the domain "
+                             f"[{Fraction(X[0], dx)}, {Fraction(X[-1], dx)}]")
+        gx, gy = gcd(dx, *X), gcd(dy, *Y)
+        if gx > 1:
+            object.__setattr__(self, "X", tuple(v // gx for v in X))
+            object.__setattr__(self, "dx", dx // gx)
+        if gy > 1:
+            object.__setattr__(self, "Y", tuple(v // gy for v in Y))
+            object.__setattr__(self, "dy", dy // gy)
+
+    @cached_property
+    def xs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.dx) for x in self.X)
+
+    @cached_property
+    def ys(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(y, self.dy) for y in self.Y)
 
     @property
     def lo(self) -> Fraction:
@@ -76,11 +108,17 @@ class PLMap:
         return (self.xs[0], self.xs[-1])
 
 
+def _over_one(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Numerators over the least common denominator of the values."""
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
 def pl_map(points: Sequence[tuple[Fraction | int | str, Fraction | int | str]]) -> PLMap:
-    """Build a PLMap from (x, y) pairs; coordinates coerced to Fraction."""
-    xs = tuple(Fraction(x) for x, _ in points)
-    ys = tuple(Fraction(y) for _, y in points)
-    return PLMap(xs, ys)
+    """Build a PLMap from (x, y) pairs; coordinates read as Fractions."""
+    X, dx = _over_one([Fraction(x) for x, _ in points])
+    Y, dy = _over_one([Fraction(y) for _, y in points])
+    return PLMap(X, dx, Y, dy)
 
 
 def builtin(name: str) -> PLMap:
@@ -117,14 +155,14 @@ def parse_pl_text(text: str) -> PLMap:
     try:
         lo_s, hi_s = lines[0].split("=", 1)[1].split(",")
         lo, hi = Fraction(lo_s), Fraction(hi_s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad domain line {lines[0]!r}")
     pts = []
     for ln in lines[1:]:
         try:
             x_s, y_s = ln.split(":")
             pts.append((Fraction(x_s), Fraction(y_s)))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad breakpoint line {ln!r}")
     m = pl_map(pts)
     if (m.lo, m.hi) != (lo, hi):
@@ -132,16 +170,38 @@ def parse_pl_text(text: str) -> PLMap:
     return m
 
 
-def pl_eval(m: PLMap, x: Fraction | int | str) -> Fraction:
-    x = Fraction(x)
-    if not m.lo <= x <= m.hi:
+def _ratio(n: int, d: int) -> Ratio:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _ev(m: PLMap, p: int, q: int) -> Ratio:
+    """m(p/q) in lowest terms, for p/q (q > 0) inside the domain.
+
+    p/q >= X[i]/dx iff X[i] <= floor(p dx / q), so one bisect over the
+    integer numerators finds the piece."""
+    X, Y, dx, dy = m.X, m.Y, m.dx, m.dy
+    t = p * dx
+    i = bisect_right(X, t // q) - 1
+    x0 = X[i]
+    if x0 * q == t:
+        n, d = Y[i], dy
+    else:
+        w, y0 = X[i + 1] - x0, Y[i]
+        n = y0 * q * w + (Y[i + 1] - y0) * (t - x0 * q)
+        d = dy * q * w
+    return _ratio(n, d)
+
+
+def _in_domain(m: PLMap, x: Fraction) -> Ratio:
+    p, q = x.numerator, x.denominator
+    if not m.X[0] * q <= p * m.dx <= m.X[-1] * q:
         raise ValueError(f"{x} outside domain [{m.lo}, {m.hi}]")
-    i = bisect_right(m.xs, x) - 1
-    if i == len(m.xs) - 1:
-        return m.ys[-1]
-    x0, x1 = m.xs[i], m.xs[i + 1]
-    y0, y1 = m.ys[i], m.ys[i + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return p, q
+
+
+def pl_eval(m: PLMap, x: Fraction | int | str) -> Fraction:
+    return Fraction(*_ev(m, *_in_domain(m, Fraction(x))))
 
 
 def pl_image(m: PLMap, iv: Interval) -> Interval:
@@ -150,12 +210,19 @@ def pl_image(m: PLMap, iv: Interval) -> Interval:
     c, d = Fraction(iv[0]), Fraction(iv[1])
     if c > d:
         raise ValueError("empty interval")
-    vals = [pl_eval(m, c), pl_eval(m, d)]
-    i = bisect_right(m.xs, c)
-    while i < len(m.xs) and m.xs[i] < d:
-        vals.append(m.ys[i])
-        i += 1
-    return (min(vals), max(vals))
+    (p, q), (r, s) = _in_domain(m, c), _in_domain(m, d)
+    lo, hi = _ev(m, p, q), _ev(m, r, s)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        lo, hi = hi, lo
+    # The breakpoints strictly inside (c, d): X[i] > c dx and X[i] < d dx.
+    inner = m.Y[bisect_right(m.X, p * m.dx // q):bisect_left(m.X, -(-r * m.dx // s))]
+    if inner:
+        a, b = min(inner), max(inner)
+        if a * lo[1] < lo[0] * m.dy:
+            lo = (a, m.dy)
+        if b * hi[1] > hi[0] * m.dy:
+            hi = (b, m.dy)
+    return (Fraction(*lo), Fraction(*hi))
 
 
 def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMap:
@@ -165,31 +232,55 @@ def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMa
     strictly inside the piece and ascend with b on a rising piece and with -b
     on a falling one.  So the breakpoints come out in order, and their values
     are known without evaluating g: f(g.ys[i]) at g's own breakpoints and
-    f.ys[j] where g(x) = f.xs[j]."""
-    if f.domain != g.domain:
+    f.ys[j] where g(x) = f.xs[j].
+
+    The new breakpoints are written over gdx·fdx·L, L the lcm of |ΔY| over
+    g's non-flat pieces, and the values over fdy·gdy·M, M the lcm of f's
+    piece widths; every term is then an integer."""
+    fX, fY, fdx, fdy = f.X, f.Y, f.dx, f.dy
+    gX, gY, gdx, gdy = g.X, g.Y, g.dx, g.dy
+    if fX[0] * gdx != gX[0] * fdx or fX[-1] * gdx != gX[-1] * fdx:
         raise ValueError("compose needs maps on the same domain")
     limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
-    count = len(g.xs)
-    xs = [g.xs[0]]
-    ys = [pl_eval(f, g.ys[0])]
-    for i in range(len(g.xs) - 1):
-        x0, x1 = g.xs[i], g.xs[i + 1]
-        y0, y1 = g.ys[i], g.ys[i + 1]
+    scale = fdx * lcm(*{abs(b - a) for a, b in zip(gY, gY[1:]) if a != b})
+    vden = fdy * gdy * lcm(*(b - a for a, b in zip(fX, fX[1:])))
+    inner_ys = [y * (vden // fdy) for y in fY]
+    at: dict[int, int] = {}
+
+    def f_at(y: int) -> int:
+        """f(y / gdy) as a numerator over vden."""
+        v = at.get(y)
+        if v is None:
+            n, d = _ev(f, y, gdy)
+            v = at[y] = n * (vden // d)
+        return v
+
+    count = len(gX)
+    xs = [gX[0] * scale]
+    ys = [f_at(gY[0])]
+    for i in range(len(gX) - 1):
+        x0, x1 = gX[i], gX[i + 1]
+        y0, y1 = gY[i], gY[i + 1]
         if y0 != y1:
+            # f.xs[j] lies strictly between y0 and y1 iff fX[j]·gdy does
+            # between y0·fdx and y1·fdx.
+            a0, a1 = y0 * fdx, y1 * fdx
             if y0 < y1:
-                inner = range(bisect_right(f.xs, y0), bisect_left(f.xs, y1))
+                inner = range(bisect_right(fX, a0 // gdy), bisect_left(fX, -(-a1 // gdy)))
             else:
-                inner = range(bisect_left(f.xs, y0) - 1, bisect_right(f.xs, y1) - 1, -1)
-            scale = (x1 - x0) / (y1 - y0)
+                inner = range(bisect_left(fX, -(-a0 // gdy)) - 1,
+                              bisect_right(fX, a1 // gdy) - 1, -1)
+            # x = x0 + (b - y0)(x1 - x0)/(y1 - y0), times gdx·fdx·L.
+            base, step = x0 * scale, (x1 - x0) * (scale // fdx // (y1 - y0))
             for j in inner:
-                xs.append(x0 + (f.xs[j] - y0) * scale)
-                ys.append(f.ys[j])
+                xs.append(base + (fX[j] * gdy - a0) * step)
+                ys.append(inner_ys[j])
             count += len(inner)
             if count > limit:
                 raise BudgetError(f"compose exceeded {limit} breakpoints")
-        xs.append(x1)
-        ys.append(pl_eval(f, y1))
-    return PLMap(tuple(xs), tuple(ys))
+        xs.append(x1 * scale)
+        ys.append(f_at(y1))
+    return PLMap(tuple(xs), gdx * scale, tuple(ys), vden)
 
 
 def pl_power(m: PLMap, n: int, breakpoint_budget: int | None = None) -> PLMap:
@@ -211,34 +302,44 @@ class PeriodicReport:
     segments: tuple[tuple[Fraction, Fraction], ...]  # slope-1 fixed stretches
 
 
-def _fixed_of(m: PLMap) -> tuple[list[Fraction], list[Interval]]:
-    points: set[Fraction] = set()
-    segments: list[Interval] = []
-    for i in range(len(m.xs) - 1):
-        x0, x1 = m.xs[i], m.xs[i + 1]
-        y0, y1 = m.ys[i], m.ys[i + 1]
-        slope = (y1 - y0) / (x1 - x0)
-        if slope == 1:
-            if y0 == x0:
-                segments.append((x0, x1))
+def _fixed_of(m: PLMap) -> tuple[list[Ratio], list[tuple[Ratio, Ratio]]]:
+    """The isolated fixed points and the merged slope-1 fixed stretches of m,
+    ascending, as reduced pairs.
+
+    On piece i the fixed point is (Y0·ΔX − ΔY·X0) / (ΔX·dy − ΔY·dx), which
+    lies in [x_i, x_{i+1}]; the slope is 1 iff that denominator is 0.  So the
+    points come out in order, a repeat only where two pieces share one."""
+    X, Y, dx, dy = m.X, m.Y, m.dx, m.dy
+    points: list[Ratio] = []
+    segments: list[list[int]] = []      # [X_a, X_b] over dx
+    for i in range(len(X) - 1):
+        x0, x1, y0 = X[i], X[i + 1], Y[i]
+        w, h = x1 - x0, Y[i + 1] - y0
+        den = w * dy - h * dx
+        if den == 0:
+            if y0 * dx == x0 * dy:
+                if segments and segments[-1][1] == x0:
+                    segments[-1][1] = x1
+                else:
+                    segments.append([x0, x1])
             continue
-        x_star = (y0 - slope * x0) / (1 - slope)
-        if x0 <= x_star <= x1:
-            points.add(x_star)
+        num = y0 * w - h * x0
+        if den < 0:
+            num, den = -num, -den
+        if x0 * den <= num * dx <= x1 * den:
+            p = _ratio(num, den)
+            if not points or points[-1] != p:
+                points.append(p)
     # Points swallowed by a fixed segment are reported once, via the segment.
-    points = {p for p in points if not any(a <= p <= b for a, b in segments)}
-    return sorted(points), _merge_segments(segments)
-
-
-def _merge_segments(segs: list[Interval]) -> list[Interval]:
-    segs = sorted(segs)
-    out: list[Interval] = []
-    for a, b in segs:
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
+    if segments:
+        kept, k = [], 0
+        for n, d in points:
+            while k < len(segments) and segments[k][1] * d < n * dx:
+                k += 1
+            if k == len(segments) or segments[k][0] * d > n * dx:
+                kept.append((n, d))
+        points = kept
+    return points, [(_ratio(a, dx), _ratio(b, dx)) for a, b in segments]
 
 
 def periodic_points(m: PLMap, period: int) -> PeriodicReport:
@@ -251,18 +352,18 @@ def periodic_points(m: PLMap, period: int) -> PeriodicReport:
     segment and m^period is the identity on its image."""
     power = pl_power(m, period)
     points, segments = _fixed_of(power)
-    prime: dict[Fraction, int] = {}
+    prime: dict[Ratio, int] = {}
     for p in points:
         if p in prime:
             continue
         orbit = [p]
-        x = pl_eval(m, p)
+        x = _ev(m, *p)
         while x != p:
             orbit.append(x)
-            x = pl_eval(m, x)
+            x = _ev(m, *x)
         prime.update(dict.fromkeys(orbit, len(orbit)))
-    return PeriodicReport(points=tuple((p, prime[p]) for p in points),
-                          segments=tuple((a, b) for a, b in segments))
+    return PeriodicReport(points=tuple((Fraction(*p), prime[p]) for p in points),
+                          segments=tuple((Fraction(*a), Fraction(*b)) for a, b in segments))
 
 
 @dataclass(frozen=True)
@@ -290,11 +391,16 @@ def periodic_density_report(m: PLMap, epsilon: Fraction | str,
     cells = -((lo - hi) // epsilon)  # ceil((hi-lo)/eps)
     cells = int(cells)
     covered = [False] * cells
+    x0, dx = m.X[0], m.dx
+    en, ed = epsilon.numerator, epsilon.denominator
 
-    def cell_range(a: Fraction, b: Fraction) -> range:
-        first = max(0, int((a - lo) // epsilon))
-        last = min(cells - 1, int((b - lo) // epsilon))
-        return range(first, last + 1)
+    def cell(x: Ratio) -> int:
+        """floor((x - lo) / epsilon)."""
+        n, d = x
+        return (n * dx - x0 * d) * ed // (d * dx * en)
+
+    def cell_range(a: Ratio, b: Ratio) -> range:
+        return range(max(0, cell(a)), min(cells - 1, cell(b)) + 1)
 
     power = None
     reached = 0
@@ -359,7 +465,7 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> tuple[list[Interval], list[int]
 
 def _hits(flags: list[bool], index: list[int], n_max: int) -> HittingSet:
     """The steps whose image is flagged, on the window [0, N]."""
-    return HittingSet(WindowSet(n_max + 1, tuple(
+    return HittingSet(WindowSet._trusted(n_max + 1, tuple(
         n for n, k in enumerate(index, start=1) if flags[k])))
 
 
@@ -456,18 +562,22 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     The consistency flag mirrors the implication "F-transitive + dense
     periodic points => F-sensitive": an anomaly is recorded (never raised)
     when transitivity and density pass but sensitivity fails.
+
+    Each cell's image orbit is iterated once and its distinct images are
+    tested for sensitivity and against every target cell.
     """
     params = params or SurveyParams()
     grid = params.grid(m)
+    delta, n_steps, family = Fraction(params.delta), params.n_steps, params.family
     sens = []
-    for u in grid:
-        hs = sensitivity_hitting_set(m, u, params.delta, params.n_steps)
-        sens.append((u, setfam.classify(hs.window, params.family)))
     trans = []
     for i, u in enumerate(grid):
+        images, index = _orbit(m, u, n_steps)
+        hs = _hits([b - a > delta for a, b in images], index, n_steps)
+        sens.append((u, setfam.classify(hs.window, family)))
         for j, v in enumerate(grid):
-            hs = transitivity_hitting_set(m, u, v, params.n_steps)
-            trans.append((i, j, setfam.classify(hs.window, params.family)))
+            hs = _hits([intervals_meet(img, v) for img in images], index, n_steps)
+            trans.append((i, j, setfam.classify(hs.window, family)))
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)
@@ -483,7 +593,8 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
                 f"but sensitivity does not")
     return ChaosSurvey(
         map_name=map_name, params=params,
-        fixed_points=tuple(fixed_pts), fixed_segments=tuple(fixed_segs),
+        fixed_points=tuple(Fraction(*p) for p in fixed_pts),
+        fixed_segments=tuple((Fraction(*a), Fraction(*b)) for a, b in fixed_segs),
         sensitivity=tuple(sens), transitivity=tuple(trans),
         density=density, verdicts=verdicts, anomalies=tuple(anomalies),
     )

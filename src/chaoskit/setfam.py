@@ -56,6 +56,15 @@ class WindowSet:
                 raise ValueError(f"member {m} outside [0, {self.horizon})")
             prev = m
 
+    @classmethod
+    def _trusted(cls, horizon: int, members: tuple[int, ...]) -> "WindowSet":
+        """A set an engine built itself, members already ascending ints in
+        [0, horizon): nothing is re-checked."""
+        ws = object.__new__(cls)
+        object.__setattr__(ws, "horizon", horizon)
+        object.__setattr__(ws, "members", members)
+        return ws
+
     def __contains__(self, n: int) -> bool:
         i = bisect_left(self.members, n)
         return i < len(self.members) and self.members[i] == n
@@ -205,17 +214,28 @@ def _thickly_syndetic(runs: list[tuple[int, int]], horizon: int,
     # Block-start gaps follow the tail policy, as the syndetic check does:
     # the starts of 1-blocks are the members themselves, so a censored check
     # here could pass a set that fails strict syndeticity.
-    for n in range(1, p.block + 1):
-        runs = [(s, e) for s, e in runs if e - s >= n]
-        if not runs:
+    #
+    # One pass decides every n <= L: a run [s, e) of length l takes part at
+    # each n <= k = min(l, L), and its gap from the nearest earlier run
+    # [s', e') of length >= n, s - e' + n, only grows with n (e' can only move
+    # back).  So its gap at level k bounds all the others; when no earlier
+    # run reaches k, its leading gap s does (s - e' + n <= s as e' >= n).  A
+    # stack of (level, end) with strictly falling levels finds that run; the
+    # strict tail gap grows with n too, so it is read at level L.
+    if not runs or max([e - s for s, e in runs]) < p.block:
+        return False
+    stack: list[tuple[int, int]] = []
+    for s, e in runs:
+        k = min(e - s, p.block)
+        while stack and stack[-1][0] < k:
+            stack.pop()
+        if (s - stack[-1][1] + k if stack else s) > p.gap:
             return False
-        gap = max([runs[0][0]]
-                  + [s - (e - n) for (_, e), (s, _) in zip(runs, runs[1:])])
-        if p.tail_policy == STRICT:
-            gap = max(gap, horizon + 1 - runs[-1][1])
-        if gap > p.gap:
-            return False
-    return True
+        if stack and stack[-1][0] == k:
+            stack.pop()
+        stack.append((k, e))
+    # The bottom of the stack is the last run that reaches level L.
+    return p.tail_policy != STRICT or horizon + 1 - stack[0][1] <= p.gap
 
 
 def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:

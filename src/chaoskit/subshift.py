@@ -165,7 +165,7 @@ class SpacingShift(Shift):
         ok = np.ones(n_max + 1, dtype=bool)
         for d in {len(u) + j - i for i in u_ones for j in v_ones}:
             ok &= self._in_p[d:d + n_max + 1]
-        return WindowSet(n_max + 1, tuple(np.flatnonzero(ok).tolist()))
+        return WindowSet._trusted(n_max + 1, tuple(np.flatnonzero(ok).tolist()))
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ class SturmianShift(Shift):
             n - len(u) for n in self._offsets(u, v, len(u), len(u) + n_max)))
 
     def cylinder_hits(self, u: str, v: str, n_max: int) -> WindowSet:
-        return WindowSet(n_max + 1, tuple(self._offsets(u, v, 1, n_max)))
+        return WindowSet._trusted(n_max + 1, tuple(self._offsets(u, v, 1, n_max)))
 
 
 def language(oracle, max_len: int, node_budget: int | None = None) -> set[str]:
@@ -437,7 +437,7 @@ def occurrence_gaps(spec: SturmianSpec, w: str) -> WindowSet:
     prefix = sturmian_prefix(spec)
     horizon = len(prefix) - len(w) + 1
     occ = [i for i in _occurrences(prefix, w) if i < horizon]
-    return WindowSet(horizon, tuple(occ))
+    return WindowSet._trusted(horizon, tuple(occ))
 
 
 def periodicity_probe(oracle, max_len: int, power: int) -> bool:

@@ -228,6 +228,19 @@ def test_interval_map_from_file(tmp_path):
     assert "families: Fs=pass Ft=pass Fts=pass Fcf=pass" in rep
 
 
+@pytest.mark.parametrize("text, bad_line", [
+    ("domain=0,1\n0:0\n1/0:1\n1:0\n", "bad breakpoint line '1/0:1'"),
+    ("domain=0,1\n0:0\n1/2:1/0\n1:0\n", "bad breakpoint line '1/2:1/0'"),
+    ("domain=0,1/0\n0:0\n1:0\n", "bad domain line 'domain=0,1/0'"),
+])
+def test_interval_map_file_zero_denominator(tmp_path, capsys, text, bad_line):
+    map_file = tmp_path / "zero.txt"
+    map_file.write_text(text)
+    assert main(["interval-devaney", "--map", f"@{map_file}",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {bad_line}"
+
+
 def test_interval_missing_map_file(tmp_path):
     assert main(["interval-devaney", "--map", "@/no/such/file",
                  "--out", str(tmp_path)]) == 2

@@ -1,11 +1,13 @@
 """Exact piecewise-linear map fixtures.
 
-Everything here runs in Fraction arithmetic, so every expected value is
-either computed by an independent route (iterated pointwise evaluation vs
-symbolic composition) or frozen by hand.
+The engine is exact, so every expected value is computed by an independent
+route (iterated pointwise evaluation vs symbolic composition, or the
+Fraction engine kept below as the integer engine's oracle) or frozen by hand.
 """
 
 import random
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit import interval, setfam
-from chaoskit.budgets import BudgetError, cap
+from chaoskit.budgets import BudgetError, cap, charge
 from chaoskit.interval import (
     SurveyParams, builtin, devaney_report, leo_check, parse_pl_text,
     periodic_density_report, periodic_points, pl_compose, pl_eval, pl_image,
@@ -327,6 +329,260 @@ def test_backward_covering_slope_two():
 
 
 # ---------------------------------------------------------------------------
+# The Fraction engine that the integer engine replaced, kept as its oracle.
+# It reads only .xs and .ys, so it runs on PLMaps as well as on its own
+# FracMaps.
+
+@dataclass(frozen=True)
+class FracMap:
+    xs: tuple
+    ys: tuple
+
+    @property
+    def lo(self):
+        return self.xs[0]
+
+    @property
+    def hi(self):
+        return self.xs[-1]
+
+    @property
+    def domain(self):
+        return (self.xs[0], self.xs[-1])
+
+
+def frac_eval(m, x):
+    x = F(x)
+    if not m.lo <= x <= m.hi:
+        raise ValueError(f"{x} outside domain [{m.lo}, {m.hi}]")
+    i = bisect_right(m.xs, x) - 1
+    if i == len(m.xs) - 1:
+        return m.ys[-1]
+    x0, x1 = m.xs[i], m.xs[i + 1]
+    y0, y1 = m.ys[i], m.ys[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def frac_image(m, iv):
+    c, d = F(iv[0]), F(iv[1])
+    if c > d:
+        raise ValueError("empty interval")
+    vals = [frac_eval(m, c), frac_eval(m, d)]
+    i = bisect_right(m.xs, c)
+    while i < len(m.xs) and m.xs[i] < d:
+        vals.append(m.ys[i])
+        i += 1
+    return (min(vals), max(vals))
+
+
+def frac_compose(f, g, breakpoint_budget=None):
+    if f.domain != g.domain:
+        raise ValueError("compose needs maps on the same domain")
+    limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
+    count = len(g.xs)
+    xs = [g.xs[0]]
+    ys = [frac_eval(f, g.ys[0])]
+    for i in range(len(g.xs) - 1):
+        x0, x1 = g.xs[i], g.xs[i + 1]
+        y0, y1 = g.ys[i], g.ys[i + 1]
+        if y0 != y1:
+            if y0 < y1:
+                inner = range(bisect_right(f.xs, y0), bisect_left(f.xs, y1))
+            else:
+                inner = range(bisect_left(f.xs, y0) - 1, bisect_right(f.xs, y1) - 1, -1)
+            scale = (x1 - x0) / (y1 - y0)
+            for j in inner:
+                xs.append(x0 + (f.xs[j] - y0) * scale)
+                ys.append(f.ys[j])
+            count += len(inner)
+            if count > limit:
+                raise BudgetError(f"compose exceeded {limit} breakpoints")
+        xs.append(x1)
+        ys.append(frac_eval(f, y1))
+    return FracMap(tuple(xs), tuple(ys))
+
+
+def frac_power(m, n, breakpoint_budget=None):
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    charge("power", n)
+    out = m
+    for _ in range(n - 1):
+        out = frac_compose(m, out, breakpoint_budget)
+    return out
+
+
+def frac_fixed_of(m):
+    points = set()
+    segments = []
+    for i in range(len(m.xs) - 1):
+        x0, x1 = m.xs[i], m.xs[i + 1]
+        y0, y1 = m.ys[i], m.ys[i + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        if slope == 1:
+            if y0 == x0:
+                segments.append((x0, x1))
+            continue
+        x_star = (y0 - slope * x0) / (1 - slope)
+        if x0 <= x_star <= x1:
+            points.add(x_star)
+    points = {p for p in points if not any(a <= p <= b for a, b in segments)}
+    merged = []
+    for a, b in sorted(segments):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return sorted(points), merged
+
+
+def frac_periodic_points(m, period):
+    points, segments = frac_fixed_of(frac_power(m, period))
+    prime = {}
+    for p in points:
+        if p in prime:
+            continue
+        orbit = [p]
+        x = frac_eval(m, p)
+        while x != p:
+            orbit.append(x)
+            x = frac_eval(m, x)
+        prime.update(dict.fromkeys(orbit, len(orbit)))
+    return interval.PeriodicReport(points=tuple((p, prime[p]) for p in points),
+                                   segments=tuple(segments))
+
+
+def frac_density_report(m, epsilon, n_max):
+    epsilon = F(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    charge("power", n_max)
+    lo, hi = m.domain
+    cells = int(-((lo - hi) // epsilon))
+    covered = [False] * cells
+
+    def cell_range(a, b):
+        first = max(0, int((a - lo) // epsilon))
+        last = min(cells - 1, int((b - lo) // epsilon))
+        return range(first, last + 1)
+
+    power = None
+    reached = 0
+    for n in range(1, n_max + 1):
+        power = m if power is None else frac_compose(m, power)
+        pts, segs = frac_fixed_of(power)
+        for p in pts:
+            for c in cell_range(p, p):
+                covered[c] = True
+        for a, b in segs:
+            for c in cell_range(a, b):
+                covered[c] = True
+        reached = n
+        if all(covered):
+            break
+    uncovered = []
+    i = 0
+    while i < cells:
+        if not covered[i]:
+            j = i
+            while j + 1 < cells and not covered[j + 1]:
+                j += 1
+            uncovered.append((lo + i * epsilon, min(hi, lo + (j + 1) * epsilon)))
+            i = j + 1
+        i += 1
+    return interval.DensityReport(
+        epsilon=epsilon, n_max=n_max, covered_fraction=F(sum(covered), cells),
+        cells=cells, uncovered=tuple(uncovered), period_reached=reached)
+
+
+def fixed_as_fractions(fixed):
+    """_fixed_of's reduced pairs as Fractions, in the oracle's shape."""
+    points, segments = fixed
+    return ([F(*p) for p in points], [(F(*a), F(*b)) for a, b in segments])
+
+
+def raised(call, *args):
+    """The type and message of the BudgetError or ValueError call raises, or
+    its result; a map result as its breakpoints and values."""
+    try:
+        out = call(*args)
+    except (BudgetError, ValueError) as err:
+        return (type(err), str(err))
+    return (out.xs, out.ys) if hasattr(out, "xs") else out
+
+
+def mixed_map(rng, lo, hi):
+    """A PL map on [lo, hi] whose breakpoints and values have denominators
+    from 1 to 12, with flat pieces, stretches on the diagonal and values far
+    apart, so |ΔY| > 1 over the common denominator."""
+    def point():
+        d = rng.randint(1, 12)
+        return lo + (hi - lo) * F(rng.randint(0, d), d)
+
+    xs = [lo, *sorted({point() for _ in range(rng.randint(0, 5))} - {lo, hi}), hi]
+    ys = []
+    for x in xs:
+        kind = rng.choice(("free", "free", "flat", "diagonal"))
+        ys.append(ys[-1] if kind == "flat" and ys else x if kind == "diagonal" else point())
+    return pl_map(list(zip(xs, ys)))
+
+
+DOMAINS = [(F(0), F(1)), (F(-1), F(1)), (F(1, 3), F(2))]
+
+
+def mixed_pair(rng):
+    lo, hi = rng.choice(DOMAINS)
+    return mixed_map(rng, lo, hi), mixed_map(rng, lo, hi)
+
+
+def test_mixed_maps_cover_every_feature():
+    """The maps the engine is checked on below have mixed denominators, flat
+    pieces, slope-1 fixed stretches and numerator steps |ΔY| > 1."""
+    seen = dict.fromkeys(("mixed", "flat", "diagonal", "wide"), 0)
+    rng = random.Random("features")
+    for _ in range(100):
+        m, _ = mixed_pair(rng)
+        seen["mixed"] += len({x.denominator for x in m.xs + m.ys}) > 2
+        seen["flat"] += any(a == b for a, b in zip(m.Y, m.Y[1:]))
+        seen["diagonal"] += bool(interval._fixed_of(m)[1])
+        seen["wide"] += any(abs(b - a) > 1 for a, b in zip(m.Y, m.Y[1:]))
+    assert min(seen.values()) > 5, seen
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_integer_engine_matches_fraction_engine(rng):
+    f, g = mixed_pair(rng)
+    lo, hi = f.domain
+    samples = sorted(lo + (hi - lo) * F(rng.randint(0, d), d)
+                     for d in (rng.randint(1, 30) for _ in range(6)))
+    for x in [*samples, *f.xs, hi + F(1, 7)]:
+        assert raised(pl_eval, f, x) == raised(frac_eval, f, x)
+    for a, b in zip(samples, samples[1:]):
+        assert pl_image(f, (a, b)) == frac_image(f, (a, b))
+    assert raised(pl_image, f, (hi, lo)) == raised(frac_image, f, (hi, lo))
+    for h, want in ((pl_compose(f, g), frac_compose(f, g)),
+                    (pl_compose(g, f), frac_compose(g, f)),
+                    (pl_power(f, 3), frac_power(f, 3))):
+        assert (h.xs, h.ys) == (want.xs, want.ys)
+        assert fixed_as_fractions(interval._fixed_of(h)) == frac_fixed_of(want)
+    for n in (1, 2, 3):
+        assert periodic_points(f, n) == frac_periodic_points(f, n)
+    for eps, n_max in ((F(1, 7), 3), (F(2, 9), 4), (F(1, 16), 2)):
+        assert periodic_density_report(f, eps, n_max) \
+            == frac_density_report(f, eps, n_max)
+    # BudgetError parity: the same budgets raise with the same messages.
+    n = len(pl_compose(f, g).xs)
+    for budget in (n - 2, n - 1, n, rng.randint(1, n + 1)):
+        assert raised(pl_compose, f, g, budget) == raised(frac_compose, f, g, budget)
+        assert raised(pl_power, f, 3, budget) == raised(frac_power, f, 3, budget)
+    top = cap("power") + 1
+    assert raised(periodic_points, f, top) == raised(frac_periodic_points, f, top)
+    assert raised(periodic_density_report, f, F(1, 8), top) \
+        == raised(frac_density_report, f, F(1, 8), top)
+
+
+# ---------------------------------------------------------------------------
 # The ordered compose and the orbit walk for prime periods, against the
 # set-and-sort compose and the divisor filter they replaced.
 
@@ -347,7 +603,7 @@ def compose_by_sorting(f, g, breakpoint_budget=None):
         if len(xs) > limit:
             raise BudgetError(f"compose exceeded {limit} breakpoints")
     xs = tuple(sorted(xs))
-    return interval.PLMap(xs, tuple(pl_eval(f, pl_eval(g, x)) for x in xs))
+    return pl_map([(x, pl_eval(f, pl_eval(g, x))) for x in xs])
 
 
 def periodic_points_by_divisors(m, period):
@@ -357,7 +613,7 @@ def periodic_points_by_divisors(m, period):
     power = m
     for _ in range(period - 1):
         power = compose_by_sorting(m, power)
-    points, segments = interval._fixed_of(power)
+    points, segments = frac_fixed_of(power)
     out = []
     for p in points:
         prime = period
@@ -474,11 +730,12 @@ def test_orbits_of_listed_points_stay_listed():
 
 def test_prime_periods_cost_one_eval_per_point(monkeypatch):
     """Beyond building tent^10, periodic_points(tent, 10) evaluates tent once
-    per periodic point: each orbit is walked once, not once per divisor."""
+    per periodic point: each orbit is walked once, not once per divisor.
+    The walk runs on the integer evaluator _ev, so that is what is counted."""
     calls = []
-    real = interval.pl_eval
-    monkeypatch.setattr(interval, "pl_eval",
-                        lambda m, x: calls.append(x) or real(m, x))
+    real = interval._ev
+    monkeypatch.setattr(interval, "_ev",
+                        lambda m, p, q: calls.append((p, q)) or real(m, p, q))
     pl_power(TENT, 10)
     power_calls = len(calls)
     calls.clear()

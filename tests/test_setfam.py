@@ -145,6 +145,23 @@ def oracle_classify(a, p):
         lower_density=lo, upper_density=hi)
 
 
+def thickly_syndetic_by_levels(runs, horizon, p):
+    """The run filter classify used before its one-pass check: the runs are
+    re-filtered for every block length n <= L and their block-start gaps
+    measured afresh."""
+    for n in range(1, p.block + 1):
+        runs = [(s, e) for s, e in runs if e - s >= n]
+        if not runs:
+            return False
+        gap = max([runs[0][0]]
+                  + [s - (e - n) for (_, e), (s, _) in zip(runs, runs[1:])])
+        if p.tail_policy == STRICT:
+            gap = max(gap, horizon + 1 - runs[-1][1])
+        if gap > p.gap:
+            return False
+    return True
+
+
 def test_block_starts_frozen():
     a = window_set(8, [0, 1, 2, 5, 6])
     starts = block_starts(a, 2)
@@ -194,6 +211,34 @@ def test_classify_matches_oracle(case):
     h, members, p = case
     a = window_set(h, members)
     assert classify(a, p) == oracle_classify(a, p)
+
+
+# Runs of mixed lengths, so that long runs sit between short ones and the
+# nearest earlier run that reaches a level is often not the previous one.
+run_cases = st.tuples(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 14)), max_size=12),
+    st.integers(0, 4), st.integers(0, 6),
+    st.builds(FamilyParams, gap=st.integers(1, 16), block=st.integers(1, 15),
+              tail_policy=st.sampled_from([CENSORED, STRICT])))
+
+
+@given(run_cases)
+@settings(max_examples=500)
+@example(case=([(3, 5), (90, 1)], 0, 0, FamilyParams(gap=4, block=2)))
+@example(case=([(3, 5), (90, 1)], 0, 0, FamilyParams(gap=4, block=2,
+                                                      tail_policy=STRICT)))
+def test_one_pass_thickly_syndetic_matches_level_filter(case):
+    """The one-pass check against the per-level run filter, under both tail
+    policies: runs given as (gap before, length) pairs after a lead-in."""
+    steps, lead, tail, p = case
+    runs, at = [], lead
+    for before, length in steps:
+        at += before
+        runs.append((at, at + length))
+        at += length
+    horizon = at + tail if runs else 1 + tail
+    assert setfam._thickly_syndetic(runs, horizon, p) \
+        == thickly_syndetic_by_levels(runs, horizon, p)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +314,35 @@ def test_parse_format_round_trip():
     assert setfam.parse_window_text("horizon=9\nevens") == evens(9)
     with pytest.raises(ValueError):
         setfam.parse_window_text("members=1,2")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WindowSet(10, (3, 1)),                       # unsorted
+    lambda: WindowSet(10, (1, 1)),                       # duplicate
+    lambda: WindowSet(10, (1, 10)),                      # out of range
+    lambda: WindowSet(10, (-1, 2)),
+    lambda: WindowSet(10, (1.0, 2)),                     # not an int
+    lambda: WindowSet(0, ()),
+    lambda: window_set(10, [3, 10]),
+    lambda: window_set(10, [-1]),
+    lambda: window_set(10, [1.5]),
+    lambda: from_generator("evens", 0),
+    lambda: setfam.parse_window_text("horizon=10\n3,1"),
+    lambda: setfam.parse_window_text("horizon=10\n1,1"),
+    lambda: setfam.parse_window_text("horizon=10\n1,10"),
+    lambda: setfam.parse_window_text("horizon=10\n1,x"),
+])
+def test_user_given_sets_are_still_validated(build):
+    """Only the engines' own ascending sets skip the member check; every
+    parsed, generated or directly built set is still validated."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_trusted_sets_equal_validated_ones():
+    a = WindowSet._trusted(10, (1, 4, 9))
+    assert a == WindowSet(10, (1, 4, 9)) and hash(a) == hash(WindowSet(10, (1, 4, 9)))
+    assert 4 in a and len(a) == 3
 
 
 def test_set_algebra():
