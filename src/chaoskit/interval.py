@@ -562,22 +562,18 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     The consistency flag mirrors the implication "F-transitive + dense
     periodic points => F-sensitive": an anomaly is recorded (never raised)
     when transitivity and density pass but sensitivity fails.
-
-    Each cell's image orbit is iterated once and its distinct images are
-    tested for sensitivity and against every target cell.
     """
     params = params or SurveyParams()
     grid = params.grid(m)
-    delta, n_steps, family = Fraction(params.delta), params.n_steps, params.family
     sens = []
+    for u in grid:
+        hs = sensitivity_hitting_set(m, u, params.delta, params.n_steps)
+        sens.append((u, setfam.classify(hs.window, params.family)))
     trans = []
     for i, u in enumerate(grid):
-        images, index = _orbit(m, u, n_steps)
-        hs = _hits([b - a > delta for a, b in images], index, n_steps)
-        sens.append((u, setfam.classify(hs.window, family)))
         for j, v in enumerate(grid):
-            hs = _hits([intervals_meet(img, v) for img in images], index, n_steps)
-            trans.append((i, j, setfam.classify(hs.window, family)))
+            hs = transitivity_hitting_set(m, u, v, params.n_steps)
+            trans.append((i, j, setfam.classify(hs.window, params.family)))
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)
