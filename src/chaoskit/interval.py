@@ -28,8 +28,7 @@ walked once under f and its length is the prime period of all its points.
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
 test runs once per distinct image, and the remaining steps of the window
-follow by index.  The survey iterates each grid cell's orbit once and tests
-it against every target cell.
+follow by index.
 """
 
 from __future__ import annotations
