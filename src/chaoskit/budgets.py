@@ -3,12 +3,15 @@
 Every potentially explosive computation (word enumeration, map composition,
 image iteration) checks one of these caps and raises BudgetError when it
 would be exceeded.  The single supported environment override is
-CHAOS_BUDGET_OVERRIDE: a positive float multiplier applied to all caps.
+CHAOS_BUDGET_OVERRIDE: a positive finite float multiplier applied to all
+caps, each capped at sys.maxsize.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 
 ENV_OVERRIDE = "CHAOS_BUDGET_OVERRIDE"
 
@@ -25,16 +28,18 @@ class BudgetError(RuntimeError):
     """A computation would exceed one of the configured resource caps."""
 
 
-def _multiplier() -> float:
+def multiplier() -> float:
+    """The CHAOS_BUDGET_OVERRIDE multiplier (1.0 when unset); ValueError
+    unless it is a positive finite float."""
     raw = os.environ.get(ENV_OVERRIDE)
     if raw is None:
         return 1.0
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{ENV_OVERRIDE} must be a positive float, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"{ENV_OVERRIDE} must be positive, got {raw!r}")
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"{ENV_OVERRIDE} must be a positive finite float, got {raw!r}")
     return value
 
 
@@ -48,7 +53,7 @@ def cap(name: str) -> int:
         "iter_steps": ITER_STEP_CAP,
         "prefix_len": PREFIX_LEN_CAP,
     }[name]
-    return max(1, int(base * _multiplier()))
+    return max(1, int(min(base * multiplier(), sys.maxsize)))
 
 
 def charge(name: str, amount: int) -> None:

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import interval, setfam, shadowing, subshift
+from . import budgets, interval, setfam, shadowing, subshift
 from .budgets import BudgetError
 from .setfam import FamilyParams, WindowSet
 
@@ -182,8 +182,8 @@ def _defaults(section: str, ini: dict[str, dict[str, object]]) -> dict[str, obje
     return {dest: given.get(dest, default) for dest, default in dests}
 
 
-def _dump_config(ini: dict[str, dict[str, object]], seed: str, out: str) -> str:
-    lines = ["[run]", f"seed={seed}", f"out={out}", ""]
+def _dump_config(ini: dict[str, dict[str, object]], run: dict[str, str]) -> str:
+    lines = ["[run]"] + [f"{name}={val}" for name, val in run.items()] + [""]
     for section, table in SECTIONS.items():
         if not table:
             continue
@@ -202,10 +202,8 @@ def _build_parser(ini: dict[str, dict[str, object]]) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="INI file with option defaults")
-    common.add_argument("--seed", default=argparse.SUPPRESS,
-                        help="seed string for randomized probes")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory")
+    for name, _, _, help_ in RUN_OPTIONS:
+        common.add_argument(f"--{name}", default=argparse.SUPPRESS, help=help_)
     common.add_argument("--dump-config", action="store_true",
                         default=argparse.SUPPRESS,
                         help="print the effective configuration and exit")
@@ -633,19 +631,25 @@ def _main(argv: list[str]) -> int:
     parser = _build_parser(ini)
     args = parser.parse_args(argv)
     run_ini = ini.get("run", {})
-    seed = getattr(args, "seed", None) or str(run_ini.get("seed", "42"))
-    out = getattr(args, "out", None) or str(run_ini.get("out", "."))
+    run = {name: getattr(args, name, None) or str(run_ini.get(name, default))
+           for name, _, default, _ in RUN_OPTIONS}
     if getattr(args, "dump_config", False):
-        sys.stdout.write(_dump_config(ini, seed, out))
+        sys.stdout.write(_dump_config(ini, run))
         return 0
     if not args.command:
         parser.print_usage(sys.stderr)
         raise ConfigError("no subcommand given")
+    # The caps read the override lazily; a bad one must fail here, alike for
+    # every subcommand, and not at whichever cap a run consults first.
+    try:
+        budgets.multiplier()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if args.command == "report-all":
-        headline = _report_all(Path(out), seed)
+        headline = _report_all(Path(run["out"]), run["seed"])
     else:
-        report, files, headline = _run(args.command, vars(args), seed)
-        _emit(Path(out), report, files)
+        report, files, headline = _run(args.command, vars(args), run["seed"])
+        _emit(Path(run["out"]), report, files)
     print(f"{args.command}: {headline}")
     return 0
 

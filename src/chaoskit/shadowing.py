@@ -21,7 +21,9 @@ with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
 then the successors of each node are one index range, stored as
 range(lo, hi), and every chain check runs on the ranges in O(n log n) time
 and O(n) memory.  Chain transitivity is strong connectivity; chain mixing
-additionally needs an aperiodic graph (cycle-length gcd 1).
+additionally needs an aperiodic graph (cycle-length gcd 1).  Each graph is
+traversed once: the SCC forward pass records depth-first depths, and the
+period is read off them.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ class IntervalSystem:
     def grid(self, n: int) -> np.ndarray:
         if n < 2:
             raise ValueError("grid needs at least two points")
+        charge("enum_nodes", n)
         return np.linspace(self.lo, self.hi, n)
 
     def random_point(self, rng: random.Random) -> float:
@@ -468,6 +471,32 @@ class ChainGraph:
         return len(self.points)
 
     @cached_property
+    def _forward(self) -> tuple[list[int], list[int]]:
+        """Kosaraju's forward pass, run once per graph: the nodes in the order
+        they finish, and each node's depth in its depth-first tree, the stack
+        height when it is pushed.  Node 0 roots the first tree, which spans a
+        strongly connected graph.  The union-find hands out each unvisited
+        successor once."""
+        lo, hi = _bounds(self)
+        find, visit = _unvisited(len(self))
+        order, depth = [], [0] * len(self)
+        for root in range(len(self)):
+            if find(root) != root:
+                continue
+            visit(root)
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                v = find(lo[u])
+                if v < hi[u]:
+                    visit(v)
+                    depth[v] = len(stack)
+                    stack.append(v)
+                else:
+                    order.append(stack.pop())
+        return order, depth
+
+    @cached_property
     def components(self) -> list[list[int]]:
         """The strongly connected components, found once per graph."""
         return strongly_connected_components(self)
@@ -475,50 +504,29 @@ class ChainGraph:
     @cached_property
     def period(self) -> int | None:
         """gcd of cycle lengths of a strongly connected graph (None
-        otherwise), found once per graph.
+        otherwise), found once per graph; 1 means aperiodic.
 
-        Computed as gcd over all edges u->v of dist(u)+1-dist(v) for BFS
-        levels from node 0; 1 means aperiodic.  Over one successor range
-        [lo, hi) that gcd is gcd(dist(u)+1-dist(lo), G(lo, hi)), where G is
-        the gcd of the consecutive level differences inside the range; G is
-        read from a sparse table built one level at a time, so memory stays
-        O(n).
+        For the depths of any spanning tree rooted at node 0, here the first
+        tree of the forward pass, the period is the gcd over all edges u->v
+        of depth(u)+1-depth(v): each term is a difference of two closed-walk
+        lengths through 0, and each cycle's length is the sum of its terms
+        (Denardo 1977).  Over one successor range [lo, hi) the terms reduce
+        to depth(u)+1-depth(lo) and the differences depth(k+1)-depth(k) for
+        k in [lo, hi-1); a difference array marks every k that some range
+        covers, and one gcd reduction takes them all, in O(n).
         """
         if not chain_transitive_check(self):
             return None
         n = len(self)
-        lo, hi = _bounds(self)
-        find, visit = _unvisited(n)
-        dist = [0] * n
-        visit(0)
-        queue = [0]
-        for u in queue:         # queue grows while it is walked
-            d = dist[u] + 1
-            v = find(lo[u])
-            while v < hi[u]:
-                dist[v] = d
-                visit(v)
-                queue.append(v)
-                v = find(v + 1)
-        dist_ = np.array(dist, dtype=np.int64)
-        lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-        rows = np.flatnonzero(hi_ > lo_)
-        if not len(rows):
-            return None
-        lo_, hi_ = lo_[rows], hi_[rows]
-        g_rows = np.abs(dist_[rows] + 1 - dist_[lo_])
-        # G over the differences dist[k+1] - dist[k], k in [lo, hi - 1).
-        span = hi_ - 1 - lo_
-        level_of = np.frexp(np.maximum(span, 1))[1] - 1     # floor(log2(span))
-        table = np.abs(np.diff(dist_))
-        for j in range(int(level_of.max()) + 1):
-            q = np.flatnonzero((level_of == j) & (span > 0))
-            if len(q):
-                g_rows[q] = np.gcd(g_rows[q], np.gcd(
-                    table[lo_[q]], table[lo_[q] + span[q] - (1 << j)]))
-            table = np.gcd(table[:-(1 << j)], table[1 << j:])
-        g_val = int(np.gcd.reduce(g_rows))
-        return g_val if g_val else None
+        depth = np.array(self._forward[1], dtype=np.int64)
+        lo, hi = (np.array(b, dtype=np.int64) for b in _bounds(self))
+        rows = np.flatnonzero(hi > lo)
+        lo, hi = lo[rows], hi[rows]
+        covered = np.cumsum(np.bincount(lo, minlength=n)
+                            - np.bincount(hi - 1, minlength=n)) > 0
+        terms = np.concatenate([depth[rows] + 1 - depth[lo],
+                                np.diff(depth)[covered[:-1]]])
+        return int(np.gcd.reduce(np.abs(terms))) or None
 
 
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
@@ -563,28 +571,14 @@ def _unvisited(n: int):
 def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
     """Kosaraju's two passes over the successor ranges, O(n log n).
 
-    The forward pass finds each unvisited successor through the union-find.
-    The reverse pass needs an unassigned u with lo[u] <= v < hi[u]: a max-hi
-    segment tree over the nodes sorted by lo answers it, so no reverse edge
-    list is built.
+    The forward pass is the graph's cached _forward.  The reverse pass
+    needs an unassigned u with lo[u] <= v < hi[u]: a max-hi segment tree
+    over the nodes sorted by lo answers it, so no reverse edge list is
+    built.
     """
     n = len(g)
     lo, hi = _bounds(g)
-    find, visit = _unvisited(n)
-    order = []
-    for root in range(n):
-        if find(root) != root:
-            continue
-        visit(root)
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            v = find(lo[u])
-            if v < hi[u]:
-                visit(v)
-                stack.append(v)
-            else:
-                order.append(stack.pop())
+    order = g._forward[0]
 
     by_lo = sorted(range(n), key=lo.__getitem__)
     lo_sorted = [lo[u] for u in by_lo]

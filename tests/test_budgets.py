@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from chaoskit.budgets import BudgetError, ENV_OVERRIDE, cap, charge
@@ -39,3 +41,14 @@ def test_override_validation(monkeypatch):
     monkeypatch.setenv(ENV_OVERRIDE, "0")
     with pytest.raises(ValueError):
         cap("word_len")
+    for raw in ("nan", "inf", "-inf", "1e400"):
+        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        with pytest.raises(ValueError, match="positive finite float"):
+            cap("word_len")
+
+
+def test_huge_override_caps_at_maxsize(monkeypatch):
+    # 2**20 * 1e305 overflows a float; the cap stays an int.
+    monkeypatch.setenv(ENV_OVERRIDE, "1e305")
+    assert cap("enum_nodes") == sys.maxsize
+    charge("enum_nodes", 2 ** 40)

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from chaoskit import shadowing, subshift
-from chaoskit.budgets import cap
-from chaoskit.cli import main
+from chaoskit import interval, shadowing, subshift
+from chaoskit.budgets import ENV_OVERRIDE, cap
+from chaoskit.cli import SECTIONS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,6 +115,32 @@ def test_sturmian_prefix_cap_exits_3_before_any_work(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
     assert (f"budget exceeded: prefix_len budget exceeded: {n} > {n - 1}"
             in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("survey ran past the build step")
+
+    monkeypatch.setattr(interval, "periodic_density_report", refuse)
+    monkeypatch.setattr(shadowing, "fg_shadowing_probe", refuse)
+    n = cap("enum_nodes") + 1
+    for argv in (["shadow", "--candidates", str(n)],
+                 ["p-chaos", "--chain-nodes", str(n)]):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert (f"enum_nodes budget exceeded: {n} > {n - 1}"
+                in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", list(SECTIONS))
+def test_bad_budget_override_exits_2(command, tmp_path, monkeypatch, capsys):
+    for raw in ("abc", "nan", "inf", "1e400", "-1", "0"):
+        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        assert main([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {ENV_OVERRIDE} must be a positive finite "
+                       f"float, got {raw!r}\n")
     assert not any(tmp_path.iterdir())
 
 

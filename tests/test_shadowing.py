@@ -355,7 +355,8 @@ def test_chain_two_point_swap():
 
 
 # The dense build and the tuple-walking Kosaraju and BFS period that the
-# range form replaced, kept as an oracle.
+# range form replaced, kept as an oracle; the period from BFS levels also
+# checks the one that chain_period reads off depth-first depths.
 
 def dense_chain_succ(system, n_nodes, delta):
     pts = system.grid(n_nodes)
@@ -511,8 +512,8 @@ def test_chain_components_found_once_per_graph(monkeypatch):
 
 
 def test_chain_period_found_once_per_graph(monkeypatch):
-    """The BFS levels are taken once per graph, however many checks ask:
-    one _unvisited union-find for the SCC forward pass, one for the BFS."""
+    """Each graph is traversed once, however many checks ask: the period
+    reads the depths of the SCC forward pass, its one _unvisited union-find."""
     calls = []
     original = shadowing._unvisited
     monkeypatch.setattr(shadowing, "_unvisited",
@@ -523,7 +524,7 @@ def test_chain_period_found_once_per_graph(monkeypatch):
     chain_period(g)
     chain_recurrent_nodes(g)
     assert chain_period(g) == 1
-    assert calls == [129, 129]
+    assert calls == [129]
 
 
 def test_discrete_nearest_matches_argmin():
