@@ -232,6 +232,7 @@ def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
             members = [int(t) for t in spec.split(",")]
         except ValueError:
             raise ConfigError(f"bad member list {spec!r}")
+        budgets.charge("enum_nodes", horizon)
         return setfam.window_set(horizon, members), spec
     return setfam.from_generator(spec, horizon), spec
 
@@ -534,9 +535,8 @@ def _run(section: str, opts: dict[str, object], seed: str):
     """Run one section on its option dests; returns (report, csvs, headline).
 
     Every input is built and validated before the runner starts, and only
-    this build step turns a library ValueError (or the ZeroDivisionError of
-    zero interval cells) into a ConfigError, exit 2; the same error from the
-    run itself stays a bug, not a bad option.
+    this build step turns a library ValueError into a ConfigError, exit 2;
+    the same error from the run itself stays a bug, not a bad option.
     """
     o = argparse.Namespace(**opts)
     try:
@@ -594,7 +594,7 @@ def _run(section: str, opts: dict[str, object], seed: str):
         # accepts raises BudgetError for a word longer than prefix_len // 4.
         if section == "sturmian" and not oracle.accepts(word):
             raise ConfigError(f"word {word} does not occur in the prefix")
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from None
     if section == "classify-set":
         return run_classify(window, source, family)

@@ -517,6 +517,12 @@ class SurveyParams:
     density_n_max: int = 10
 
     def grid(self, m: PLMap) -> list[Interval]:
+        """The cells, each shrunk by the margin.  The survey classifies one
+        transitivity set per ordered pair of cells, so cells**2 is charged
+        to enum_nodes before any cell is built."""
+        if self.cells < 1:
+            raise ValueError(f"cells must be >= 1, got {self.cells}")
+        charge("enum_nodes", self.cells ** 2)
         lo, hi = m.domain
         width = (hi - lo) / self.cells
         if self.margin < 0:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .budgets import charge
+
 CENSORED = "censored"
 STRICT = "strict"
 
@@ -352,6 +354,9 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def from_generator(expr: str, horizon: int) -> WindowSet:
+    """A named set on [0, horizon); the horizon is charged to enum_nodes
+    before the set is built."""
+    charge("enum_nodes", horizon)
     expr = expr.strip()
     if expr == "all":
         return full_window(horizon)
@@ -378,6 +383,7 @@ def parse_window_text(text: str) -> WindowSet:
         horizon = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise ValueError(f"bad horizon line {lines[0]!r}")
+    charge("enum_nodes", horizon)
     body = lines[1] if len(lines) > 1 else ""
     if body == "" or body == "explicit":
         return empty_window(horizon)

@@ -19,18 +19,21 @@ The probes are grid searches and their verdicts are grid-relative:
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
 then the successors of each node are one index range, stored as
-range(lo, hi), and every chain check runs on the ranges in O(n log n) time
-and O(n) memory.  Chain transitivity is strong connectivity; chain mixing
-additionally needs an aperiodic graph (cycle-length gcd 1).  Each graph is
-traversed once: the SCC forward pass records depth-first depths, and the
-period is read off them.
+range(lo, hi), and both ends of the ranges ascend together with f(p_i).
+Chain transitivity is strong connectivity; chain mixing additionally needs
+an aperiodic graph (cycle-length gcd 1).  Kosaraju's two passes find the
+SCCs, each walking a "next unvisited index" union-find: the forward pass over
+successor ranges, the reverse pass over runs of predecessors in the nodes
+sorted by their ranges.  After that O(n log n) sort every check runs on the
+ranges in near-linear time and O(n) memory, and each graph is traversed
+once per pass: the forward pass records depth-first depths, and the period
+is read off them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -471,13 +474,21 @@ class ChainGraph:
         return len(self.points)
 
     @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends lo, hi of the successor ranges as int arrays, built once
+        per graph for the reverse pass and the period."""
+        lo = np.fromiter((r.start for r in self.succ), np.intp, len(self))
+        hi = np.fromiter((r.stop for r in self.succ), np.intp, len(self))
+        return lo, hi
+
+    @cached_property
     def _forward(self) -> tuple[list[int], list[int]]:
         """Kosaraju's forward pass, run once per graph: the nodes in the order
         they finish, and each node's depth in its depth-first tree, the stack
         height when it is pushed.  Node 0 roots the first tree, which spans a
         strongly connected graph.  The union-find hands out each unvisited
         successor once."""
-        lo, hi = _bounds(self)
+        succ = self.succ
         find, visit = _unvisited(len(self))
         order, depth = [], [0] * len(self)
         for root in range(len(self)):
@@ -486,9 +497,9 @@ class ChainGraph:
             visit(root)
             stack = [root]
             while stack:
-                u = stack[-1]
-                v = find(lo[u])
-                if v < hi[u]:
+                r = succ[stack[-1]]
+                v = find(r.start)
+                if v < r.stop:
                     visit(v)
                     depth[v] = len(stack)
                     stack.append(v)
@@ -519,7 +530,7 @@ class ChainGraph:
             return None
         n = len(self)
         depth = np.array(self._forward[1], dtype=np.int64)
-        lo, hi = (np.array(b, dtype=np.int64) for b in _bounds(self))
+        lo, hi = self._bounds
         rows = np.flatnonzero(hi > lo)
         lo, hi = lo[rows], hi[rows]
         covered = np.cumsum(np.bincount(lo, minlength=n)
@@ -545,10 +556,6 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
 
 
-def _bounds(g: ChainGraph) -> tuple[list[int], list[int]]:
-    return [r.start for r in g.succ], [r.stop for r in g.succ]
-
-
 def _unvisited(n: int):
     """A "next unvisited index" union-find: find(x) is the least unvisited
     index >= x (n when none is left); visit(v) removes v."""
@@ -569,68 +576,45 @@ def _unvisited(n: int):
 
 
 def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
-    """Kosaraju's two passes over the successor ranges, O(n log n).
+    """Kosaraju's two passes over the successor ranges, each a walk of one
+    _unvisited union-find.
 
-    The forward pass is the graph's cached _forward.  The reverse pass
-    needs an unassigned u with lo[u] <= v < hi[u]: a max-hi segment tree
-    over the nodes sorted by lo answers it, so no reverse edge list is
-    built.
+    The forward pass is the graph's cached _forward.  The reverse pass needs
+    the unassigned u with lo[u] <= v < hi[u].  In every graph chain_graph
+    builds, both ends are non-decreasing in f(p_i), so in the order by
+    (lo, hi) hi ascends too, and those u are one run by[a:b]: a is the first
+    position whose hi exceeds v, b the first whose lo does.  The union-find
+    over positions hands out each node once (Sharir 1981 has the two-pass
+    method), and no reverse edge list is built.  A graph whose ranges do not
+    ascend together raises ValueError before either pass.
     """
     n = len(g)
-    lo, hi = _bounds(g)
+    lo, hi = g._bounds
+    by = np.lexsort((hi, lo))
+    if (np.diff(hi[by]) < 0).any():
+        raise ValueError("successor ranges do not ascend together")
     order = g._forward[0]
-
-    by_lo = sorted(range(n), key=lo.__getitem__)
-    lo_sorted = [lo[u] for u in by_lo]
-    pos = [0] * n
-    for k, u in enumerate(by_lo):
-        pos[u] = k
-    size = 1 << n.bit_length()      # > n, so a prefix never covers the root
-    tree = [-1] * (2 * size)
-    tree[size:size + n] = [hi[u] for u in by_lo]
-    for i in range(size - 1, 0, -1):
-        a, b = tree[2 * i], tree[2 * i + 1]
-        tree[i] = a if a > b else b
-
-    def remove(u: int) -> None:
-        i = pos[u] + size
-        tree[i] = -1
-        while i > 1:
-            a, b = tree[i], tree[i ^ 1]
-            i >>= 1
-            top = a if a > b else b
-            if tree[i] == top:
-                break
-            tree[i] = top
-
-    def predecessor(v: int) -> int:
-        """An unassigned u with lo[u] <= v < hi[u], or -1: walk up from the
-        end of the prefix lo <= v, trying each tree node that tiles it."""
-        i = size + bisect_right(lo_sorted, v)
-        while i > 1:
-            if i & 1 and tree[i - 1] > v:
-                i -= 1
-                while i < size:
-                    i = 2 * i if tree[2 * i] > v else 2 * i + 1
-                return by_lo[i - size]
-            i >>= 1
-        return -1
-
+    nodes = np.arange(n)
+    pos = np.empty(n, dtype=np.intp)
+    pos[by] = nodes
+    # memoryviews read the arrays as Python ints without copying them.
+    first = memoryview(np.searchsorted(hi[by], nodes, "right"))
+    stop = memoryview(np.searchsorted(lo[by], nodes, "right"))
+    pos, by = memoryview(pos), memoryview(by)
+    find, visit = _unvisited(n)
     comps: list[list[int]] = []
-    assigned = [False] * n
     for root in reversed(order):
-        if assigned[root]:
+        k = pos[root]
+        if find(k) != k:
             continue
+        visit(k)
         comp = [root]
-        assigned[root] = True
-        remove(root)
         for v in comp:      # comp grows while it is walked
-            u = predecessor(v)
-            while u >= 0:
-                assigned[u] = True
-                remove(u)
-                comp.append(u)
-                u = predecessor(v)
+            k = find(first[v])
+            while k < stop[v]:
+                visit(k)
+                comp.append(by[k])
+                k = find(k)
         comps.append(comp)
     return comps
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chaoskit import interval, shadowing, subshift
+from chaoskit import interval, setfam, shadowing, subshift
 from chaoskit.budgets import ENV_OVERRIDE, cap
 from chaoskit.cli import SECTIONS, main
 
@@ -131,6 +131,46 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
         assert (f"enum_nodes budget exceeded: {n} > {n - 1}"
                 in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
+
+
+def test_survey_cells_are_capped_before_any_work(tmp_path, monkeypatch,
+                                                 capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("survey ran past the build step")
+
+    monkeypatch.setattr(interval, "devaney_report", refuse)
+    assert main(["interval-devaney", "--cells", "1025", "--margin", "0",
+                 "--out", str(tmp_path)]) == 3
+    assert ("enum_nodes budget exceeded: 1050625 > 1048576"
+            in capsys.readouterr().err)
+    for cells in ("0", "-1"):
+        assert main(["interval-devaney", "--cells", cells,
+                     "--out", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: cells must be >= 1, got {cells}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["generator", "file", "members"])
+def test_window_horizon_is_capped_before_any_set(source, tmp_path,
+                                                  monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was built past the cap")
+
+    for name in ("WindowSet", "full_window", "empty_window", "window_set"):
+        monkeypatch.setattr(setfam, name, refuse)
+    n = cap("enum_nodes") + 1
+    members = {"generator": "all", "members": "3,9"}.get(source)
+    if source == "file":
+        set_file = tmp_path / "set.txt"
+        set_file.write_text(f"horizon={n}\n3,9\n")
+        members = f"@{set_file}"
+    out = tmp_path / "out"
+    assert main(["classify-set", "--horizon", str(n), "--members", members,
+                 "--out", str(out)]) == 3
+    assert (f"enum_nodes budget exceeded: {n} > {n - 1}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(SECTIONS))

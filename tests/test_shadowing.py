@@ -483,8 +483,31 @@ def block_cycle_succ(rng):
     return tuple(range(lo, hi) for lo, hi in succ)
 
 
+def ascending_succ(rng):
+    """Ranges whose ends ascend together, as in every graph chain_graph
+    builds, handed to the nodes in a random order."""
+    n = int(rng.integers(1, 30))
+    lo = np.sort(rng.integers(0, n + 1, size=n))
+    hi = np.maximum.accumulate(np.minimum(lo + rng.integers(0, 6, size=n), n))
+    order = rng.permutation(n)
+    return tuple(map(range, lo[order].tolist(), hi[order].tolist()))
+
+
+def ascend_together(succ):
+    """No range starts before another and ends after it."""
+    return not any(a.start < b.start and a.stop > b.stop
+                   for a in succ for b in succ)
+
+
+CHAIN_CHECKS = (strongly_connected_components, chain_transitive_check,
+                chain_period, chain_mixing_check, chain_recurrent_nodes)
+
+
 def test_chain_checks_match_oracle_on_range_graphs():
+    """Every chain check matches the oracle on graphs whose ranges ascend
+    together, and refuses the random-range graphs whose ranges do not."""
     rng = np.random.default_rng(3)
+    refused = 0
     for trial in range(400):
         if trial % 2:
             succ = block_cycle_succ(rng)
@@ -493,6 +516,20 @@ def test_chain_checks_match_oracle_on_range_graphs():
             lo = rng.integers(0, n, size=n)
             hi = np.minimum(lo + rng.integers(0, 6, size=n), n)
             succ = tuple(map(range, lo.tolist(), hi.tolist()))
+        g = ChainGraph(points=tuple(map(float, range(len(succ)))), delta=0.0,
+                       succ=succ)
+        if ascend_together(succ):
+            assert_matches_oracle(g, tuple(map(tuple, succ)))
+            continue
+        refused += 1
+        assert trial % 2 == 0
+        for check in CHAIN_CHECKS:
+            with pytest.raises(ValueError, match="do not ascend together"):
+                check(g)
+    assert refused == 155
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        succ = ascending_succ(rng)
         g = ChainGraph(points=tuple(map(float, range(len(succ)))), delta=0.0,
                        succ=succ)
         assert_matches_oracle(g, tuple(map(tuple, succ)))
@@ -512,8 +549,9 @@ def test_chain_components_found_once_per_graph(monkeypatch):
 
 
 def test_chain_period_found_once_per_graph(monkeypatch):
-    """Each graph is traversed once, however many checks ask: the period
-    reads the depths of the SCC forward pass, its one _unvisited union-find."""
+    """Each graph is traversed once per Kosaraju pass, however many checks
+    ask: each pass walks one _unvisited union-find, and the period reads the
+    depths of the forward pass."""
     calls = []
     original = shadowing._unvisited
     monkeypatch.setattr(shadowing, "_unvisited",
@@ -524,7 +562,7 @@ def test_chain_period_found_once_per_graph(monkeypatch):
     chain_period(g)
     chain_recurrent_nodes(g)
     assert chain_period(g) == 1
-    assert calls == [129]
+    assert calls == [129, 129]
 
 
 def test_discrete_nearest_matches_argmin():
