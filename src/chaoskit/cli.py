@@ -571,6 +571,8 @@ def _run(section: str, opts: dict[str, object], seed: str):
             horizon = o.prefix_len - len(word) + 1
         if "map" in opts:
             m, name = _load_map(o.map)
+        if "density_eps" in opts:
+            interval.density_cells(m, o.density_eps)
         if section == "interval-devaney":
             survey = interval.SurveyParams(
                 cells=o.cells, margin=o.margin, delta=o.delta,

@@ -375,6 +375,17 @@ class DensityReport:
     period_reached: int  # coverage completed at this period (or n_max)
 
 
+def density_cells(m: PLMap, epsilon: Fraction) -> int:
+    """ceil(width / epsilon), the number of epsilon-cells of m's domain,
+    charged to enum_nodes before any cell is allocated."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    lo, hi = m.domain
+    cells = int(-((lo - hi) // epsilon))
+    charge("enum_nodes", cells)
+    return cells
+
+
 def periodic_density_report(m: PLMap, epsilon: Fraction | str,
                             n_max: int) -> DensityReport:
     """Fraction of epsilon-cells containing a periodic point of period <= n_max.
@@ -383,12 +394,9 @@ def periodic_density_report(m: PLMap, epsilon: Fraction | str,
     coverage, which keeps the composed maps small for expanding fixtures.
     """
     epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    cells = density_cells(m, epsilon)
     charge("power", n_max)
     lo, hi = m.domain
-    cells = -((lo - hi) // epsilon)  # ceil((hi-lo)/eps)
-    cells = int(cells)
     covered = [False] * cells
     x0, dx = m.X[0], m.dx
     en, ed = epsilon.numerator, epsilon.denominator

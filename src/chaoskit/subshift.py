@@ -13,11 +13,10 @@ frac(n*alpha) lies in [1-alpha, 1), that is iff floor((n+1)*alpha) -
 floor(n*alpha) = 1.  For the golden rotation alpha = (sqrt(5)-1)/2 the floors
 are integer square roots, so every symbol is exact and nothing is approximated.
 
-Each shift is a subclass of Shift that carries its own kernels.  A new shift
-defines accepts(w) (the factor test) and gaps(u, v, n_max) (its gap-set
-kernel); it may override words (the language, by default a prefix-pruned
-search over accepts) and cylinder_hits (by default overlaps plus gap_set).
-The survey code calls only the module functions, so it needs no change.
+Each shift is a subclass of Shift that defines accepts(w) (the factor test)
+and gaps(u, v, n_max) (its gap-set kernel).  The language, gap sets and
+cylinder hitting sets of every shift come from the module functions over
+those two methods, so the survey code needs no change for a new shift.
 """
 
 from __future__ import annotations
@@ -76,55 +75,12 @@ def spacing_member(p_set: WindowSet, w: str) -> bool:
 
 
 class Shift:
-    """A binary subshift, known through its factor test and its kernels.
-
-    Subclasses define accepts(w) and gaps(u, v, n_max).  words and
-    cylinder_hits below are generic and exact for spacing shifts and the
-    full shift; a shift with a faster exact kernel overrides them.  The
-    module functions language, gap_set and cylinder_hitting_set check the
-    words and charge the budgets, then call these methods.
-    """
+    """A binary subshift, known through accepts(w) and gaps(u, v, n_max),
+    the two methods a subclass defines.  The module functions language,
+    gap_set and cylinder_hitting_set check the words, charge the budgets and
+    hold the one rule each that every shift shares."""
 
     p_set: WindowSet | None = None  # the defining set of a spacing shift
-
-    def words(self, max_len: int, node_budget: int | None = None) -> set[str]:
-        """Accepted words of length <= max_len, by prefix-pruned DFS.
-
-        Subshift languages are factor-closed, hence prefix-closed, so
-        rejected prefixes never extend.
-        """
-        budget = cap("enum_nodes") if node_budget is None else node_budget
-        visited = 0
-        out = {""}
-        stack = [""]
-        while stack:
-            w = stack.pop()
-            if len(w) == max_len:
-                continue
-            for c in "01":
-                visited += 1
-                if visited > budget:
-                    raise BudgetError(f"language enumeration exceeded {budget} nodes")
-                cand = w + c
-                if self.accepts(cand):
-                    out.add(cand)
-                    stack.append(cand)
-        return out
-
-    def cylinder_hits(self, u: str, v: str, n_max: int) -> WindowSet:
-        """For n >= |u| the pinned blocks do not overlap and membership
-        reduces to the gap set; smaller n are decided by the direct overlap
-        construction, whose free slots are filled with 0 (sound for spacing
-        shifts and the full shift)."""
-        members = set()
-        for n in range(1, min(len(u), n_max + 1)):
-            merged = _merged_word(u, v, n)
-            if merged is not None and self.accepts(merged):
-                members.add(n)
-        if n_max >= len(u):
-            gaps = gap_set(self, u, v, n_max - len(u))
-            members.update(len(u) + s for s in gaps.members)
-        return WindowSet(n_max + 1, tuple(sorted(members)))
 
 
 class FullShift(Shift):
@@ -207,7 +163,7 @@ class SturmianShift(Shift):
     accepts(w) means w occurs in the prefix; this is exact for the true
     Sturmian language up to the usual finite-window caveat (factors
     recur with bounded gaps, so a 10^4 prefix sees every short factor).
-    Every kernel reads the prefix directly.
+    Both methods read the prefix directly.
     """
 
     def __init__(self, spec: SturmianSpec):
@@ -218,38 +174,40 @@ class SturmianShift(Shift):
         check_word(w)
         if len(w) > self.spec.prefix_len // 4:
             raise BudgetError("word too long for the prefix")
-        return w == "" or w in self._prefix
-
-    def words(self, max_len: int, node_budget: int | None = None) -> set[str]:
-        if max_len > self.spec.prefix_len // 4:
-            raise BudgetError("max_len too large for the prefix")
-        prefix = self._prefix
-        out: set[str] = {""}
-        for n in range(1, max_len + 1):
-            for i in range(len(prefix) - n + 1):
-                out.add(prefix[i:i + n])
-        return out
-
-    def _offsets(self, u: str, v: str, first: int, last: int) -> list[int]:
-        """n in [first, last] such that u occurs at some p and v at p + n;
-        each n reads v's occurrence indicator at every start of u at once."""
-        occ_u = np.array(_occurrences(self._prefix, u), dtype=np.intp)
-        at_v = np.zeros(len(self._prefix) + last + 1, dtype=bool)
-        at_v[_occurrences(self._prefix, v)] = True
-        return [n for n in range(first, last + 1) if at_v[occ_u + n].any()]
+        return w in self._prefix
 
     def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
-        return WindowSet(n_max + 1, tuple(
-            n - len(u) for n in self._offsets(u, v, len(u), len(u) + n_max)))
-
-    def cylinder_hits(self, u: str, v: str, n_max: int) -> WindowSet:
-        return WindowSet._trusted(n_max + 1, tuple(self._offsets(u, v, 1, n_max)))
+        """s in [0, n_max] such that u occurs at some p and v at p + |u| + s;
+        each s reads v's occurrence indicator at every end of u at once."""
+        ends = np.array(_occurrences(self._prefix, u), dtype=np.intp) + len(u)
+        at_v = np.zeros(len(self._prefix) + n_max + 1, dtype=bool)
+        at_v[_occurrences(self._prefix, v)] = True
+        return WindowSet._trusted(n_max + 1, tuple(
+            s for s in range(n_max + 1) if at_v[ends + s].any()))
 
 
 def language(oracle, max_len: int, node_budget: int | None = None) -> set[str]:
-    """All accepted words of length <= max_len, including the empty word."""
+    """All accepted words of length <= max_len, including the empty word, by
+    depth-first search over accepts.  Subshift languages are factor-closed,
+    hence prefix-closed, so rejected prefixes never extend."""
     charge("word_len", max_len)
-    return oracle.words(max_len, node_budget)
+    budget = cap("enum_nodes") if node_budget is None else node_budget
+    visited = 0
+    out = {""}
+    stack = [""]
+    while stack:
+        w = stack.pop()
+        if len(w) == max_len:
+            continue
+        for c in "01":
+            visited += 1
+            if visited > budget:
+                raise BudgetError(f"language enumeration exceeded {budget} nodes")
+            cand = w + c
+            if oracle.accepts(cand):
+                out.add(cand)
+                stack.append(cand)
+    return out
 
 
 def _require_in_language(oracle, *words: str) -> None:
@@ -278,24 +236,30 @@ def _occurrences(text: str, w: str) -> list[int]:
 
 
 def _merged_word(u: str, v: str, n: int) -> str | None:
-    """Word pinned by u at 0 and v at n, None if the overlap conflicts."""
-    length = max(len(u), n + len(v))
-    slots: list[str | None] = [None] * length
-    for i, c in enumerate(u):
-        slots[i] = c
-    for j, c in enumerate(v):
-        i = n + j
-        if slots[i] is not None and slots[i] != c:
-            return None
-        slots[i] = c
-    return "".join(c if c is not None else "0" for c in slots)
+    """Word pinned by u at 0 and v at 0 < n < |u|, None if the overlap
+    conflicts; the two blocks cover every slot, so no slot is free."""
+    k = min(len(u) - n, len(v))
+    if u[n:n + k] != v[:k]:
+        return None
+    return u[:n] + v + u[n + len(v):]
 
 
 def cylinder_hitting_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
-    """{1 <= n <= n_max : shift^n(cylinder u) meets cylinder v}."""
+    """{1 <= n <= n_max : shift^n(cylinder u) meets cylinder v}.
+
+    For n < |u| the pinned blocks overlap and the merged word decides;
+    for n >= |u| they do not, and membership reduces to the gap set."""
     check_word(u), check_word(v)
     _require_in_language(oracle, u, v)
-    return oracle.cylinder_hits(u, v, n_max)
+    members = []
+    for n in range(1, min(len(u), n_max + 1)):
+        merged = _merged_word(u, v, n)
+        if merged is not None and oracle.accepts(merged):
+            members.append(n)
+    if n_max >= len(u):
+        gaps = gap_set(oracle, u, v, n_max - len(u))
+        members += [len(u) + s for s in gaps.members]
+    return WindowSet(n_max + 1, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +399,8 @@ def occurrence_gaps(spec: SturmianSpec, w: str) -> WindowSet:
     if len(w) > spec.prefix_len // 4:
         raise BudgetError("word too long for the prefix")
     prefix = sturmian_prefix(spec)
-    horizon = len(prefix) - len(w) + 1
-    occ = [i for i in _occurrences(prefix, w) if i < horizon]
-    return WindowSet._trusted(horizon, tuple(occ))
+    return WindowSet._trusted(len(prefix) - len(w) + 1,
+                              tuple(_occurrences(prefix, w)))
 
 
 def periodicity_probe(oracle, max_len: int, power: int) -> bool:

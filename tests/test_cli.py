@@ -107,6 +107,11 @@ def test_bad_parameter_exits_2(argv, tmp_path, capsys):
 def test_budget_breach_exits_3(tmp_path, capsys):
     assert main(["spacing", "--word-len", "17", "--out", str(tmp_path)]) == 3
     assert "word_len budget exceeded: 17 > 16" in capsys.readouterr().err
+    # The language search asks accepts for a word longer than 20 // 4.
+    assert main(["sturmian", "--prefix-len", "20", "--word-len", "8",
+                 "--out", str(tmp_path)]) == 3
+    assert ("budget exceeded: word too long for the prefix"
+            in capsys.readouterr().err)
 
 
 def test_sturmian_prefix_cap_exits_3_before_any_work(tmp_path, capsys):
@@ -122,13 +127,18 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("survey ran past the build step")
 
+    monkeypatch.setattr(interval, "devaney_report", refuse)
     monkeypatch.setattr(interval, "periodic_density_report", refuse)
     monkeypatch.setattr(shadowing, "fg_shadowing_probe", refuse)
     n = cap("enum_nodes") + 1
-    for argv in (["shadow", "--candidates", str(n)],
-                 ["p-chaos", "--chain-nodes", str(n)]):
+    # The density grid has ceil(width / eps) cells: S spans [0, 2], tent [0, 1].
+    for argv, cells in ((["shadow", "--candidates", str(n)], n),
+                        (["p-chaos", "--chain-nodes", str(n)], n),
+                        (["interval-devaney", "--density-eps", "1/2000000"],
+                         4_000_000),
+                        (["p-chaos", "--density-eps", "1/2000000"], 2_000_000)):
         assert main(argv + ["--out", str(tmp_path)]) == 3
-        assert (f"enum_nodes budget exceeded: {n} > {n - 1}"
+        assert (f"enum_nodes budget exceeded: {cells} > {n - 1}"
                 in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 

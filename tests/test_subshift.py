@@ -3,13 +3,16 @@
 The spacing-shift fast paths (gap criterion, cross distances) are checked
 against plain filler-word enumeration; the exact integer Sturmian coding is
 checked against a certified rational surrogate of the rotation and against a
-60-digit Decimal computation of it.
+60-digit Decimal computation of it.  The one language search and the one
+cylinder rule are checked on the Sturmian shift against the prefix scans
+they replaced.
 """
 
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
@@ -333,7 +336,8 @@ def test_occurrences_match_decimal_prefix():
 
 
 def test_sturmian_hitting_sets_match_prefix_scan():
-    """Both Sturmian kernels agree with a direct scan of the Decimal prefix."""
+    """The cylinder rule and the Sturmian gap kernel agree with a direct scan
+    of the Decimal prefix."""
     spec = golden_spec(400)
     ref = decimal_prefix(400)
     oracle = SturmianShift(spec)
@@ -367,6 +371,76 @@ def test_sturmian_word_budget():
         oracle.accepts("0" * 26)
     with pytest.raises(BudgetError):
         occurrence_gaps(oracle.spec, "01" * 20)
+    # The search asks accepts for a word of length 6 > 20 // 4.
+    with pytest.raises(BudgetError, match="word too long for the prefix"):
+        language(SturmianShift(golden_spec(20)), 8)
+
+
+# ---------------------------------------------------------------------------
+# The Sturmian prefix scans and the zero-filling merge that the generic
+# language search and cylinder rule replaced, kept as oracles.
+
+def prefix_scan_language(prefix, max_len):
+    """Every factor of the prefix of length <= max_len, the empty word too."""
+    return {prefix[i:i + n] for n in range(max_len + 1)
+            for i in range(len(prefix) - n + 1)}
+
+
+@pytest.mark.parametrize("prefix_len", [100, 2000, 10_000])
+def test_language_matches_prefix_scan(prefix_len):
+    oracle = SturmianShift(golden_spec(prefix_len))
+    prefix = sturmian_prefix(oracle.spec)
+    for max_len in range(1, min(12, prefix_len // 4) + 1):
+        assert language(oracle, max_len) == prefix_scan_language(prefix, max_len)
+
+
+def offsets_kernel(prefix_len, occ_u, occ_v, first, last):
+    """n in [first, last] such that u occurs at some p and v at p + n, by
+    v's occurrence indicator read at every start of u."""
+    occ_u = np.array(occ_u, dtype=np.intp)
+    at_v = np.zeros(prefix_len + last + 1, dtype=bool)
+    at_v[occ_v] = True
+    return tuple(n for n in range(first, last + 1) if at_v[occ_u + n].any())
+
+
+def test_cylinder_and_gap_sets_match_offsets_kernel():
+    """Every pair of Sturmian words of length <= 4, overlaps n < |u| and
+    windows shorter than u included."""
+    oracle = SturmianShift(golden_spec(2000))
+    prefix = sturmian_prefix(oracle.spec)
+    words = sorted(w for w in language(oracle, 4) if w)
+    occ = {w: [i for i in range(len(prefix)) if prefix.startswith(w, i)]
+           for w in words}
+    for u in words:
+        for v in words:
+            for n_max in (1, 2, 3, 64):
+                assert cylinder_hitting_set(oracle, u, v, n_max).members \
+                    == offsets_kernel(len(prefix), occ[u], occ[v], 1, n_max)
+            assert gap_set(oracle, u, v, 64).members == tuple(
+                n - len(u) for n in offsets_kernel(
+                    len(prefix), occ[u], occ[v], len(u), len(u) + 64))
+
+
+def zero_filled_merge(u, v, n):
+    """Word pinned by u at 0 and v at n, free slots filled with 0."""
+    slots = [None] * max(len(u), n + len(v))
+    for i, c in enumerate(u):
+        slots[i] = c
+    for j, c in enumerate(v):
+        if slots[n + j] is not None and slots[n + j] != c:
+            return None
+        slots[n + j] = c
+    return "".join(c if c is not None else "0" for c in slots)
+
+
+def test_merged_word_matches_zero_filled_merge():
+    words = [format(i, f"0{k}b") if k else "" for k in range(5)
+             for i in range(2 ** k)]
+    for u in words:
+        for v in words:
+            for n in range(1, len(u)):
+                assert subshift._merged_word(u, v, n) \
+                    == zero_filled_merge(u, v, n), (u, v, n)
 
 
 # ---------------------------------------------------------------------------
