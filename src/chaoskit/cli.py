@@ -262,6 +262,14 @@ def _verdict_cells(v) -> list:
             v.longest_block, v.cofinite_head, ";".join(v.tags())]
 
 
+def _member_rows(a: WindowSet) -> list[list]:
+    """The n,member table of a window set: one row per slot, 1 for members."""
+    rows = [["n", "member"]] + [[n, 0] for n in range(a.horizon)]
+    for n in a.members:
+        rows[n + 1][1] = 1
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Core runners.  Each returns (report text, csv files, one-line headline).
 
@@ -285,11 +293,9 @@ def run_classify(a: WindowSet, source: str, params: FamilyParams):
         f"tail_policy={params.tail_policy}",
         "",
     ])
-    rows = [["n", "member"]]
-    rows += [[n, 1 if n in a else 0] for n in range(a.horizon)]
     headline = (f"syndetic={_fb(v.syndetic)} thick={_fb(v.thick)} "
                 f"cofinite={_fb(v.cofinite)}")
-    return report, {"set.csv": rows}, headline
+    return report, {"set.csv": _member_rows(a)}, headline
 
 
 def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
@@ -356,12 +362,10 @@ def run_sturmian(oracle: subshift.SturmianShift, word_len: int, word: str,
         "",
     ]
     factor_rows = [["n", "count"]] + [[n, counts[n]] for n in sorted(counts)]
-    occ_rows = [["n", "member"]]
-    occ_rows += [[n, 1 if n in occ else 0] for n in range(occ.horizon)]
     headline = (f"complexity={'n+1' if complexity_ok else 'other'} "
                 f"word={word} syndetic={_fb(v.syndetic)}")
     return ("\n".join(lines),
-            {"factors.csv": factor_rows, "occurrences.csv": occ_rows},
+            {"factors.csv": factor_rows, "occurrences.csv": _member_rows(occ)},
             headline)
 
 

@@ -575,18 +575,23 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     The consistency flag mirrors the implication "F-transitive + dense
     periodic points => F-sensitive": an anomaly is recorded (never raised)
     when transitivity and density pass but sensitivity fails.
+
+    Each cell's sensitivity set and each pair's transitivity set is built by
+    its own hitting-set call, but each distinct set is classified once per
+    call: the 110 sets of a 10-cell survey hold only a few distinct ones.
     """
     params = params or SurveyParams()
     grid = params.grid(m)
+    verdict = setfam.classifier(params.family)
     sens = []
     for u in grid:
         hs = sensitivity_hitting_set(m, u, params.delta, params.n_steps)
-        sens.append((u, setfam.classify(hs.window, params.family)))
+        sens.append((u, verdict(hs.window)))
     trans = []
     for i, u in enumerate(grid):
         for j, v in enumerate(grid):
             hs = transitivity_hitting_set(m, u, v, params.n_steps)
-            trans.append((i, j, setfam.classify(hs.window, params.family)))
+            trans.append((i, j, verdict(hs.window)))
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)

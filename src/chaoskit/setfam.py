@@ -30,7 +30,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .budgets import charge
 
@@ -284,6 +284,19 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
         cofinite=head <= p.cofinite_head, cofinite_head=head,
         lower_density=lo, upper_density=hi,
     )
+
+
+def classifier(p: FamilyParams) -> Callable[[WindowSet], FamilyVerdict]:
+    """classify(·, p) deciding each distinct set once.  A report makes one
+    and drops it when it returns, so no verdict outlives the call."""
+    seen: dict[WindowSet, FamilyVerdict] = {}
+
+    def verdict(a: WindowSet) -> FamilyVerdict:
+        v = seen.get(a)
+        if v is None:
+            v = seen[a] = classify(a, p)
+        return v
+    return verdict
 
 
 def _density_bounds(a: WindowSet, runs: list[tuple[int, int]],

@@ -74,6 +74,13 @@ def spacing_member(p_set: WindowSet, w: str) -> bool:
     return True
 
 
+def _cross_distances(u: str, v: str) -> frozenset[int]:
+    """D = {|u| + j - i : u_i = v_j = 1}: the distances from each 1 of u to
+    each 1 of v when v starts right after u."""
+    v_ones = one_positions(v)
+    return frozenset(len(u) + j - i for i in one_positions(u) for j in v_ones)
+
+
 class Shift:
     """A binary subshift, known through accepts(w) and gaps(u, v, n_max),
     the two methods a subclass defines.  The module functions language,
@@ -106,20 +113,19 @@ class SpacingShift(Shift):
         return spacing_member(self.p_set, w)
 
     def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
-        """The gap criterion on cross distances between the 1-positions of u
-        and of v, with no word enumeration; the all-zero filler word
-        witnesses admissibility.  u 0^s v passes iff d + s is in P for every
-        distinct cross distance d = |u| + j - i, so the members are the AND
-        of one shifted indicator of P per d."""
-        u_ones = one_positions(u)
-        v_ones = one_positions(v)
-        if u_ones and v_ones:
-            worst = len(u) + n_max + v_ones[-1] - u_ones[0]
+        """The gap criterion on the cross distances D of u and v, with no
+        word enumeration; the all-zero filler word witnesses admissibility.
+        u 0^s v passes iff d + s is in P for every d in D, so the members are
+        the AND of one shifted indicator of P per d, and the widest gap is
+        max(D) + n_max.  The result depends on u and v only through D."""
+        cross = _cross_distances(u, v)
+        if cross:
+            worst = max(cross) + n_max
             if worst >= self.p_set.horizon:
                 raise ValueError(
                     f"gap {worst} not decidable below horizon {self.p_set.horizon}")
         ok = np.ones(n_max + 1, dtype=bool)
-        for d in {len(u) + j - i for i in u_ones for j in v_ones}:
+        for d in cross:
             ok &= self._in_p[d:d + n_max + 1]
         return WindowSet._trusted(n_max + 1, tuple(np.flatnonzero(ok).tolist()))
 
@@ -288,13 +294,23 @@ class TransitivityReport:
 
 def fs_transitivity_report(oracle, word_len: int, n_max: int,
                            params: FamilyParams) -> TransitivityReport:
-    """Classify gap_set(u, v) for every ordered pair of short language words."""
+    """Classify gap_set(u, v) for every ordered pair of short language words.
+
+    Each distinct set is built and classified once per call.  A spacing
+    shift's gap set depends on u and v only through their cross distances,
+    so gap_set runs once per distinct distance set; other shifts run it once
+    per pair."""
     words = sorted(w for w in language(oracle, word_len) if w)
+    verdict = setfam.classifier(params)
+    by_key: dict = {}
     rows = []
     for u in words:
         for v in words:
-            g = gap_set(oracle, u, v, n_max)
-            rows.append(PairRow(u, v, g, setfam.classify(g, params)))
+            key = (u, v) if oracle.p_set is None else _cross_distances(u, v)
+            g = by_key.get(key)
+            if g is None:
+                g = by_key[key] = gap_set(oracle, u, v, n_max)
+            rows.append(PairRow(u, v, g, verdict(g)))
     p_verdict = None
     if oracle.p_set is not None:
         p_verdict = setfam.classify(oracle.p_set, params)

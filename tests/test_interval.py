@@ -817,6 +817,45 @@ def test_survey_keeps_no_state_between_calls(monkeypatch):
     assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
+def per_cell_rows(m, params):
+    """The survey's sensitivity and transitivity rows with one classify per
+    cell and per pair: the loop the report replaced."""
+    grid = params.grid(m)
+    fam = params.family
+    sens = tuple((u, setfam.classify(
+        sensitivity_hitting_set(m, u, params.delta, params.n_steps).window, fam))
+        for u in grid)
+    trans = tuple((i, j, setfam.classify(
+        transitivity_hitting_set(m, u, v, params.n_steps).window, fam))
+        for i, u in enumerate(grid) for j, v in enumerate(grid))
+    return sens, trans
+
+
+@pytest.mark.parametrize("name", ["S", "tent", "example211"])
+@pytest.mark.parametrize("params", [SurveyParams(), SurveyParams(cells=6, n_steps=256)])
+def test_devaney_report_matches_per_cell_loop(monkeypatch, name, params):
+    m = builtin(name)
+    sens, trans = per_cell_rows(m, params)
+    calls = {"sensitivity_hitting_set": 0, "transitivity_hitting_set": 0}
+    windows = []
+    for fn in calls:
+        monkeypatch.setattr(interval, fn, lambda *a, f=getattr(interval, fn), fn=fn:
+                            calls.__setitem__(fn, calls[fn] + 1) or f(*a))
+    monkeypatch.setattr(setfam, "classify", lambda a, p, f=setfam.classify:
+                        windows.append(a) or f(a, p))
+    for _ in range(2):   # no memo outlives the call
+        calls.update(dict.fromkeys(calls, 0))
+        windows.clear()
+        rep = devaney_report(m, params, name)
+        assert rep.sensitivity == sens
+        assert rep.transitivity == trans
+        # One hitting set per cell and per pair, one classify per distinct set.
+        cells = params.cells
+        assert calls == {"sensitivity_hitting_set": cells,
+                         "transitivity_hitting_set": cells * cells}
+        assert len(windows) == len(set(windows)) < cells + cells * cells
+
+
 def test_survey_grid_margin():
     grid = SurveyParams(cells=10).grid(TENT)
     assert len(grid) == 10

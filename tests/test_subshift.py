@@ -8,6 +8,7 @@ cylinder rule are checked on the Sturmian shift against the prefix scans
 they replaced.
 """
 
+import itertools
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -469,3 +470,107 @@ def test_transitivity_report_mixing_iff_cofinite():
     for p in fixtures:
         rep = subshift.fs_transitivity_report(SpacingShift(p), 2, 64, params)
         assert rep.all_cofinite == rep.p_verdict.cofinite
+
+
+# ---------------------------------------------------------------------------
+# The report decides each distinct set once; the per-pair loop is its oracle.
+
+REPORT_PARAMS = setfam.FamilyParams(gap=2, block=8, cofinite_head=8, burnin=8)
+
+
+def per_pair_rows(oracle, word_len, n_max, params):
+    """(u, v, gap set, verdict) of every ordered pair of non-empty words, one
+    gap_set and one classify per pair: the loop the report replaced."""
+    words = sorted(w for w in language(oracle, word_len) if w)
+    rows = []
+    for u in words:
+        for v in words:
+            g = gap_set(oracle, u, v, n_max)
+            rows.append((u, v, g, setfam.classify(g, params)))
+    return rows
+
+
+def report_shifts():
+    rng = random.Random(17)
+    member_list = window_set(128, [q for q in range(1, 128) if rng.random() < 0.7]
+                             + [1, 2, 3])
+    return {
+        "evens": SpacingShift(evens(128)),
+        "nonpowers": SpacingShift(nonpowers(128)),
+        "cofinite": SpacingShift(window_set(128, [1, 2, 4] + list(range(6, 128)))),
+        "member_list": SpacingShift(member_list),
+        "full": FullShift(),
+    }
+
+
+@pytest.mark.parametrize("word_len", [4, 6])
+@pytest.mark.parametrize("name", ["evens", "nonpowers", "cofinite", "member_list", "full"])
+def test_transitivity_report_matches_per_pair_loop(monkeypatch, name, word_len):
+    oracle = report_shifts()[name]
+    n_max = 64
+    want = per_pair_rows(oracle, word_len, n_max, REPORT_PARAMS)
+    calls = {"gap_set": 0, "classify": 0}
+    for module, fn in ((subshift, "gap_set"), (setfam, "classify")):
+        monkeypatch.setattr(module, fn, lambda *a, f=getattr(module, fn), fn=fn:
+                            calls.__setitem__(fn, calls[fn] + 1) or f(*a))
+    reports, counts = [], []
+    for _ in range(2):
+        calls.update(gap_set=0, classify=0)
+        reports.append(subshift.fs_transitivity_report(oracle, word_len, n_max, REPORT_PARAMS))
+        counts.append(dict(calls))
+    # No memo outlives the call: a second report does the same work.
+    rep, calls = reports[0], counts[0]
+    assert reports[1] == rep and counts[1] == calls
+    assert [(r.u, r.v, r.gaps, r.verdict) for r in rep.rows] == want
+    assert rep.all_syndetic == all(v.syndetic for *_, v in want)
+    assert rep.all_thick == all(v.thick for *_, v in want)
+    assert rep.all_thickly_syndetic == all(v.thickly_syndetic for *_, v in want)
+    assert rep.all_cofinite == all(v.cofinite for *_, v in want)
+    # gap_set runs once per distinct cross-distance set on a spacing shift and
+    # once per pair otherwise; classify once per distinct set (plus P itself).
+    if oracle.p_set is None:
+        assert calls["gap_set"] == len(want)
+    else:
+        distances = {subshift._cross_distances(u, v) for u, v, *_ in want}
+        assert calls["gap_set"] == len(distances) < len(want)
+    sets = {g for _, _, g, _ in want}
+    assert calls["classify"] == len(sets) + (oracle.p_set is not None)
+
+
+def shared_cross_distance_classes(max_len=5):
+    """The word pairs (lengths 1..max_len) grouped by cross-distance set,
+    keeping the groups of two or more pairs."""
+    words = ["".join(t) for n in range(1, max_len + 1)
+             for t in itertools.product("01", repeat=n)]
+    classes = {}
+    for u, v in itertools.product(words, repeat=2):
+        classes.setdefault(subshift._cross_distances(u, v), []).append((u, v))
+    return sorted((pairs for pairs in classes.values() if len(pairs) > 1),
+                  key=lambda pairs: pairs[0])
+
+
+SHARED_CLASSES = shared_cross_distance_classes()
+
+
+def gaps_or_error(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.data(), st.integers(1, 40), st.integers(0, 30))
+@settings(max_examples=300, deadline=None)
+def test_equal_cross_distances_give_equal_gap_sets(data, horizon, n_max):
+    """Two word pairs with one cross-distance set have one gap set, or both
+    raise the same horizon error, so the report may key gap_set by it."""
+    pairs = data.draw(st.sampled_from(SHARED_CLASSES))
+    (u1, v1), (u2, v2) = data.draw(st.lists(st.sampled_from(pairs), min_size=2,
+                                            max_size=2, unique=True))
+    members = data.draw(st.sets(st.integers(1, horizon - 1))) if horizon > 1 else set()
+    shift = SpacingShift(window_set(horizon, members))
+    assert gaps_or_error(lambda: shift.gaps(u1, v1, n_max)) \
+        == gaps_or_error(lambda: shift.gaps(u2, v2, n_max))
+    if all(gaps_or_error(lambda w=w: shift.accepts(w)) is True for w in (u1, v1, u2, v2)):
+        assert gaps_or_error(lambda: gap_set(shift, u1, v1, n_max)) \
+            == gaps_or_error(lambda: gap_set(shift, u2, v2, n_max))
