@@ -1,0 +1,146 @@
+"""Property test of the exit-code contract over cli.main.
+
+Every subcommand gets a value for each of its options, drawn from a valid
+pool or, for a few options per example, from a pool of bad and edge values.
+Whatever the draw, a run exits 0, 2 (bad configuration) or 3 (budget), never
+with a traceback, and writes nothing into --out unless it exits 0.  The
+valid pools stay small (cells <= 3, candidates <= 101, chain-nodes <= 33,
+prefix-len <= 400, steps <= 16) so that many examples run to exit 0 fast.
+"""
+
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chaoskit.cli import main
+
+MISSING = "@/no/such/file"
+TOO_MANY = str(2 ** 20 + 1)   # past the enum_nodes cap: exit 3 before work
+
+# option: (valid values, bad or edge values)
+_FAMILY = {
+    "gap": (["1", "2", "5"], ["0", "-1", "x"]),
+    "block": (["1", "4", "8"], ["0", "-2", "1.5"]),
+    "cofinite-head": (["0", "2", "8"], ["-1", "x"]),
+    "burnin": (["1", "2", "4"], ["0", "-1", "300"]),
+}
+_TAIL = {"tail-policy": (["censored", "strict"], ["foo", ""])}
+_MAP = (["S", "tent", "example211", "identity"], ["nosuch", MISSING, ""])
+_DENSITY = {
+    "density-eps": (["1/4", "1/16", "1/64"],
+                    ["0", "-1/4", "1/0", "x", "1/2000000"]),
+    "density-steps": (["1", "3", "6"], ["0", "-1", "x"]),
+}
+_PROBE = {
+    "map": _MAP,
+    "eps": (["0.05", "0.1", "0.5"], ["0", "-1", "nan", "inf", "x"]),
+    "deltas": (["0.01", "0.01,0.001", "0.1,0.05"],
+               ["0", "nan", "inf", "-0.1", "", ",", "x"]),
+    "length": (["2", "5", "10"], ["1", "0", "-3"]),
+    "trials": (["0", "1", "3"], ["-1", "x"]),
+    "candidates": (["2", "11", "101"], ["1", "0", TOO_MANY]),
+    "challenge": (["auto", "crossing", "none"], ["sometimes", ""]),
+}
+
+POOLS = {
+    "classify-set": {
+        "horizon": (["8", "16", "64"], ["0", "-1", "1", "4", TOO_MANY]),
+        "members": (["evens", "all", "complement(powers(2))", "multiples(3)",
+                     "1,3,5", "0,2"],
+                    ["nonsense(3)", "3,x", "", "-1", "999", "multiples(0)",
+                     MISSING]),
+        **_FAMILY, **_TAIL,
+    },
+    "spacing": {
+        "horizon": (["32", "64"], ["0", "2", "-5"]),
+        "p": (["evens", "all", "complement(powers(2))", "multiples(3)",
+               "1,2,4"], ["nonsense", "", "0", "x,1", MISSING]),
+        "word-len": (["1", "2", "3"], ["0", "-1", "17"]),
+        "n-max": (["0", "4", "8", "16"], ["-1", "40", "200"]),
+        "k-max": (["1", "8", "32"], ["0", "-1"]),
+        "witness": (["", "1,4,1", "1,2,01"], ["1,x,1", "1,4", "2,4,1",
+                                              "1,-1,1"]),
+        **_FAMILY, **_TAIL,
+    },
+    "sturmian": {
+        "prefix-len": (["100", "200", "400"],
+                       ["0", "-1", "20", str(2 ** 17 + 1)]),
+        "word-len": (["1", "2", "4", "8"], ["0", "-1", "17"]),
+        "word": (["010", "0", "1", "01"], ["-", "0000", "012", "",
+                                          "01001010010"]),
+        **_FAMILY, **_TAIL,
+    },
+    "interval-devaney": {
+        "map": _MAP,
+        "cells": (["1", "2", "3"], ["0", "-1", "1025"]),
+        "margin": (["0", "1/100", "1/20"], ["1", "-1/20", "1/0", "x"]),
+        "delta": (["1/2", "1/4", "1"], ["0", "-1/2", "1/0"]),
+        "steps": (["1", "4", "8", "16"], ["0", "-1", "x"]),
+        **_FAMILY, **_DENSITY,
+    },
+    "shadow": {
+        **_PROBE,
+        "target": (["full", "cofinite", "syndetic", "thick",
+                    "thickly_syndetic", "piecewise_syndetic"],
+                   ["nope", ""]),
+        **_FAMILY,
+    },
+    "p-chaos": {
+        **_PROBE,
+        "chain-delta": (["0.02", "0.1"], ["0", "-1", "nan", "inf"]),
+        "chain-nodes": (["2", "17", "33"], ["1", "0", TOO_MANY]),
+        **_DENSITY, **_FAMILY,
+    },
+}
+
+
+@st.composite
+def invocations(draw, command):
+    """argv for one run: every option valid except at most two."""
+    pools = POOLS[command]
+    bad = draw(st.sets(st.sampled_from(sorted(pools)), max_size=2))
+    argv = [command, f"--seed={draw(st.sampled_from(['42', '7', '']))}"]
+    for name, (valid, wrong) in pools.items():
+        value = draw(st.sampled_from(wrong if name in bad else valid))
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:   # argparse rejects a value it cannot convert
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(POOLS))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_invocation_honours_the_exit_contract(command, data):
+    argv = data.draw(invocations(command))
+    root = Path(tempfile.mkdtemp())
+    try:
+        out = root / "out"
+        code, stdout, stderr = _run(argv + [f"--out={out}"])
+        assert code in (0, 2, 3), (code, stderr)
+        assert "Traceback" not in stderr
+        if code == 0:
+            assert stdout.startswith(f"{command}: ") and stderr == ""
+            assert (out / "report.txt").is_file()
+        else:
+            assert stdout == ""
+            assert stderr.startswith(
+                {2: ("error: ", "usage: "), 3: ("budget exceeded: ",)}[code])
+            assert not out.exists() or not any(out.iterdir())
+    finally:
+        shutil.rmtree(root)
