@@ -16,12 +16,14 @@ import sys
 ENV_OVERRIDE = "CHAOS_BUDGET_OVERRIDE"
 
 # Baseline caps (before the optional multiplier).
-WORD_LEN_CAP = 16          # longest word the language enumerator will emit
-ENUM_NODE_CAP = 2 ** 20    # nodes visited per enumeration call
-POWER_CAP = 12             # largest exponent for exact map composition
-BREAKPOINT_CAP = 2 ** 16   # breakpoints of a composed piecewise-linear map
-ITER_STEP_CAP = 4096       # image-iteration horizon for hitting sets
-PREFIX_LEN_CAP = 2 ** 17   # symbols of the golden Sturmian prefix
+CAPS = {
+    "word_len": 16,          # longest word the language enumerator will emit
+    "enum_nodes": 2 ** 20,   # nodes visited per enumeration call
+    "power": 12,             # largest exponent for exact map composition
+    "breakpoints": 2 ** 16,  # breakpoints of a composed piecewise-linear map
+    "iter_steps": 4096,      # image-iteration horizon for hitting sets
+    "prefix_len": 2 ** 17,   # symbols of the golden Sturmian prefix
+}
 
 
 class BudgetError(RuntimeError):
@@ -45,15 +47,7 @@ def multiplier() -> float:
 
 def cap(name: str) -> int:
     """Return the effective value of a named cap, applying any override."""
-    base = {
-        "word_len": WORD_LEN_CAP,
-        "enum_nodes": ENUM_NODE_CAP,
-        "power": POWER_CAP,
-        "breakpoints": BREAKPOINT_CAP,
-        "iter_steps": ITER_STEP_CAP,
-        "prefix_len": PREFIX_LEN_CAP,
-    }[name]
-    return max(1, int(min(base * multiplier(), sys.maxsize)))
+    return max(1, int(min(CAPS[name] * multiplier(), sys.maxsize)))
 
 
 def charge(name: str, amount: int) -> None:

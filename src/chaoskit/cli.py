@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import math
 import sys
@@ -43,7 +44,39 @@ def _floats(s: str) -> tuple[float, ...]:
     return out
 
 
-_DELTAS = "0.01,0.001,0.0001"
+def _family(p: FamilyParams, tail: bool = False,
+            gap_help: str = "syndetic gap bound") -> list[tuple]:
+    """The family options at p's values; tail adds --tail-policy."""
+    opts = [
+        ("gap", int, p.gap, gap_help),
+        ("block", int, p.block, "thickness block length"),
+        ("cofinite-head", int, p.cofinite_head,
+         "largest admissible co-finite head"),
+        ("burnin", int, p.burnin, "density burn-in prefix"),
+    ]
+    if tail:
+        opts.append(("tail-policy", str, p.tail_policy,
+                     "censored|strict trailing gap"))
+    return opts
+
+
+def _tracing(*middle: tuple) -> list[tuple]:
+    """The tracing-probe options, with middle spliced in after --trials."""
+    return [
+        ("map", str, "tent", "builtin map name or @file"),
+        ("eps", float, 0.05, "tracing tolerance"),
+        ("deltas", _floats, _floats("0.01,0.001,0.0001"),
+         "pseudo-orbit ladder"),
+        ("length", int, 10, "pseudo-orbit length"),
+        ("trials", int, 6, "random pseudo-orbits per delta"),
+        *middle,
+        ("candidates", int, 10_001, "tracer grid size"),
+        ("challenge", str, "auto", "auto|crossing|none"),
+    ]
+
+
+_SURVEY = interval.SurveyParams()
+_PROBE_FAMILY = FamilyParams(block=4, cofinite_head=2, burnin=4)
 
 # name, converter, default, help
 RUN_OPTIONS = [
@@ -56,22 +89,14 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
         ("horizon", int, 256, "window horizon"),
         ("members", str, "complement(powers(2))",
          "generator, comma-separated members, or @file"),
-        ("gap", int, 2, "syndetic gap bound"),
-        ("block", int, 8, "thickness block length"),
-        ("cofinite-head", int, 8, "largest admissible co-finite head"),
-        ("burnin", int, 8, "density burn-in prefix"),
-        ("tail-policy", str, "censored", "censored|strict trailing gap"),
+        *_family(FamilyParams(), tail=True),
     ],
     "spacing": [
         ("horizon", int, 128, "horizon of the spacing set"),
         ("p", str, "evens", "spacing set: generator, members, or @file"),
         ("word-len", int, 3, "survey words up to this length"),
         ("n-max", int, 64, "largest filler length / shift"),
-        ("gap", int, 2, "syndetic gap bound"),
-        ("block", int, 8, "thickness block length"),
-        ("cofinite-head", int, 8, "largest admissible co-finite head"),
-        ("burnin", int, 8, "density burn-in prefix"),
-        ("tail-policy", str, "censored", "censored|strict trailing gap"),
+        *_family(FamilyParams(), tail=True),
         ("k-max", int, 128, "modulus bound for the periodic-point search"),
         ("witness", str, "", "u,k,v triple for a glued-word witness"),
     ],
@@ -79,55 +104,31 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
         ("prefix-len", int, 10_000, "length of the Sturmian prefix"),
         ("word-len", int, 8, "factor-count table up to this length"),
         ("word", str, "010", "factor whose occurrence set is classified"),
-        ("gap", int, 34, "syndetic gap bound for occurrence sets"),
-        ("block", int, 8, "thickness block length"),
-        ("cofinite-head", int, 8, "largest admissible co-finite head"),
-        ("burnin", int, 8, "density burn-in prefix"),
-        ("tail-policy", str, "censored", "censored|strict trailing gap"),
+        *_family(FamilyParams(gap=34), tail=True,
+                 gap_help="syndetic gap bound for occurrence sets"),
     ],
     "interval-devaney": [
         ("map", str, "S", "builtin map name or @file"),
-        ("cells", int, 10, "interval grid cells"),
-        ("margin", _fraction, Fraction(1, 100), "shrink cells by this margin"),
-        ("delta", _fraction, Fraction(1, 2), "sensitivity threshold"),
-        ("steps", int, 64, "iteration window length"),
-        ("gap", int, 16, "syndetic gap bound"),
-        ("block", int, 8, "thickness block length"),
-        ("cofinite-head", int, 16, "largest admissible co-finite head"),
-        ("burnin", int, 8, "density burn-in prefix"),
-        ("density-eps", _fraction, Fraction(1, 16), "periodic-point cell size"),
-        ("density-steps", int, 10, "largest period searched"),
+        ("cells", int, _SURVEY.cells, "interval grid cells"),
+        ("margin", _fraction, _SURVEY.margin, "shrink cells by this margin"),
+        ("delta", _fraction, _SURVEY.delta, "sensitivity threshold"),
+        ("steps", int, _SURVEY.n_steps, "iteration window length"),
+        *_family(_SURVEY.family),
+        ("density-eps", _fraction, _SURVEY.density_epsilon,
+         "periodic-point cell size"),
+        ("density-steps", int, _SURVEY.density_n_max, "largest period searched"),
     ],
     "shadow": [
-        ("map", str, "tent", "builtin map name or @file"),
-        ("eps", float, 0.05, "tracing tolerance"),
-        ("deltas", _floats, _floats(_DELTAS), "pseudo-orbit ladder"),
-        ("length", int, 10, "pseudo-orbit length"),
-        ("trials", int, 6, "random pseudo-orbits per delta"),
-        ("target", str, "full", "trace-set target family"),
-        ("candidates", int, 10_001, "tracer grid size"),
-        ("challenge", str, "auto", "auto|crossing|none"),
-        ("gap", int, 2, "syndetic gap bound"),
-        ("block", int, 4, "thickness block length"),
-        ("cofinite-head", int, 2, "largest admissible co-finite head"),
-        ("burnin", int, 4, "density burn-in prefix"),
+        *_tracing(("target", str, "full", "trace-set target family")),
+        *_family(_PROBE_FAMILY),
     ],
     "p-chaos": [
-        ("map", str, "tent", "builtin map name or @file"),
-        ("eps", float, 0.05, "tracing tolerance"),
-        ("deltas", _floats, _floats(_DELTAS), "pseudo-orbit ladder"),
-        ("length", int, 10, "pseudo-orbit length"),
-        ("trials", int, 6, "random pseudo-orbits per delta"),
-        ("candidates", int, 10_001, "tracer grid size"),
-        ("challenge", str, "auto", "auto|crossing|none"),
+        *_tracing(),
         ("chain-delta", float, 0.02, "chain graph tolerance"),
         ("chain-nodes", int, 129, "chain graph size"),
         ("density-eps", _fraction, Fraction(1, 64), "periodic-point cell size"),
         ("density-steps", int, 10, "largest period searched"),
-        ("gap", int, 2, "syndetic gap bound"),
-        ("block", int, 4, "thickness block length"),
-        ("cofinite-head", int, 2, "largest admissible co-finite head"),
-        ("burnin", int, 4, "density burn-in prefix"),
+        *_family(_PROBE_FAMILY),
     ],
     "report-all": [],
 }
@@ -182,13 +183,18 @@ def _defaults(section: str, ini: dict[str, dict[str, object]]) -> dict[str, obje
     return {dest: given.get(dest, default) for dest, default in dests}
 
 
-def _dump_config(ini: dict[str, dict[str, object]], run: dict[str, str]) -> str:
+def _dump_config(ini: dict[str, dict[str, object]], run: dict[str, str],
+                 args: argparse.Namespace) -> str:
+    """The effective INI: the active subcommand at its parsed values, every
+    other section at its INI values over the defaults."""
     lines = ["[run]"] + [f"{name}={val}" for name, val in run.items()] + [""]
     for section, table in SECTIONS.items():
         if not table:
             continue
+        vals = vars(args) if section == args.command else _defaults(section, ini)
         lines.append(f"[{section}]")
-        for (name, conv, _, _), val in zip(table, _defaults(section, ini).values()):
+        for name, conv, _, _ in table:
+            val = vals[name.replace("-", "_")]
             if conv is _floats:
                 val = ",".join(repr(v) for v in val)
             lines.append(f"{name}={val}")
@@ -219,14 +225,17 @@ def _build_parser(ini: dict[str, dict[str, object]]) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: Path, what: str) -> str:
+    try:
+        return path.read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} file: {e}")
+
+
 def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
     spec = spec.strip()
     if spec.startswith("@"):
-        try:
-            text = Path(spec[1:]).read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read set file: {e}")
-        return setfam.parse_window_text(text), spec
+        return setfam.parse_window_text(_read(Path(spec[1:]), "set")), spec
     if spec and spec[0].isdigit():
         try:
             members = [int(t) for t in spec.split(",")]
@@ -241,11 +250,7 @@ def _load_map(spec: str) -> tuple[interval.PLMap, str]:
     spec = spec.strip()
     if spec.startswith("@"):
         path = Path(spec[1:])
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read map file: {e}")
-        return interval.parse_pl_text(text), path.stem
+        return interval.parse_pl_text(_read(path, "map")), path.stem
     return interval.builtin(spec), spec
 
 
@@ -271,12 +276,27 @@ def _member_rows(a: WindowSet) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# Core runners.  Each returns (report text, csv files, one-line headline).
+# Subcommands.  Each run_<name>(o, family, seed) builds and checks all of its
+# inputs from the option namespace o inside one _options() block, then runs
+# its survey and returns (report text, csv files, one-line headline).
 
-def run_classify(a: WindowSet, source: str, params: FamilyParams):
-    if not a.members:
-        raise ConfigError("empty set: nothing to classify")
-    v = setfam.classify(a, params)
+@contextlib.contextmanager
+def _options():
+    """Turn a library ValueError raised while building inputs into a
+    ConfigError, exit 2; the same error from a survey stays a bug."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def run_classify_set(o: argparse.Namespace, family: FamilyParams, seed: str):
+    with _options():
+        a, source = _load_window(o.members, o.horizon)
+        family.check_horizon(a.horizon)
+        if not a.members:
+            raise ConfigError("empty set: nothing to classify")
+    v = setfam.classify(a, family)
     report = "\n".join([
         "window set classification",
         f"source: {source}",
@@ -288,9 +308,9 @@ def run_classify(a: WindowSet, source: str, params: FamilyParams):
         f"cofinite={_fb(v.cofinite)}",
         f"derived: thickly_syndetic={_fb(v.thickly_syndetic)} "
         f"piecewise_syndetic={_fb(v.piecewise_syndetic)}",
-        f"params: gap={params.gap} block={params.block} "
-        f"cofinite_head={params.cofinite_head} burnin={params.burnin} "
-        f"tail_policy={params.tail_policy}",
+        f"params: gap={family.gap} block={family.block} "
+        f"cofinite_head={family.cofinite_head} burnin={family.burnin} "
+        f"tail_policy={family.tail_policy}",
         "",
     ])
     headline = (f"syndetic={_fb(v.syndetic)} thick={_fb(v.thick)} "
@@ -298,18 +318,36 @@ def run_classify(a: WindowSet, source: str, params: FamilyParams):
     return report, {"set.csv": _member_rows(a)}, headline
 
 
-def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
-                params: FamilyParams, k_max: int,
-                witness: subshift.SpacingWitness | None):
-    if not p.members:
-        raise ConfigError("empty spacing set: nothing to survey")
+def _spacing_witness(text: str, p: WindowSet) -> subshift.SpacingWitness:
+    try:
+        u_s, k_s, v_s = text.split(",")
+        return subshift.spacing_witness(
+            subshift.parse_word(u_s), int(k_s), subshift.parse_word(v_s), p)
+    except ValueError as e:
+        raise ConfigError(f"bad witness triple {text!r}: {e}")
+
+
+def run_spacing(o: argparse.Namespace, family: FamilyParams, seed: str):
+    with _options():
+        p, source = _load_window(o.p, o.horizon)
+        # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
+        # and u 0^n_max v puts their 1s 2w - 1 + n_max apart.
+        widest = 2 * o.word_len - 1 + o.n_max
+        if widest >= p.horizon:
+            raise ValueError(
+                f"word-len {o.word_len} and n-max {o.n_max} need gap "
+                f"{widest}, not decidable below horizon {p.horizon}")
+        witness = _spacing_witness(o.witness, p) if o.witness else None
+        family.check_horizon(min(p.horizon, o.n_max + 1))
+        if not p.members:
+            raise ConfigError("empty spacing set: nothing to survey")
     oracle = subshift.SpacingShift(p)
-    rep = subshift.fs_transitivity_report(oracle, word_len, n_max, params)
-    dp = subshift.spacing_dense_periodic(p, k_max)
+    rep = subshift.fs_transitivity_report(oracle, o.word_len, o.n_max, family)
+    dp = subshift.spacing_dense_periodic(p, o.k_max)
     lines = [
         "spacing shift survey",
         f"p: {source} horizon={p.horizon} size={len(p)}",
-        f"word_len={word_len} pairs={len(rep.rows)} n_max={n_max}",
+        f"word_len={o.word_len} pairs={len(rep.rows)} n_max={o.n_max}",
         f"panels: all_syndetic={_fb(rep.all_syndetic)} "
         f"all_thick={_fb(rep.all_thick)} "
         f"all_thickly_syndetic={_fb(rep.all_thickly_syndetic)} "
@@ -343,14 +381,22 @@ def run_spacing(p: WindowSet, source: str, word_len: int, n_max: int,
     return "\n".join(lines), {"pairs.csv": rows}, headline
 
 
-def run_sturmian(oracle: subshift.SturmianShift, word_len: int, word: str,
-                 params: FamilyParams):
-    lang = subshift.language(oracle, word_len)
+def run_sturmian(o: argparse.Namespace, family: FamilyParams, seed: str):
+    with _options():
+        oracle = subshift.SturmianShift(subshift.golden_spec(o.prefix_len))
+        word = subshift.parse_word(o.word)
+        if not word:
+            raise ValueError("empty word: nothing to locate")
+        family.check_horizon(o.prefix_len - len(word) + 1)
+        # accepts raises BudgetError for a word longer than prefix_len // 4.
+        if not oracle.accepts(word):
+            raise ConfigError(f"word {word} does not occur in the prefix")
+    lang = subshift.language(oracle, o.word_len)
     counts = {n: sum(1 for w in lang if len(w) == n)
-              for n in range(1, word_len + 1)}
+              for n in range(1, o.word_len + 1)}
     complexity_ok = all(counts[n] == n + 1 for n in counts)
     occ = subshift.occurrence_gaps(oracle.spec, word)
-    v = setfam.classify(occ, params)
+    v = setfam.classify(occ, family)
     lines = [
         "sturmian factor survey (golden rotation)",
         f"alpha=(sqrt(5)-1)/2 prefix_len={oracle.spec.prefix_len}",
@@ -369,7 +415,17 @@ def run_sturmian(oracle: subshift.SturmianShift, word_len: int, word: str,
             headline)
 
 
-def run_interval(m: interval.PLMap, name: str, params: interval.SurveyParams):
+def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
+                         seed: str):
+    with _options():
+        m, name = _load_map(o.map)
+        interval.density_cells(m, o.density_eps)
+        params = interval.SurveyParams(
+            cells=o.cells, margin=o.margin, delta=o.delta, n_steps=o.steps,
+            family=family, density_epsilon=o.density_eps,
+            density_n_max=o.density_steps)
+        params.grid(m)
+        family.check_horizon(o.steps + 1)
     survey = interval.devaney_report(m, params, map_name=name)
     fams = " ".join(f"{k}={_pf(survey.verdicts[k])}"
                     for k in ("Fs", "Ft", "Fts", "Fcf"))
@@ -412,6 +468,24 @@ def _challenges_for(name: str, choice: str):
     raise ConfigError(f"unknown challenge {choice!r}")
 
 
+def _tracer(m: interval.PLMap, name: str, o: argparse.Namespace,
+            family: FamilyParams):
+    """The tracing system of m, checked against o's probe options and the
+    family horizon, and its probe as probe(target, seed)."""
+    system = shadowing.IntervalSystem(m, name=name)
+    system.grid(o.candidates)
+    challenges = _challenges_for(name, o.challenge)
+    shadowing.check_pseudo_orbits(o.deltas, o.length, o.trials, challenges)
+    family.check_horizon(o.length)
+
+    def probe(target: str, seed: str) -> shadowing.ProbeResult:
+        return shadowing.fg_shadowing_probe(
+            system, o.eps, o.deltas, o.length, o.trials, target=target,
+            params=family, n_candidates=o.candidates, seed=seed,
+            challenges=challenges)
+    return system, probe
+
+
 def _probe_rows(probe: shadowing.ProbeResult) -> list[list]:
     rows = [["delta", "label", "valid_count", "tracer", "cardinality",
              "max_gap", "tags", "ok", "challenge"]]
@@ -424,13 +498,12 @@ def _probe_rows(probe: shadowing.ProbeResult) -> list[list]:
 
 
 def _probe_lines(probe: shadowing.ProbeResult) -> list[str]:
+    delta_pass = "-" if probe.delta_pass is None else repr(probe.delta_pass)
     lines = [
         f"eps={probe.eps!r} target={probe.target} length={probe.length} "
         f"candidates={probe.n_candidates} trials={probe.trials}",
         "ladder=" + ",".join(repr(d) for d in probe.deltas),
-        f"verdict={probe.verdict} delta_pass="
-        f"{probe.delta_pass!r}" if probe.delta_pass is not None
-        else f"verdict={probe.verdict} delta_pass=-",
+        f"verdict={probe.verdict} delta_pass={delta_pass}",
     ]
     w = probe.witness
     if w is not None:
@@ -442,25 +515,18 @@ def _probe_lines(probe: shadowing.ProbeResult) -> list[str]:
     return lines
 
 
-def _probe(system: shadowing.IntervalSystem, o: argparse.Namespace,
-           target: str, challenges, params: FamilyParams, seed: str):
-    return shadowing.fg_shadowing_probe(
-        system, o.eps, o.deltas, o.length, o.trials, target=target,
-        params=params, n_candidates=o.candidates, seed=seed,
-        challenges=challenges)
+def run_shadow(o: argparse.Namespace, family: FamilyParams, seed: str):
+    with _options():
+        system, probe = _tracer(*_load_map(o.map), o, family)
+        if o.target not in shadowing.TARGETS:
+            raise ConfigError(f"unknown target {o.target!r}")
+    result = probe(o.target, f"{seed}/shadow/{system.name}")
+    lines = [f"tracing probe: {system.name}"] + _probe_lines(result) + [""]
+    return ("\n".join(lines), {"probe.csv": _probe_rows(result)},
+            f"probe={result.verdict}")
 
 
-def run_shadow(system: shadowing.IntervalSystem, o: argparse.Namespace,
-               challenges, params: FamilyParams, seed: str):
-    probe = _probe(system, o, o.target, challenges, params,
-                   f"{seed}/shadow/{system.name}")
-    lines = [f"tracing probe: {system.name}"] + _probe_lines(probe) + [""]
-    return ("\n".join(lines), {"probe.csv": _probe_rows(probe)},
-            f"probe={probe.verdict}")
-
-
-def run_pchaos(system: shadowing.IntervalSystem, o: argparse.Namespace,
-               challenges, params: FamilyParams, seed: str):
+def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
     """Dense periodic points (exact) plus tracing probes plus chain structure.
 
     The headline probe targets full traces; the auxiliary panel relaxes the
@@ -468,22 +534,25 @@ def run_pchaos(system: shadowing.IntervalSystem, o: argparse.Namespace,
     being folded into the evidence flag, since the relaxed notion is strictly
     weaker and a pass there decides nothing about the headline one.
     """
-    name = system.name
+    with _options():
+        m, name = _load_map(o.map)
+        interval.density_cells(m, o.density_eps)
+        system, probe = _tracer(m, name, o, family)
+        system.grid(o.chain_nodes)
     seed = f"{seed}/p-chaos/{name}"
-    density = interval.periodic_density_report(system.pl, o.density_eps,
+    density = interval.periodic_density_report(m, o.density_eps,
                                                o.density_steps)
-    probe = _probe(system, o, "full", challenges, params, seed)
-    aux = _probe(system, o, "piecewise_syndetic", challenges, params,
-                 seed + "/aux")
+    full = probe("full", seed)
+    aux = probe("piecewise_syndetic", seed + "/aux")
     g = shadowing.chain_graph(system, o.chain_nodes, o.chain_delta)
     transitive = shadowing.chain_transitive_check(g)
     mixing = shadowing.chain_mixing_check(g)
-    evidence = density.covered_fraction == 1 and probe.verdict == "pass"
+    evidence = density.covered_fraction == 1 and full.verdict == "pass"
     lines = [
         f"periodic-density and tracing report: {name}",
         f"periodic points cover {density.covered_fraction} of the "
         f"{density.cells} cells at scale {density.epsilon}",
-        f"tracing probe (target=full): {probe.verdict}",
+        f"tracing probe (target=full): {full.verdict}",
         f"auxiliary panel (target=piecewise_syndetic): {aux.verdict} "
         f"(reported, not asserted)",
         f"chain graph ({o.chain_nodes} nodes, delta={o.chain_delta}): "
@@ -491,26 +560,11 @@ def run_pchaos(system: shadowing.IntervalSystem, o: argparse.Namespace,
         f"evidence={_fb(evidence)}",
         "",
     ]
-    files = {"probe.csv": _probe_rows(probe),
+    files = {"probe.csv": _probe_rows(full),
              "aux_probe.csv": _probe_rows(aux)}
-    headline = (f"probe={probe.verdict} evidence={_fb(evidence)} "
+    headline = (f"probe={full.verdict} evidence={_fb(evidence)} "
                 f"chain_mixing={_fb(mixing)}")
     return "\n".join(lines), files, headline
-
-
-# Options that a run needs positive (and finite, for floats); a zero would
-# leave the survey nothing to search or compare against.
-_POSITIVE = ("word_len", "k_max", "delta", "density_eps", "density_steps",
-             "chain_delta", "eps")
-
-
-def _spacing_witness(text: str, p: WindowSet) -> subshift.SpacingWitness:
-    try:
-        u_s, k_s, v_s = text.split(",")
-        return subshift.spacing_witness(
-            subshift.parse_word(u_s), int(k_s), subshift.parse_word(v_s), p)
-    except ValueError as e:
-        raise ConfigError(f"bad witness triple {text!r}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -534,86 +588,37 @@ REPORT_ALL: list[tuple[str, str, dict[str, object]]] = [
       "challenge": "crossing"}),
 ]
 
+RUNNERS = {
+    "classify-set": run_classify_set,
+    "spacing": run_spacing,
+    "sturmian": run_sturmian,
+    "interval-devaney": run_interval_devaney,
+    "shadow": run_shadow,
+    "p-chaos": run_p_chaos,
+}
+
+# Options that a run needs positive (and finite, for floats); a zero would
+# leave the survey nothing to search or compare against.
+_POSITIVE = ("word_len", "k_max", "delta", "density_eps", "density_steps",
+             "chain_delta", "eps")
+
 
 def _run(section: str, opts: dict[str, object], seed: str):
     """Run one section on its option dests; returns (report, csvs, headline).
 
-    Every input is built and validated before the runner starts, and only
-    this build step turns a library ValueError into a ConfigError, exit 2;
-    the same error from the run itself stays a bug, not a bad option.
+    The checks shared by every section come first; the section's runner
+    then builds and checks its own inputs before its survey starts.
     """
-    o = argparse.Namespace(**opts)
-    try:
+    with _options():
         for dest in _POSITIVE:
             if dest in opts and not 0 < opts[dest] < math.inf:
                 raise ValueError(f"{dest.replace('_', '-')} must be positive "
                                  f"and finite, got {opts[dest]}")
         family = FamilyParams(
-            gap=o.gap, block=o.block, cofinite_head=o.cofinite_head,
-            burnin=o.burnin,
+            gap=opts["gap"], block=opts["block"],
+            cofinite_head=opts["cofinite_head"], burnin=opts["burnin"],
             tail_policy=opts.get("tail_policy", setfam.CENSORED))
-        # horizon: the shortest window that the section classifies.
-        if section == "classify-set":
-            window, source = _load_window(o.members, o.horizon)
-            horizon = window.horizon
-        if section == "spacing":
-            window, source = _load_window(o.p, o.horizon)
-            horizon = min(window.horizon, o.n_max + 1)
-            # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
-            # and u 0^n_max v puts their 1s 2w - 1 + n_max apart.
-            widest = 2 * o.word_len - 1 + o.n_max
-            if widest >= window.horizon:
-                raise ValueError(
-                    f"word-len {o.word_len} and n-max {o.n_max} need gap "
-                    f"{widest}, not decidable below horizon {window.horizon}")
-            witness = _spacing_witness(o.witness, window) if o.witness else None
-        if section == "sturmian":
-            oracle = subshift.SturmianShift(subshift.golden_spec(o.prefix_len))
-            word = subshift.parse_word(o.word)
-            if not word:
-                raise ValueError("empty word: nothing to locate")
-            horizon = o.prefix_len - len(word) + 1
-        if "map" in opts:
-            m, name = _load_map(o.map)
-        if "density_eps" in opts:
-            interval.density_cells(m, o.density_eps)
-        if section == "interval-devaney":
-            survey = interval.SurveyParams(
-                cells=o.cells, margin=o.margin, delta=o.delta,
-                n_steps=o.steps, family=family,
-                density_epsilon=o.density_eps,
-                density_n_max=o.density_steps)
-            survey.grid(m)
-            horizon = o.steps + 1
-        if section in ("shadow", "p-chaos"):
-            system = shadowing.IntervalSystem(m, name=name)
-            system.grid(o.candidates)
-            challenges = _challenges_for(name, o.challenge)
-            shadowing.check_pseudo_orbits(o.deltas, o.length, o.trials,
-                                          challenges)
-            horizon = o.length
-        family.check_horizon(horizon)
-        if section == "shadow" and o.target not in shadowing.TARGETS:
-            raise ConfigError(f"unknown target {o.target!r}")
-        if section == "p-chaos":
-            system.grid(o.chain_nodes)
-        # accepts raises BudgetError for a word longer than prefix_len // 4.
-        if section == "sturmian" and not oracle.accepts(word):
-            raise ConfigError(f"word {word} does not occur in the prefix")
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if section == "classify-set":
-        return run_classify(window, source, family)
-    if section == "spacing":
-        return run_spacing(window, source, o.word_len, o.n_max, family,
-                           o.k_max, witness)
-    if section == "sturmian":
-        return run_sturmian(oracle, o.word_len, word, family)
-    if section == "interval-devaney":
-        return run_interval(m, name, survey)
-    if section == "shadow":
-        return run_shadow(system, o, challenges, family, seed)
-    return run_pchaos(system, o, challenges, family, seed)
+    return RUNNERS[section](argparse.Namespace(**opts), family, seed)
 
 
 def _report_all(outdir: Path, seed: str) -> str:
@@ -640,17 +645,15 @@ def _main(argv: list[str]) -> int:
     run = {name: getattr(args, name, None) or str(run_ini.get(name, default))
            for name, _, default, _ in RUN_OPTIONS}
     if getattr(args, "dump_config", False):
-        sys.stdout.write(_dump_config(ini, run))
+        sys.stdout.write(_dump_config(ini, run, args))
         return 0
     if not args.command:
         parser.print_usage(sys.stderr)
         raise ConfigError("no subcommand given")
     # The caps read the override lazily; a bad one must fail here, alike for
     # every subcommand, and not at whichever cap a run consults first.
-    try:
+    with _options():
         budgets.multiplier()
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     if args.command == "report-all":
         headline = _report_all(Path(run["out"]), run["seed"])
     else:

@@ -381,6 +381,39 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def _ini_sections(text):
+    return {block.split("\n", 1)[0]: block
+            for block in text.strip("\n").split("\n\n")}
+
+
+def test_dump_config_keeps_subcommand_flags(tmp_path, capsys):
+    argv = ["shadow", "--trials", "3", "--candidates", "101", "--seed", "7"]
+    assert main(argv + ["--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    sections = _ini_sections(dumped)
+    assert sections["[run]"] == "[run]\nseed=7\nout=."
+    shadow = sections["[shadow]"].splitlines()
+    assert "trials=3" in shadow and "candidates=101" in shadow
+    # The flags of one subcommand leave every other section at its default.
+    golden = _ini_sections((GOLDEN / "dump-config.ini").read_text())
+    assert sections.keys() == golden.keys()
+    for name in sections.keys() - {"[run]", "[shadow]"}:
+        assert sections[name] == golden[name]
+    cfg = tmp_path / "dumped.ini"
+    cfg.write_text(dumped)
+    assert main(["--config", str(cfg), "shadow", "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+    # Replaying the dump runs the configuration that the flags ran.
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 0
+    assert main(["--config", str(cfg), "shadow",
+                 "--out", str(tmp_path / "replay")]) == 0
+    capsys.readouterr()
+    for name in ("report.txt", "probe.csv"):
+        assert ((tmp_path / "flags" / name).read_bytes()
+                == (tmp_path / "replay" / name).read_bytes())
+    assert "trials=3" in read(tmp_path / "replay" / "report.txt")
+
+
 # ---------------------------------------------------------------------------
 # Determinism of emitted files.
 
