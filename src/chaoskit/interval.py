@@ -28,12 +28,15 @@ walked once under f and its length is the prime period of all its points.
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
 test runs once per distinct image, and the remaining steps of the window
-follow by index.
+follow by index.  Inside devaney_report the orbits are memoised, so each
+cell's orbit is walked once however many hitting sets read it; the memo is
+dropped when the report returns or raises.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -448,18 +451,33 @@ class HittingSet:
     window: WindowSet
 
 
-def _orbit(m: PLMap, u: Interval, n_max: int) -> tuple[list[Interval], list[int]]:
+Orbit = tuple[tuple[Interval, ...], tuple[int, ...]]
+
+# The orbits walked so far by the devaney_report in progress, keyed by
+# (map, U, N); unset outside a report, so no orbit outlives its call.
+_orbits: ContextVar[dict[tuple[PLMap, Interval, int], Orbit]] = ContextVar("_orbits")
+
+
+def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
     """The distinct images f^1(U), f^2(U), ... and, for each step n in
     [1, N], the index of f^n(U) among them.
 
     pl_image is a function of the interval alone, so at the first repeat
     f^n(U) = f^k(U) the orbit cycles with period n - k and the remaining
-    steps are filled by index.  The budget is charged for all N steps.
+    steps are filled by index.  The budget is charged for all N steps on
+    every call.  Inside devaney_report the result is memoised for the rest
+    of the report, so the hitting sets of one cell share one walk; callers
+    share it, so it is returned as tuples.
     """
     charge("iter_steps", n_max)
+    cur = (Fraction(u[0]), Fraction(u[1]))
+    memo = _orbits.get({})          # a throwaway dict outside a report
+    key = (m, cur, n_max)
+    orbit = memo.get(key)
+    if orbit is not None:
+        return orbit
     images: list[Interval] = []
     first: dict[Interval, int] = {}
-    cur = (Fraction(u[0]), Fraction(u[1]))
     while len(images) < n_max:
         cur = pl_image(m, cur)
         k = first.setdefault(cur, len(images))
@@ -467,10 +485,12 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> tuple[list[Interval], list[int]
             break
         images.append(cur)
     n = len(images)
-    return images, [t if t < n else k + (t - k) % (n - k) for t in range(n_max)]
+    index = [t if t < n else k + (t - k) % (n - k) for t in range(n_max)]
+    orbit = memo[key] = (tuple(images), tuple(index))
+    return orbit
 
 
-def _hits(flags: list[bool], index: list[int], n_max: int) -> HittingSet:
+def _hits(flags: list[bool], index: tuple[int, ...], n_max: int) -> HittingSet:
     """The steps whose image is flagged, on the window [0, N]."""
     return HittingSet(WindowSet._trusted(n_max + 1, tuple(
         n for n, k in enumerate(index, start=1) if flags[k])))
@@ -577,21 +597,29 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     when transitivity and density pass but sensitivity fails.
 
     Each cell's sensitivity set and each pair's transitivity set is built by
-    its own hitting-set call, but each distinct set is classified once per
-    call: the 110 sets of a 10-cell survey hold only a few distinct ones.
+    its own hitting-set call, but the report opens an orbit memo for its
+    duration, so every cell's image orbit is walked once and shared by its
+    sensitivity set and its row of transitivity sets (cells walks in place
+    of cells + cells**2).  Each distinct set is classified once per call:
+    the 110 sets of a 10-cell survey hold only a few distinct ones.  Both
+    memos are dropped when the report returns or raises.
     """
     params = params or SurveyParams()
     grid = params.grid(m)
     verdict = setfam.classifier(params.family)
-    sens = []
-    for u in grid:
-        hs = sensitivity_hitting_set(m, u, params.delta, params.n_steps)
-        sens.append((u, verdict(hs.window)))
-    trans = []
-    for i, u in enumerate(grid):
-        for j, v in enumerate(grid):
-            hs = transitivity_hitting_set(m, u, v, params.n_steps)
-            trans.append((i, j, verdict(hs.window)))
+    token = _orbits.set({})
+    try:
+        sens = []
+        for u in grid:
+            hs = sensitivity_hitting_set(m, u, params.delta, params.n_steps)
+            sens.append((u, verdict(hs.window)))
+        trans = []
+        for i, u in enumerate(grid):
+            for j, v in enumerate(grid):
+                hs = transitivity_hitting_set(m, u, v, params.n_steps)
+                trans.append((i, j, verdict(hs.window)))
+    finally:
+        _orbits.reset(token)
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)

@@ -86,7 +86,9 @@ class IntervalSystem:
         return float(np.interp(self.clamp(x), self.xs, self.ys))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
-        return np.interp(np.clip(arr, self.lo, self.hi), self.xs, self.ys)
+        # xs runs from lo to hi and np.interp holds ys[0] and ys[-1] outside
+        # it, so no clamp is needed (NaN stays NaN either way).
+        return np.interp(arr, self.xs, self.ys)
 
     def grid(self, n: int) -> np.ndarray:
         if n < 2:
@@ -274,7 +276,8 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
                 objective: str = "max_cardinality") -> BestTracer:
     """Grid-search the best tracing start among the candidates.
 
-    Each candidate is scored while its orbit is iterated, so memory is
+    Each candidate is scored while its orbit is iterated, and each step's
+    distances and hits go into two buffers allocated once, so memory is
     O(candidates) whatever the orbit length.  max_cardinality counts the hits
     and scores their number.  min_max_gap keeps the last hit (-1 before any)
     and the largest gap so far: a hit at step n opens a gap of n after no
@@ -292,16 +295,20 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
     by_gap = objective == "min_max_gap"
     count = np.zeros(len(cur), dtype=np.int64)    # hits, or the largest gap
     last = np.full(len(cur), -1, dtype=np.int64)
+    dist = np.empty(len(cur))                     # step buffers, reused
+    hit = np.empty(len(cur), dtype=bool)
     for n, p in enumerate(orbit.points):
         if n:
             cur = system.step_array(cur)
-        hit = np.abs(cur - p) < tol
+        np.subtract(cur, p, out=dist)
+        np.abs(dist, out=dist)
+        np.less(dist, tol, out=hit)
         if by_gap:
             idx = np.flatnonzero(hit)
             count[idx] = np.maximum(count[idx], n - np.maximum(last[idx], 0))
             last[idx] = n
         else:
-            count += hit
+            np.add(count, hit, out=count)
     if by_gap:
         count[last < 0] = len(orbit) + 1
         count = -count

@@ -817,6 +817,54 @@ def test_survey_keeps_no_state_between_calls(monkeypatch):
     assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
+def count_pl_image(monkeypatch) -> list:
+    """Patch interval.pl_image to log each call; returns the log."""
+    calls = []
+    monkeypatch.setattr(interval, "pl_image", lambda *a, f=interval.pl_image:
+                        calls.append(a) or f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["S", "tent", "example211", "identity"])
+def test_report_walks_each_cell_orbit_once(monkeypatch, name):
+    """The report's cells + cells**2 hitting sets cost as many images as
+    the cells' sensitivity sets built alone, outside any report."""
+    m, params = builtin(name), SurveyParams(cells=6, n_steps=128)
+    calls = count_pl_image(monkeypatch)
+    for u in params.grid(m):
+        sensitivity_hitting_set(m, u, params.delta, params.n_steps)
+    alone = len(calls)
+    calls.clear()
+    devaney_report(m, params, name)
+    assert len(calls) == alone > 0
+
+
+def test_orbit_memo_is_unset_after_the_report(monkeypatch):
+    assert interval._orbits.get(None) is None
+    devaney_report(TENT, SurveyParams(cells=3, n_steps=16), "tent")
+    assert interval._orbits.get(None) is None
+    seen = []
+
+    def classify(a, p):
+        seen.append(interval._orbits.get(None))
+        raise RuntimeError("classify failed")
+
+    monkeypatch.setattr(setfam, "classify", classify)
+    with pytest.raises(RuntimeError, match="classify failed"):
+        devaney_report(TENT, SurveyParams(cells=3, n_steps=16), "tent")
+    assert seen and seen[0]     # raised mid-report, with orbits memoised
+    assert interval._orbits.get(None) is None
+
+
+def test_direct_hitting_sets_walk_their_orbit_each_call(monkeypatch):
+    u, v = (F(1, 10), F(1, 5)), (F(1, 2), F(3, 5))
+    calls = count_pl_image(monkeypatch)
+    transitivity_hitting_set(TENT, u, v, 64)
+    once = len(calls)
+    transitivity_hitting_set(TENT, u, v, 64)
+    assert len(calls) == 2 * once > 0
+
+
 def per_cell_rows(m, params):
     """The survey's sensitivity and transitivity rows with one classify per
     cell and per pair: the loop the report replaced."""

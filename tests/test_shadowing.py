@@ -587,6 +587,24 @@ def test_discrete_nearest_matches_argmin():
         assert system.step(arr[0]) == points[system.images[want[0]]]
 
 
+def test_interval_step_array_matches_clipped_interp():
+    # step_array leaves out the clamp to the domain: np.interp already holds
+    # the end values outside [xs[0], xs[-1]].  Compared bit for bit against
+    # the clamped form, at random points, at every breakpoint and its float
+    # neighbours, and at the special values.
+    rng = np.random.default_rng(19)
+    for system in (TENT, S, EX, IDENT):
+        xs = system.xs
+        width = system.hi - system.lo
+        arr = np.concatenate([
+            rng.uniform(system.lo - width, system.hi + width, 200_000),
+            xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300]])
+        want = np.interp(np.clip(arr, system.lo, system.hi), xs, system.ys)
+        got = system.step_array(arr)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), system.name
+
+
 def test_discrete_points_must_ascend():
     for points in ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="strictly ascending"):
