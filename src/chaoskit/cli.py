@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import budgets, interval, setfam, shadowing, subshift
 from .budgets import BudgetError
-from .setfam import FamilyParams, WindowSet
+from .setfam import FAMILIES, FamilyParams, WindowSet
 
 
 class ConfigError(Exception):
@@ -97,7 +97,8 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
         ("word-len", int, 3, "survey words up to this length"),
         ("n-max", int, 64, "largest filler length / shift"),
         *_family(FamilyParams(), tail=True),
-        ("k-max", int, 128, "modulus bound for the periodic-point search"),
+        ("k-max", int, subshift.K_MAX,
+         "modulus bound for the periodic-point search"),
         ("witness", str, "", "u,k,v triple for a glued-word witness"),
     ],
     "sturmian": [
@@ -140,6 +141,11 @@ def _fb(b: bool) -> str:
 
 def _pf(b: bool) -> str:
     return "pass" if b else "fail"
+
+
+def _flags(obj, *names: str) -> str:
+    """name=true|false for each named flag of obj."""
+    return " ".join(f"{n}={_fb(getattr(obj, n))}" for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,7 @@ def run_classify_set(o: argparse.Namespace, family: FamilyParams, seed: str):
         if not a.members:
             raise ConfigError("empty set: nothing to classify")
     v = setfam.classify(a, family)
+    families = _flags(v, "syndetic", "thick", "cofinite")
     report = "\n".join([
         "window set classification",
         f"source: {source}",
@@ -304,18 +311,14 @@ def run_classify_set(o: argparse.Namespace, family: FamilyParams, seed: str):
         f"max_gap={v.max_gap} longest_block={v.longest_block} "
         f"cofinite_head={v.cofinite_head}",
         f"lower_density={v.lower_density} upper_density={v.upper_density}",
-        f"families: syndetic={_fb(v.syndetic)} thick={_fb(v.thick)} "
-        f"cofinite={_fb(v.cofinite)}",
-        f"derived: thickly_syndetic={_fb(v.thickly_syndetic)} "
-        f"piecewise_syndetic={_fb(v.piecewise_syndetic)}",
+        "families: " + families,
+        "derived: " + _flags(v, "thickly_syndetic", "piecewise_syndetic"),
         f"params: gap={family.gap} block={family.block} "
         f"cofinite_head={family.cofinite_head} burnin={family.burnin} "
         f"tail_policy={family.tail_policy}",
         "",
     ])
-    headline = (f"syndetic={_fb(v.syndetic)} thick={_fb(v.thick)} "
-                f"cofinite={_fb(v.cofinite)}")
-    return report, {"set.csv": _member_rows(a)}, headline
+    return report, {"set.csv": _member_rows(a)}, families
 
 
 def _spacing_witness(text: str, p: WindowSet) -> subshift.SpacingWitness:
@@ -348,36 +351,26 @@ def run_spacing(o: argparse.Namespace, family: FamilyParams, seed: str):
         "spacing shift survey",
         f"p: {source} horizon={p.horizon} size={len(p)}",
         f"word_len={o.word_len} pairs={len(rep.rows)} n_max={o.n_max}",
-        f"panels: all_syndetic={_fb(rep.all_syndetic)} "
-        f"all_thick={_fb(rep.all_thick)} "
-        f"all_thickly_syndetic={_fb(rep.all_thickly_syndetic)} "
-        f"all_cofinite={_fb(rep.all_cofinite)}",
-    ]
-    pv = rep.p_verdict
-    lines.append(
-        f"p_set: syndetic={_fb(pv.syndetic)} thick={_fb(pv.thick)} "
-        f"thickly_syndetic={_fb(pv.thickly_syndetic)} "
-        f"cofinite={_fb(pv.cofinite)}")
-    lines.append(
+        "panels: " + _flags(rep, *(f"all_{f}" for f in FAMILIES.values())),
+        "p_set: " + _flags(rep.p_verdict, *FAMILIES.values()),
         f"dense_periodic: passed={_fb(dp.passed)} witnesses={len(dp.witnesses)} "
-        f"failures={len(dp.failures)} skipped={len(dp.skipped)} k_max={dp.k_max}")
-    headline = (f"all_syndetic={_fb(rep.all_syndetic)} "
-                f"all_thick={_fb(rep.all_thick)} "
-                f"dense_periodic={_pf(dp.passed)}")
+        f"failures={len(dp.failures)} skipped={len(dp.skipped)} k_max={dp.k_max}",
+    ]
+    headline = (_flags(rep, "all_syndetic", "all_thick")
+                + f" dense_periodic={_pf(dp.passed)}")
     if witness is not None:
         lines.append(
             f"witness: word={subshift.format_word(witness.word)} k={witness.k} "
-            f"member={_fb(witness.member)} block_start={_fb(witness.block_start)}")
+            + _flags(witness, "member", "block_start"))
     lines.append("")
+    # The verdict's witness cells, then one column per family for its tags.
     rows = [["u", "v", "members", "max_gap", "longest_block", "cofinite_head",
-             "syndetic", "thick", "thickly_syndetic", "cofinite"]]
+             *FAMILIES.values()]]
     for r in rep.rows:
         rows.append([subshift.format_word(r.u), subshift.format_word(r.v),
                      ";".join(str(m) for m in r.gaps.members),
-                     r.verdict.max_gap if r.verdict.max_gap is not None else "",
-                     r.verdict.longest_block, r.verdict.cofinite_head,
-                     _fb(r.verdict.syndetic), _fb(r.verdict.thick),
-                     _fb(r.verdict.thickly_syndetic), _fb(r.verdict.cofinite)])
+                     *_verdict_cells(r.verdict)[:-1],
+                     *(_fb(getattr(r.verdict, f)) for f in FAMILIES.values())])
     return "\n".join(lines), {"pairs.csv": rows}, headline
 
 
@@ -388,7 +381,7 @@ def run_sturmian(o: argparse.Namespace, family: FamilyParams, seed: str):
         if not word:
             raise ValueError("empty word: nothing to locate")
         family.check_horizon(o.prefix_len - len(word) + 1)
-        # accepts raises BudgetError for a word longer than prefix_len // 4.
+        # accepts raises BudgetError for a word too long for the prefix.
         if not oracle.accepts(word):
             raise ConfigError(f"word {word} does not occur in the prefix")
     lang = subshift.language(oracle, o.word_len)
@@ -403,13 +396,12 @@ def run_sturmian(o: argparse.Namespace, family: FamilyParams, seed: str):
         "factors: " + " ".join(f"n={n}:{counts[n]}" for n in sorted(counts)),
         f"complexity_matches_n_plus_1={_fb(complexity_ok)}",
         f"word={word} occurrences={len(occ)} max_gap={v.max_gap}",
-        f"families: syndetic={_fb(v.syndetic)} thick={_fb(v.thick)} "
-        f"cofinite={_fb(v.cofinite)}",
+        "families: " + _flags(v, "syndetic", "thick", "cofinite"),
         "",
     ]
     factor_rows = [["n", "count"]] + [[n, counts[n]] for n in sorted(counts)]
     headline = (f"complexity={'n+1' if complexity_ok else 'other'} "
-                f"word={word} syndetic={_fb(v.syndetic)}")
+                f"word={word} " + _flags(v, "syndetic"))
     return ("\n".join(lines),
             {"factors.csv": factor_rows, "occurrences.csv": _member_rows(occ)},
             headline)
@@ -427,8 +419,7 @@ def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
         params.grid(m)
         family.check_horizon(o.steps + 1)
     survey = interval.devaney_report(m, params, map_name=name)
-    fams = " ".join(f"{k}={_pf(survey.verdicts[k])}"
-                    for k in ("Fs", "Ft", "Fts", "Fcf"))
+    fams = " ".join(f"{k}={_pf(ok)}" for k, ok in survey.verdicts.items())
     lines = [
         f"interval map survey: {name}",
         f"domain=[{m.lo},{m.hi}] breakpoints={len(m.xs)}",

@@ -578,14 +578,6 @@ class ChaosSurvey:
     anomalies: tuple[str, ...]
 
 
-FAMILY_CHECKS = {
-    "Fs": lambda v: v.syndetic,
-    "Ft": lambda v: v.thick,
-    "Fts": lambda v: v.thickly_syndetic,
-    "Fcf": lambda v: v.cofinite,
-}
-
-
 def devaney_report(m: PLMap, params: SurveyParams | None = None,
                    map_name: str = "") -> ChaosSurvey:
     """Window-scoped chaos survey: for each family F, the verdict is pass iff
@@ -625,9 +617,9 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     fixed_pts, fixed_segs = _fixed_of(m)
     verdicts = {}
     anomalies = []
-    for fam, check in FAMILY_CHECKS.items():
-        all_trans = all(check(v) for _, _, v in trans)
-        all_sens = all(check(v) for _, v in sens)
+    for fam, flag in setfam.FAMILIES.items():
+        all_trans = all(getattr(v, flag) for _, _, v in trans)
+        all_sens = all(getattr(v, flag) for _, v in sens)
         verdicts[fam] = all_trans and all_sens and density_pass
         if all_trans and density_pass and not all_sens:
             anomalies.append(

@@ -37,6 +37,13 @@ from .budgets import charge
 CENSORED = "censored"
 STRICT = "strict"
 
+# The families the chaos is indexed by, in report order: survey name ->
+# the FamilyVerdict flag that decides membership.
+FAMILIES = {"Fs": "syndetic", "Ft": "thick", "Fts": "thickly_syndetic",
+            "Fcf": "cofinite"}
+# Every FamilyVerdict flag, in the order tags() lists them.
+TAGS = ("syndetic", "thick", "thickly_syndetic", "piecewise_syndetic", "cofinite")
+
 
 @dataclass(frozen=True)
 class WindowSet:
@@ -155,18 +162,7 @@ class FamilyVerdict:
     upper_density: Fraction
 
     def tags(self) -> tuple[str, ...]:
-        out = []
-        if self.syndetic:
-            out.append("syndetic")
-        if self.thick:
-            out.append("thick")
-        if self.thickly_syndetic:
-            out.append("thickly_syndetic")
-        if self.piecewise_syndetic:
-            out.append("piecewise_syndetic")
-        if self.cofinite:
-            out.append("cofinite")
-        return tuple(out)
+        return tuple(t for t in TAGS if getattr(self, t))
 
 
 def max_gap(a: WindowSet, tail_policy: str = CENSORED) -> int:

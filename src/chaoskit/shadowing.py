@@ -43,7 +43,7 @@ import numpy as np
 from . import setfam
 from .budgets import charge
 from .interval import PLMap
-from .setfam import CENSORED, FamilyParams, WindowSet
+from .setfam import FamilyParams, WindowSet
 
 FLOAT_SLACK = 2.0 ** -40
 
@@ -317,17 +317,7 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
                       report=trace_set(system, orbit, float(candidates[k]), eps))
 
 
-TARGETS = ("full", "cofinite", "syndetic", "thick", "thickly_syndetic",
-           "piecewise_syndetic")
-
-_TARGET_OBJECTIVE = {
-    "full": "max_cardinality",
-    "cofinite": "max_cardinality",
-    "syndetic": "min_max_gap",
-    "thickly_syndetic": "min_max_gap",
-    "thick": "max_cardinality",
-    "piecewise_syndetic": "max_cardinality",
-}
+TARGETS = ("full", *setfam.TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +396,9 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
         raise ValueError(f"unknown target {target!r}")
     params = params or FamilyParams()
     params.check_horizon(length)   # every trace set has horizon length
-    objective = _TARGET_OBJECTIVE[target]
+    # Gap-bounded targets want the smallest largest gap, the rest most hits.
+    objective = ("min_max_gap" if target in ("syndetic", "thickly_syndetic")
+                 else "max_cardinality")
     candidates = system.grid(n_candidates)
     rows = []
     delta_pass = None
@@ -434,12 +426,11 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
             verdict = setfam.classify(hits, params)
             ok = (len(hits) == hits.horizon if target == "full"
                   else getattr(verdict, target))
-            gap = setfam.max_gap(hits, CENSORED) if hits.members else None
             rows.append(ProbeRow(
                 delta=delta, label=orbit.label,
                 valid_count=len(orbit.valid_set),
                 tracer=bt.report.x0, cardinality=bt.report.cardinality,
-                trace_max_gap=gap, tags=verdict.tags(),
+                trace_max_gap=verdict.max_gap, tags=verdict.tags(),
                 ok=ok, challenge=is_challenge,
             ))
             if not ok:

@@ -145,9 +145,16 @@ class SturmianSpec:
                               f"{self.prefix_len} > {limit}")
 
 
-def golden_spec(prefix_len: int = 10_000) -> SturmianSpec:
+def golden_spec(prefix_len: int) -> SturmianSpec:
     """The coding of alpha = (sqrt(5)-1)/2 over prefix_len symbols."""
     return SturmianSpec(prefix_len)
+
+
+def _check_prefix_word(spec: SturmianSpec, w: str) -> None:
+    """check_word, then BudgetError for a word over a quarter of the prefix."""
+    check_word(w)
+    if len(w) > spec.prefix_len // 4:
+        raise BudgetError("word too long for the prefix")
 
 
 def _floor_alpha(k: int) -> int:
@@ -177,9 +184,7 @@ class SturmianShift(Shift):
         self._prefix = sturmian_prefix(spec)
 
     def accepts(self, w: str) -> bool:
-        check_word(w)
-        if len(w) > self.spec.prefix_len // 4:
-            raise BudgetError("word too long for the prefix")
+        _check_prefix_word(self.spec, w)
         return w in self._prefix
 
     def gaps(self, u: str, v: str, n_max: int) -> WindowSet:
@@ -316,10 +321,8 @@ def fs_transitivity_report(oracle, word_len: int, n_max: int,
         p_verdict = setfam.classify(oracle.p_set, params)
     return TransitivityReport(
         rows=tuple(rows),
-        all_syndetic=all(r.verdict.syndetic for r in rows),
-        all_thick=all(r.verdict.thick for r in rows),
-        all_thickly_syndetic=all(r.verdict.thickly_syndetic for r in rows),
-        all_cofinite=all(r.verdict.cofinite for r in rows),
+        **{f"all_{flag}": all(getattr(r.verdict, flag) for r in rows)
+           for flag in setfam.FAMILIES.values()},
         p_verdict=p_verdict,
     )
 
@@ -347,7 +350,10 @@ class DensePeriodicReport:
     k_max: int
 
 
-def spacing_dense_periodic(p_set: WindowSet, k_max: int = 128) -> DensePeriodicReport:
+K_MAX = 128   # default modulus bound of spacing_dense_periodic
+
+
+def spacing_dense_periodic(p_set: WindowSet, k_max: int = K_MAX) -> DensePeriodicReport:
     """Search, for every p in P with p <= horizon/4, a modulus k <= k_max whose
     three arithmetic progressions stay inside P on the window.
 
@@ -409,11 +415,9 @@ def spacing_witness(u: str, k: int, v: str, p_set: WindowSet) -> SpacingWitness:
 
 def occurrence_gaps(spec: SturmianSpec, w: str) -> WindowSet:
     """Start positions of w in the prefix, as a WindowSet."""
-    check_word(w)
+    _check_prefix_word(spec, w)
     if not w:
         raise ValueError("occurrence_gaps needs a non-empty word")
-    if len(w) > spec.prefix_len // 4:
-        raise BudgetError("word too long for the prefix")
     prefix = sturmian_prefix(spec)
     return WindowSet._trusted(len(prefix) - len(w) + 1,
                               tuple(_occurrences(prefix, w)))

@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["report-all", "survey"])
+@pytest.mark.parametrize("workload", ["report-all", "survey", "tracing"])
 def test_traced_run_exits_clean(tmp_path, workload):
     skip = shutil.ignore_patterns("__pycache__", ".perfbench_out")
     for part in ("src", "perfbench"):

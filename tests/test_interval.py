@@ -793,6 +793,25 @@ def test_devaney_report_S():
     assert rep.verdicts["Fcf"] is False
 
 
+# The per-family checks devaney_report read before setfam.FAMILIES.
+FAMILY_CHECKS = {
+    "Fs": lambda v: v.syndetic,
+    "Ft": lambda v: v.thick,
+    "Fts": lambda v: v.thickly_syndetic,
+    "Fcf": lambda v: v.cofinite,
+}
+
+
+@pytest.mark.parametrize("name", ["S", "tent", "example211", "identity"])
+def test_devaney_verdicts_follow_the_family_checks(name):
+    rep = devaney_report(builtin(name), SurveyParams(), name)
+    verdicts = [v for _, _, v in rep.transitivity] + [v for _, v in rep.sensitivity]
+    dense = rep.density.covered_fraction == 1
+    assert list(rep.verdicts) == list(FAMILY_CHECKS)
+    for fam, check in FAMILY_CHECKS.items():
+        assert rep.verdicts[fam] == (dense and all(map(check, verdicts))), fam
+
+
 def test_devaney_report_identity():
     rep = devaney_report(IDENT, SurveyParams(), "identity")
     assert all(v is False for v in rep.verdicts.values())

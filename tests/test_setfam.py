@@ -276,6 +276,32 @@ def test_classify_empty_and_full():
     assert v.lower_density == v.upper_density == 1
 
 
+def tags_by_branch(v):
+    """The if-chain that tags() read from before setfam.TAGS: one branch per
+    flag, kept as its oracle."""
+    out = []
+    if v.syndetic:
+        out.append("syndetic")
+    if v.thick:
+        out.append("thick")
+    if v.thickly_syndetic:
+        out.append("thickly_syndetic")
+    if v.piecewise_syndetic:
+        out.append("piecewise_syndetic")
+    if v.cofinite:
+        out.append("cofinite")
+    return tuple(out)
+
+
+def test_tags_match_the_branch_chain():
+    flags = ("syndetic", "thick", "thickly_syndetic", "piecewise_syndetic",
+             "cofinite")
+    base = classify(evens(16), FamilyParams())
+    for values in product((False, True), repeat=len(flags)):
+        v = replace(base, **dict(zip(flags, values)))
+        assert v.tags() == tags_by_branch(v), values
+
+
 def test_classify_burnin_over_horizon():
     with pytest.raises(ValueError):
         classify(full_window(4), FamilyParams(burnin=8))

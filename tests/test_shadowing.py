@@ -6,6 +6,7 @@ so expected values can be frozen.
 """
 
 import tracemalloc
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from chaoskit import shadowing
 from chaoskit.budgets import BudgetError
 from chaoskit.interval import builtin
-from chaoskit.setfam import FamilyParams, WindowSet, classify
+from chaoskit.setfam import CENSORED, STRICT, FamilyParams, WindowSet, classify
 from chaoskit.shadowing import (
     BestTracer, ChainGraph, DiscreteSystem, IntervalSystem, PseudoOrbit,
     TraceReport, best_tracer, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
@@ -241,6 +242,55 @@ def test_probe_row_ok_follows_target(monkeypatch):
                                  n_candidates=11, seed="ok")
         assert [r.ok for r in res.rows] == [ok], (members, target)
         assert res.rows[0].tags == classify(hits, TIGHT).tags()
+
+
+# The target -> objective table fg_shadowing_probe read before its targets
+# came from setfam.TAGS.
+TARGET_OBJECTIVE = {
+    "full": "max_cardinality",
+    "cofinite": "max_cardinality",
+    "syndetic": "min_max_gap",
+    "thickly_syndetic": "min_max_gap",
+    "thick": "max_cardinality",
+    "piecewise_syndetic": "max_cardinality",
+}
+
+
+def test_targets_are_full_and_every_tag():
+    assert set(shadowing.TARGETS) == set(TARGET_OBJECTIVE)
+
+
+def test_probe_objective_follows_target(monkeypatch):
+    hits = WindowSet(10, tuple(range(10)))
+    for target, objective in TARGET_OBJECTIVE.items():
+        seen = []
+
+        def record(system, orbit, candidates, eps, objective="max_cardinality"):
+            seen.append(objective)
+            return BestTracer(score=0.0, report=TraceReport(
+                x0=0.0, hits=hits, cardinality=len(hits)))
+        monkeypatch.setattr(shadowing, "best_tracer", record)
+        fg_shadowing_probe(IDENT, 0.05, [0.01], 10, trials=1, target=target,
+                           params=TIGHT, n_candidates=11, seed="objective")
+        assert seen == [objective], target
+
+
+@pytest.mark.parametrize("policy, gap, syndetic",
+                         [(CENSORED, 1, True), (STRICT, 3, False)])
+def test_probe_row_gap_follows_the_tail_policy(monkeypatch, policy, gap, syndetic):
+    # Hits 0..7 on horizon 10: the trailing gap 10 - 7 counts only under the
+    # strict policy, and the row's gap must be the one its tags were read at.
+    hits = WindowSet(10, tuple(range(8)))
+    monkeypatch.setattr(shadowing, "best_tracer", lambda *a: BestTracer(
+        score=0.0, report=TraceReport(x0=0.0, hits=hits, cardinality=len(hits))))
+    params = replace(TIGHT, tail_policy=policy)
+    res = fg_shadowing_probe(IDENT, 0.05, [0.01], 10, trials=1,
+                             target="syndetic", params=params,
+                             n_candidates=11, seed="tail")
+    row, = res.rows
+    assert row.trace_max_gap == gap
+    assert ("syndetic" in row.tags) is syndetic
+    assert row.ok is syndetic
 
 
 def test_probe_rejects_bad_arguments_up_front(monkeypatch):
