@@ -329,25 +329,6 @@ def union(a: WindowSet, b: WindowSet) -> WindowSet:
     return window_set(a.horizon, set(a.members) | set(b.members))
 
 
-def dilate(a: WindowSet, n: int) -> WindowSet:
-    """{n*a : a in A, n*a < horizon}, same horizon."""
-    if n < 1:
-        raise ValueError("dilation factor must be >= 1")
-    return WindowSet(a.horizon, tuple(n * m for m in a.members if n * m < a.horizon))
-
-
-def shift_down(a: WindowSet, q: int) -> WindowSet:
-    """A - q elementwise, dropping members that fall below 0."""
-    if q < 0:
-        raise ValueError("shift must be >= 0")
-    return WindowSet(a.horizon, tuple(m - q for m in a.members if m >= q))
-
-
-def with_horizon(a: WindowSet, horizon: int) -> WindowSet:
-    """Re-embed on a different horizon, dropping members beyond it."""
-    return WindowSet(horizon, tuple(m for m in a.members if m < horizon))
-
-
 # ---------------------------------------------------------------------------
 # Text format and generator grammar.
 #

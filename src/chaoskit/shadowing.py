@@ -16,6 +16,12 @@ The probes are grid searches and their verdicts are grid-relative:
               halves can be traced by no point at all, grid or not)
   undetermined  anything in between (random failures only)
 
+A probe builds all of its pseudo-orbits first and scores them in one sweep of
+the candidate grid (best_tracers): the candidates are iterated in blocks, and
+each step of a block is compared with every pseudo-orbit at once, so the
+grid is walked once per probe, not once per pseudo-orbit.  While the probe
+runs, best_tracer reads each row's winner from that sweep.
+
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
 then the successors of each node are one index range, stored as
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -272,49 +279,118 @@ class BestTracer:
     report: TraceReport
 
 
+OBJECTIVES = ("max_cardinality", "min_max_gap")
+
+# Orbit x candidate cells scored per block of the sweep.  A block's buffers
+# take at most 17 bytes a cell (about half a megabyte), whatever the grid
+# size and the number of orbits; larger blocks raised peak RSS for little
+# speed.
+_SWEEP_CELLS = 2 ** 15
+
+
+def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
+                 eps: float, objective: str = "max_cardinality") -> list[BestTracer]:
+    """The best tracing start among the candidates for each orbit, from one
+    walk of the candidate grid.
+
+    The orbits must share one length L.  The candidates are iterated in
+    blocks of about _SWEEP_CELLS / len(orbits): one step_array call per step
+    of a block, each step compared with every orbit's point at once, and a
+    running score per (orbit, candidate) of the block, so memory is
+    O(L * len(orbits)) beside a block whatever the grid size.
+    max_cardinality counts the hits and scores their number.  min_max_gap
+    keeps the last hit (-1 before any) and the largest gap so far, and
+    updates only the pairs that hit: a hit at step n opens a gap of n after
+    no earlier hit (the leading gap) and of n - last otherwise; a candidate
+    that never hits has gap L + 1, and the score is minus the gap.  Ties break toward the first candidate: within a block by
+    argmax, across blocks because only a strictly better score replaces an
+    orbit's winner.  Each winner is traced again through trace_set for its
+    report.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    if not orbits:
+        raise ValueError("no pseudo-orbit to trace")
+    length = len(orbits[0])
+    if any(len(o) != length for o in orbits):
+        raise ValueError("pseudo-orbits differ in length")
+    cand = np.asarray(candidates, dtype=float)
+    if not len(cand):
+        raise ValueError("no candidates")
+    charge("iter_steps", length)
+    tol = eps + FLOAT_SLACK
+    by_gap = objective == "min_max_gap"
+    rows = len(orbits)
+    # points[n] is step n of every orbit, as a column against a block's row.
+    points = np.stack([o.points for o in orbits], axis=1)[:, :, None]
+    best = np.full(rows, -np.inf)
+    winner = np.zeros(rows, dtype=np.intp)
+    size = max(1, _SWEEP_CELLS // rows)
+    for start in range(0, len(cand), size):
+        cur = cand[start:start + size]
+        shape = (rows, len(cur))
+        count = np.zeros(shape, dtype=np.int32)   # hits, or the largest gap
+        dist = np.empty(shape)                    # step buffers, reused
+        hit = np.empty(shape, dtype=bool)
+        if by_gap:
+            last = np.full(shape, -1, dtype=np.int32)
+            flat_count, flat_last = count.reshape(-1), last.reshape(-1)
+        for n in range(length):
+            if n:
+                cur = system.step_array(cur)
+            np.subtract(cur, points[n], out=dist)
+            np.abs(dist, out=dist)
+            np.less(dist, tol, out=hit)
+            if by_gap:
+                idx = np.flatnonzero(hit)
+                flat_count[idx] = np.maximum(
+                    flat_count[idx], n - np.maximum(flat_last[idx], 0))
+                flat_last[idx] = n
+            else:
+                np.add(count, hit, out=count)
+        if by_gap:
+            count[last < 0] = length + 1
+            np.negative(count, out=count)
+        k = count.argmax(axis=1)
+        score = count[np.arange(rows), k]
+        better = score > best
+        best[better] = score[better]
+        winner[better] = start + k[better]
+    return [BestTracer(score=float(s),
+                       report=trace_set(system, o, float(candidates[k]), eps))
+            for o, s, k in zip(orbits, best.tolist(), winner.tolist())]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The winners of one probe's sweep and the arguments they answer for."""
+
+    candidates: np.ndarray
+    eps: float
+    objective: str
+    winners: dict[PseudoOrbit, BestTracer]
+
+
+# The sweep of the fg_shadowing_probe in progress; unset outside a probe, so
+# no winner outlives its call.
+_sweeps: ContextVar[_Sweep] = ContextVar("_sweeps")
+
+
 def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
                 objective: str = "max_cardinality") -> BestTracer:
-    """Grid-search the best tracing start among the candidates.
+    """The best tracing start among the candidates for one orbit: the
+    one-orbit case of best_tracers.
 
-    Each candidate is scored while its orbit is iterated, and each step's
-    distances and hits go into two buffers allocated once, so memory is
-    O(candidates) whatever the orbit length.  max_cardinality counts the hits
-    and scores their number.  min_max_gap keeps the last hit (-1 before any)
-    and the largest gap so far: a hit at step n opens a gap of n after no
-    earlier hit (the leading gap) and of n - last otherwise; a candidate that
-    never hits has gap len(orbit) + 1, and the score is minus the gap.
-    Ties break toward the first (smallest) candidate, so results are
-    deterministic for ascending grids.  The winner is traced again through
-    trace_set for its report.
+    Inside fg_shadowing_probe, which scores all of its pseudo-orbits in one
+    sweep first, the winner of a probe orbit is read from that sweep when
+    the candidates, eps and objective are the probe's own.
     """
-    if objective not in ("max_cardinality", "min_max_gap"):
-        raise ValueError(f"unknown objective {objective!r}")
-    charge("iter_steps", len(orbit))
-    tol = eps + FLOAT_SLACK
-    cur = np.array(candidates, dtype=float)
-    by_gap = objective == "min_max_gap"
-    count = np.zeros(len(cur), dtype=np.int64)    # hits, or the largest gap
-    last = np.full(len(cur), -1, dtype=np.int64)
-    dist = np.empty(len(cur))                     # step buffers, reused
-    hit = np.empty(len(cur), dtype=bool)
-    for n, p in enumerate(orbit.points):
-        if n:
-            cur = system.step_array(cur)
-        np.subtract(cur, p, out=dist)
-        np.abs(dist, out=dist)
-        np.less(dist, tol, out=hit)
-        if by_gap:
-            idx = np.flatnonzero(hit)
-            count[idx] = np.maximum(count[idx], n - np.maximum(last[idx], 0))
-            last[idx] = n
-        else:
-            np.add(count, hit, out=count)
-    if by_gap:
-        count[last < 0] = len(orbit) + 1
-        count = -count
-    k = int(count.argmax())
-    return BestTracer(score=float(count[k]),
-                      report=trace_set(system, orbit, float(candidates[k]), eps))
+    sweep = _sweeps.get(None)
+    if (sweep is not None and sweep.candidates is candidates
+            and sweep.eps == eps and sweep.objective == objective
+            and orbit in sweep.winners):
+        return sweep.winners[orbit]
+    return best_tracers(system, (orbit,), candidates, eps, objective)[0]
 
 
 TARGETS = ("full", *setfam.TAGS)
@@ -389,6 +465,12 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     The ladder is processed in descending order.  A pass at some delta is a
     pass overall (smaller deltas only shrink the pseudo-orbit supply); the
     probe is falsified when a challenge defeats the grid at every delta.
+
+    No pseudo-orbit depends on a tracing result, so all of them, at every
+    delta, are built first and scored by one best_tracers sweep.  Each row
+    still asks best_tracer for its winner, which reads it from that sweep
+    while the probe runs; the sweep is dropped when the probe returns or
+    raises.
     """
     ladder = sorted(set(float(d) for d in deltas), reverse=True)
     check_pseudo_orbits(ladder, length, trials, challenges)
@@ -400,9 +482,7 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     objective = ("min_max_gap" if target in ("syndetic", "thickly_syndetic")
                  else "max_cardinality")
     candidates = system.grid(n_candidates)
-    rows = []
-    delta_pass = None
-    challenge_beaten_everywhere = True
+    ladder_orbits = []
     for delta in ladder:
         orbits = []
         for t in range(trials):
@@ -418,29 +498,41 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
                 system, delta, length, scheme=ch.scheme,
                 seed=f"{seed}/{delta!r}/{ch.name}", x0=ch.x0_of_delta(delta),
                 target=ch.target, label=ch.name), True))
-        all_ok = True
-        challenge_failed_here = False
-        for orbit, is_challenge in orbits:
-            bt = best_tracer(system, orbit, candidates, eps, objective)
-            hits = bt.report.hits
-            verdict = setfam.classify(hits, params)
-            ok = (len(hits) == hits.horizon if target == "full"
-                  else getattr(verdict, target))
-            rows.append(ProbeRow(
-                delta=delta, label=orbit.label,
-                valid_count=len(orbit.valid_set),
-                tracer=bt.report.x0, cardinality=bt.report.cardinality,
-                trace_max_gap=verdict.max_gap, tags=verdict.tags(),
-                ok=ok, challenge=is_challenge,
-            ))
-            if not ok:
-                all_ok = False
-                if is_challenge:
-                    challenge_failed_here = True
-        if all_ok and delta_pass is None:
-            delta_pass = delta
-        if not challenge_failed_here:
-            challenge_beaten_everywhere = False
+        ladder_orbits.append((delta, orbits))
+    every = [orbit for _, orbits in ladder_orbits for orbit, _ in orbits]
+    winners = best_tracers(system, every, candidates, eps, objective)
+    rows = []
+    delta_pass = None
+    challenge_beaten_everywhere = True
+    token = _sweeps.set(_Sweep(candidates, eps, objective,
+                               dict(zip(every, winners))))
+    try:
+        for delta, orbits in ladder_orbits:
+            all_ok = True
+            challenge_failed_here = False
+            for orbit, is_challenge in orbits:
+                bt = best_tracer(system, orbit, candidates, eps, objective)
+                hits = bt.report.hits
+                verdict = setfam.classify(hits, params)
+                ok = (len(hits) == hits.horizon if target == "full"
+                      else getattr(verdict, target))
+                rows.append(ProbeRow(
+                    delta=delta, label=orbit.label,
+                    valid_count=len(orbit.valid_set),
+                    tracer=bt.report.x0, cardinality=bt.report.cardinality,
+                    trace_max_gap=verdict.max_gap, tags=verdict.tags(),
+                    ok=ok, challenge=is_challenge,
+                ))
+                if not ok:
+                    all_ok = False
+                    if is_challenge:
+                        challenge_failed_here = True
+            if all_ok and delta_pass is None:
+                delta_pass = delta
+            if not challenge_failed_here:
+                challenge_beaten_everywhere = False
+    finally:
+        _sweeps.reset(token)
     if delta_pass is not None:
         verdict = "pass"
         witness = None

@@ -40,6 +40,8 @@ from chaoskit.subshift import (
     periodicity_probe, spacing_dense_periodic, spacing_member,
 )
 
+from test_setfam import dilate, with_horizon
+
 CLASSIFY = FamilyParams(gap=2, block=8, cofinite_head=8, burnin=8)
 
 
@@ -216,7 +218,7 @@ def test_criterion_07_dilation_embedding():
             slow = set(sensitivity_hitting_set(m, u, delta, 48).window.members)
             for n, mn in powers.items():
                 fast = sensitivity_hitting_set(mn, u, delta, 48 // n).window
-                dilated = setfam.dilate(setfam.with_horizon(fast, 49), n)
+                dilated = dilate(with_horizon(fast, 49), n)
                 if not set(dilated.members) <= slow:
                     ok = False
     _line(7, "dilation embedding", ok, t0)

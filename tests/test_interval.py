@@ -22,6 +22,8 @@ from chaoskit.interval import (
     pl_map, pl_power, sensitivity_hitting_set, transitivity_hitting_set,
 )
 
+from test_setfam import dilate
+
 S = builtin("S")
 TENT = builtin("tent")
 EX = builtin("example211")
@@ -313,7 +315,7 @@ def test_dilation_embedding():
                     a, b = dom[1] - F(1, 20), dom[1]
                 fast = transitivity_hitting_set(mn, (a, b), (a, b), 16)
                 slow = transitivity_hitting_set(m, (a, b), (a, b), 16 * n)
-                dilated = setfam.dilate(fast.window, n)
+                dilated = dilate(fast.window, n)
                 assert set(dilated.members) <= set(slow.window.members)
 
 

@@ -10,10 +10,30 @@ from hypothesis import strategies as st
 
 from chaoskit import setfam
 from chaoskit.setfam import (
-    CENSORED, STRICT, FamilyParams, WindowSet, classify, dilate,
-    empty_window, from_generator, full_window, longest_block, max_gap,
-    shift_down, union, window_set,
+    CENSORED, STRICT, FamilyParams, WindowSet, classify, empty_window,
+    from_generator, full_window, longest_block, max_gap, union, window_set,
 )
+
+
+# Window-set arithmetic that only the tests use.
+
+def dilate(a: WindowSet, n: int) -> WindowSet:
+    """{n*a : a in A, n*a < horizon}, same horizon."""
+    if n < 1:
+        raise ValueError("dilation factor must be >= 1")
+    return WindowSet(a.horizon, tuple(n * m for m in a.members if n * m < a.horizon))
+
+
+def shift_down(a: WindowSet, q: int) -> WindowSet:
+    """A - q elementwise, dropping members that fall below 0."""
+    if q < 0:
+        raise ValueError("shift must be >= 0")
+    return WindowSet(a.horizon, tuple(m - q for m in a.members if m >= q))
+
+
+def with_horizon(a: WindowSet, horizon: int) -> WindowSet:
+    """Re-embed on a different horizon, dropping members beyond it."""
+    return WindowSet(horizon, tuple(m for m in a.members if m < horizon))
 
 
 def evens(h):
@@ -377,7 +397,7 @@ def test_set_algebra():
     with pytest.raises(ValueError):
         union(a, evens(8))
     assert shift_down(b, 2).members == (0, 1)
-    assert setfam.with_horizon(a, 5).members == (0, 2, 4)
+    assert with_horizon(a, 5).members == (0, 2, 4)
 
 
 def test_dilation_union_frozen():

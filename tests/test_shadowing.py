@@ -18,7 +18,7 @@ from chaoskit.interval import builtin
 from chaoskit.setfam import CENSORED, STRICT, FamilyParams, WindowSet, classify
 from chaoskit.shadowing import (
     BestTracer, ChainGraph, DiscreteSystem, IntervalSystem, PseudoOrbit,
-    TraceReport, best_tracer, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
+    TraceReport, best_tracer, best_tracers, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
     chain_transitive_check, crossing_challenge, fg_shadowing_probe,
     make_pseudo_orbit, orbit_points, recompute_valid_set,
     strongly_connected_components, trace_set, two_point_swap,
@@ -200,18 +200,202 @@ def test_best_tracer_without_any_hit():
         assert_tracer_matches_mask(IDENT, orb, cands, 0.1, objective)
 
 
+# The one-orbit loop that best_tracers' blocked sweep replaced, kept as an
+# oracle.
+
+def per_orbit_best_tracer(system, orbit, candidates, eps, objective):
+    tol = eps + shadowing.FLOAT_SLACK
+    cur = np.array(candidates, dtype=float)
+    by_gap = objective == "min_max_gap"
+    count = np.zeros(len(cur), dtype=np.int64)    # hits, or the largest gap
+    last = np.full(len(cur), -1, dtype=np.int64)
+    for n, p in enumerate(orbit.points):
+        if n:
+            cur = system.step_array(cur)
+        hit = np.abs(cur - p) < tol
+        if by_gap:
+            idx = np.flatnonzero(hit)
+            count[idx] = np.maximum(count[idx], n - np.maximum(last[idx], 0))
+            last[idx] = n
+        else:
+            count += hit
+    if by_gap:
+        count[last < 0] = len(orbit) + 1
+        count = -count
+    k = int(count.argmax())
+    return BestTracer(score=float(count[k]),
+                      report=trace_set(system, orbit, float(candidates[k]), eps))
+
+
+def _clusters():
+    """Two clusters of 40 points; each point maps to its twin in the other
+    cluster, shifted by one."""
+    k = np.arange(40) / 40
+    return DiscreteSystem(np.concatenate([k, 2 + k]),
+                          [40 + (i + 1) % 40 for i in range(40)] + list(range(40)),
+                          name="clusters")
+
+
+CLUSTERS = _clusters()
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("objective", shadowing.OBJECTIVES)
+@pytest.mark.parametrize("system", [TENT, S, EX, CLUSTERS], ids=lambda s: s.name)
+def test_best_tracers_match_per_orbit_oracles(monkeypatch, system, objective,
+                                              small_blocks):
+    # Candidate counts one below and one above a block boundary, at the
+    # real block size and at one small enough for the C x L mask oracle.
+    if small_blocks:
+        monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 3 * 64)
+    orbits = [make_pseudo_orbit(system, 0.01, 24, scheme=scheme,
+                                seed=f"sweep/{system.name}", target=system.hi)
+              for scheme in ("uniform", "bounded", "adversarial")]
+    block = shadowing._SWEEP_CELLS // len(orbits)
+    for count in (block - 1, block + 1):
+        candidates = np.linspace(system.lo, system.hi, count)
+        for eps in (0.002, 0.05):
+            got = best_tracers(system, orbits, candidates, eps, objective)
+            assert len(got) == len(orbits)
+            for orbit, bt in zip(orbits, got):
+                assert bt == per_orbit_best_tracer(system, orbit, candidates,
+                                                   eps, objective)
+                if small_blocks:
+                    scores = mask_scores(system, orbit, candidates, eps, objective)
+                    k = int(scores.argmax())
+                    assert bt.score == scores[k]
+                    assert bt.report.x0 == candidates[k]
+
+
+def test_best_tracers_tie_across_blocks_goes_to_the_first(monkeypatch):
+    # Two orbits make blocks of four candidates.  0.3 (the last of block 0)
+    # and 0.35 (the first of block 1) trace the constant orbit equally well,
+    # so the first wins; on the orbit that moves to 0.42 only 0.35 hits
+    # every step, a strictly better score from the later block.
+    monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 8)
+    still = manual_orbit(IDENT, [0.3] * 6, 1.0)
+    moves = manual_orbit(IDENT, [0.3] * 5 + [0.42], 1.0)
+    cands = np.array([0.9, 0.9, 0.9, 0.3, 0.35, 0.9, 0.9, 0.9, 0.9])
+    by_card = best_tracers(IDENT, [still, moves], cands, 0.1, "max_cardinality")
+    assert [(bt.report.x0, bt.score) for bt in by_card] == [(0.3, 6), (0.35, 6)]
+    by_gap = best_tracers(IDENT, [still, moves], cands, 0.1, "min_max_gap")
+    assert [(bt.report.x0, bt.score) for bt in by_gap] == [(0.3, -1), (0.3, -1)]
+    for objective, got in (("max_cardinality", by_card), ("min_max_gap", by_gap)):
+        for orbit, bt in zip((still, moves), got):
+            assert bt == per_orbit_best_tracer(IDENT, orbit, cands, 0.1, objective)
+
+
+def test_best_tracers_reject_bad_arguments_before_work(monkeypatch):
+    orb = manual_orbit(IDENT, [0.3] * 6, 1.0)
+    short = manual_orbit(IDENT, [0.3] * 5, 1.0)
+    cands = np.array([0.3])
+    monkeypatch.setattr(shadowing, "charge", None)
+    monkeypatch.setattr(IntervalSystem, "step_array", None)
+    with pytest.raises(ValueError, match="unknown objective"):
+        best_tracers(IDENT, [orb], cands, 0.1, "most_style_points")
+    with pytest.raises(ValueError, match="no pseudo-orbit"):
+        best_tracers(IDENT, [], cands, 0.1)
+    with pytest.raises(ValueError, match="differ in length"):
+        best_tracers(IDENT, [orb, short], cands, 0.1)
+    with pytest.raises(ValueError, match="no candidates"):
+        best_tracers(IDENT, [orb], np.array([]), 0.1)
+
+
+def test_probe_scores_every_row_in_one_sweep(monkeypatch):
+    sweeps, calls = [], []
+    original_sweep, original_one = shadowing.best_tracers, shadowing.best_tracer
+
+    def sweep(system, orbits, *rest):
+        sweeps.append(len(orbits))
+        return original_sweep(system, orbits, *rest)
+
+    def one(system, orbit, *rest):
+        calls.append(orbit)
+        return original_one(system, orbit, *rest)
+    monkeypatch.setattr(shadowing, "best_tracers", sweep)
+    monkeypatch.setattr(shadowing, "best_tracer", one)
+    res = fg_shadowing_probe(EX, 0.05, [0.01, 1e-3], 24, trials=3,
+                             n_candidates=501, seed="sweep",
+                             challenges=[crossing_challenge()])
+    # One sweep of all 2 x (3 + 1) rows; each row still asks best_tracer,
+    # which answers from the sweep.
+    assert sweeps == [8]
+    assert len(calls) == len(res.rows) == 8
+
+
+def test_probe_sweep_is_unset_after_the_probe(monkeypatch):
+    seen = []
+    original = shadowing.setfam.classify
+
+    def classify(a, params):
+        seen.append(shadowing._sweeps.get(None))
+        return original(a, params)
+    monkeypatch.setattr(shadowing.setfam, "classify", classify)
+    fg_shadowing_probe(TENT, 0.05, [0.01], 10, trials=2, n_candidates=101,
+                       seed="scope")
+    assert len(seen) == 2 and all(s is not None for s in seen)
+    assert shadowing._sweeps.get(None) is None
+
+    def fail(a, params):
+        raise RuntimeError("classify failed")
+    monkeypatch.setattr(shadowing.setfam, "classify", fail)
+    with pytest.raises(RuntimeError, match="classify failed"):
+        fg_shadowing_probe(TENT, 0.05, [0.01], 10, trials=2, n_candidates=101,
+                           seed="scope")
+    assert shadowing._sweeps.get(None) is None
+
+
+def test_best_tracer_answers_from_the_sweep_only_for_its_arguments(monkeypatch):
+    # Mid-probe, a probe orbit asked for at another eps, objective or grid
+    # is scored afresh; outside a probe there is no sweep to read.
+    got = []
+    original = shadowing.setfam.classify
+
+    def classify(a, params):
+        sweep = shadowing._sweeps.get()
+        orbit = next(iter(sweep.winners))
+        for eps, objective, cands in ((0.01, sweep.objective, sweep.candidates),
+                                      (sweep.eps, "min_max_gap", sweep.candidates),
+                                      (sweep.eps, sweep.objective, sweep.candidates[:-1] + 1e-3)):
+            got.append((best_tracer(TENT, orbit, cands, eps, objective),
+                        per_orbit_best_tracer(TENT, orbit, cands, eps, objective)))
+        got.append((best_tracer(TENT, orbit, sweep.candidates, sweep.eps,
+                                sweep.objective), sweep.winners[orbit]))
+        return original(a, params)
+    monkeypatch.setattr(shadowing.setfam, "classify", classify)
+    fg_shadowing_probe(TENT, 0.05, [0.01], 10, trials=1, n_candidates=101,
+                       seed="answers")
+    assert len(got) == 4
+    assert all(fresh == oracle for fresh, oracle in got)
+
+    monkeypatch.setattr(shadowing.setfam, "classify", original)
+    calls = []
+    sweep = shadowing.best_tracers
+    monkeypatch.setattr(shadowing, "best_tracers",
+                        lambda system, orbits, *rest: calls.append(len(orbits))
+                        or sweep(system, orbits, *rest))
+    orbit = make_pseudo_orbit(TENT, 0.01, 10, scheme="uniform", seed="outside")
+    best_tracer(TENT, orbit, TENT.grid(101), 0.05)
+    assert calls == [1]
+
+
 def test_best_tracer_memory_is_linear_in_candidates():
-    # A C x L mask alone takes C * L bytes.
-    orbit = make_pseudo_orbit(TENT, 0.01, 512, scheme="uniform", seed="mem")
+    # A C x L mask alone takes C * L bytes; the sweep's bound does not grow
+    # with the number of orbits it scores.
+    orbits = [make_pseudo_orbit(TENT, 0.01, 512, scheme="uniform", seed=f"mem{t}")
+              for t in range(18)]
     candidates = TENT.grid(20_001)
+    bound = len(candidates) * len(orbits[0]) / 4
     for objective in ("max_cardinality", "min_max_gap"):
-        tracemalloc.start()
-        try:
-            best_tracer(TENT, orbit, candidates, 0.05, objective)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(candidates) * len(orbit) / 4, objective
+        for sweep in (lambda: best_tracer(TENT, orbits[0], candidates, 0.05, objective),
+                      lambda: best_tracers(TENT, orbits, candidates, 0.05, objective)):
+            tracemalloc.start()
+            try:
+                sweep()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, objective
 
 
 def test_best_tracer_rejects_objective_before_work(monkeypatch):
