@@ -85,10 +85,6 @@ class WindowSet:
         """|A ∩ [0, n)|."""
         return bisect_left(self.members, n)
 
-    def complement(self) -> "WindowSet":
-        inside = set(self.members)
-        return WindowSet(self.horizon, tuple(n for n in range(self.horizon) if n not in inside))
-
 
 def window_set(horizon: int, members: Iterable[int]) -> WindowSet:
     """Normalizing constructor: sorts, deduplicates, validates."""
@@ -163,36 +159,6 @@ class FamilyVerdict:
 
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t in TAGS if getattr(self, t))
-
-
-def max_gap(a: WindowSet, tail_policy: str = CENSORED) -> int:
-    """Largest gap of a non-empty window set.
-
-    Gaps are the leading gap a_1 (distance from the window start) and the
-    successive differences a_{i+1} - a_i.  Under the strict policy the
-    trailing gap horizon - a_k is counted as well.
-    """
-    if not a.members:
-        raise ValueError("max_gap of the empty set is undefined")
-    gaps = [a.members[0]]
-    gaps.extend(b - c for c, b in zip(a.members, a.members[1:]))
-    if tail_policy == STRICT:
-        gaps.append(a.horizon - a.members[-1])
-    elif tail_policy != CENSORED:
-        raise ValueError(f"unknown tail policy {tail_policy!r}")
-    return max(gaps)
-
-
-def longest_block(a: WindowSet) -> int:
-    """Length of the longest run of consecutive members (0 for the empty set)."""
-    best = 0
-    run = 0
-    prev = None
-    for m in a.members:
-        run = run + 1 if prev is not None and m == prev + 1 else 1
-        best = max(best, run)
-        prev = m
-    return best
 
 
 def _runs(a: WindowSet) -> list[tuple[int, int]]:
@@ -317,26 +283,13 @@ def _density_bounds(a: WindowSet, runs: list[tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic on window sets.  All binary operations demand equal horizons.
-
-def _same_horizon(a: WindowSet, b: WindowSet) -> None:
-    if a.horizon != b.horizon:
-        raise ValueError(f"horizon mismatch: {a.horizon} != {b.horizon}")
-
-
-def union(a: WindowSet, b: WindowSet) -> WindowSet:
-    _same_horizon(a, b)
-    return window_set(a.horizon, set(a.members) | set(b.members))
-
-
-# ---------------------------------------------------------------------------
 # Text format and generator grammar.
 #
 #   horizon=<N>
-#   <generator or comma-separated ascending member list>
+#   <generator>, or an optional "explicit" line and then the members,
+#   ascending, comma- or newline-separated
 #
-# Generators: all | evens | multiples(k) | complement(powers(2)) | explicit
-# (explicit meaning the literal member list form).
+# Generators: all | evens | multiples(k) | complement(powers(2)).
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -374,14 +327,16 @@ def parse_window_text(text: str) -> WindowSet:
     except ValueError:
         raise ValueError(f"bad horizon line {lines[0]!r}")
     charge("enum_nodes", horizon)
-    body = lines[1] if len(lines) > 1 else ""
-    if body == "" or body == "explicit":
-        return empty_window(horizon)
-    if body == "all" or body == "evens" or body.startswith(("multiples(", "complement(")):
-        return from_generator(body, horizon)
-    try:
-        members = [int(tok) for tok in body.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad member list {body!r}")
-    ws = WindowSet(horizon, tuple(members))
-    return ws
+    body = lines[1:]
+    if body and (body[0] in ("all", "evens")
+                 or body[0].startswith(("multiples(", "complement("))):
+        if len(body) > 1:
+            raise ValueError(f"stray line {body[1]!r} after generator {body[0]!r}")
+        return from_generator(body[0], horizon)
+    members = []
+    for line in body[1:] if body[:1] == ["explicit"] else body:
+        try:
+            members += [int(tok) for tok in line.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"bad member list {line!r}")
+    return WindowSet(horizon, tuple(members))

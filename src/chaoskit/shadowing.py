@@ -16,11 +16,14 @@ The probes are grid searches and their verdicts are grid-relative:
               halves can be traced by no point at all, grid or not)
   undetermined  anything in between (random failures only)
 
-A probe builds all of its pseudo-orbits first and scores them in one sweep of
-the candidate grid (best_tracers): the candidates are iterated in blocks, and
-each step of a block is compared with every pseudo-orbit at once, so the
-grid is walked once per probe, not once per pseudo-orbit.  While the probe
-runs, best_tracer reads each row's winner from that sweep.
+A system is lo, hi, name, step_array, grid and random_point; every orbit,
+pseudo or true, is stepped through step_array with all of its rows at once,
+and a point is clamped into the space by np.clip to [lo, hi].  A probe
+builds all of its pseudo-orbits together and scores them in one sweep of
+the candidate grid (best_tracers): the candidates are iterated in blocks,
+and each step of a block is compared with every pseudo-orbit at once, so
+the grid is walked once per probe, not once per pseudo-orbit.  While the
+probe runs, best_tracer reads each row's winner from that sweep.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
@@ -86,12 +89,6 @@ class IntervalSystem:
         self.lo = float(m.lo)
         self.hi = float(m.hi)
 
-    def clamp(self, x: float) -> float:
-        return min(self.hi, max(self.lo, x))
-
-    def step(self, x: float) -> float:
-        return float(np.interp(self.clamp(x), self.xs, self.ys))
-
     def step_array(self, arr: np.ndarray) -> np.ndarray:
         # xs runs from lo to hi and np.interp holds ys[0] and ys[-1] outside
         # it, so no clamp is needed (NaN stays NaN either way).
@@ -110,10 +107,10 @@ class IntervalSystem:
 class DiscreteSystem:
     """A finite metric space (points on the real line) with an index map.
 
-    The points must ascend strictly.  step snaps its argument to the nearest
-    listed point (the lower one on a tie) and returns that point's image;
-    useful as a worked fixture where pseudo-orbits with delta below the
-    minimum spacing are exact orbits.
+    The points must ascend strictly.  step_array snaps each value to the
+    nearest listed point (the lower one on a tie) and returns that point's
+    image; useful as a worked fixture where pseudo-orbits with delta below
+    the minimum spacing are exact orbits.
     """
 
     def __init__(self, points: Sequence[float], images: Sequence[int],
@@ -130,9 +127,6 @@ class DiscreteSystem:
         self.lo = float(self.points[0])
         self.hi = float(self.points[-1])
 
-    def clamp(self, x: float) -> float:
-        return min(self.hi, max(self.lo, x))
-
     def _nearest(self, arr: np.ndarray) -> np.ndarray:
         """Index of the nearest point to each value, the lowest on a tie."""
         pts = self.points
@@ -144,10 +138,7 @@ class DiscreteSystem:
         # Rounded distances fall toward arr, so the points at distance d below
         # best form one run ending at best; argmin takes its first.
         return _first_true(lambda j: np.abs(arr - pts[j]) <= d,
-                           np.zeros(len(arr), dtype=np.intp), best + 1, len(pts))
-
-    def step(self, x: float) -> float:
-        return float(self.step_array(np.array([float(x)]))[0])
+                           np.zeros_like(best), best + 1, len(pts))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
         return self.points[self.images[self._nearest(arr)]]
@@ -159,19 +150,18 @@ class DiscreteSystem:
         return float(rng.choice(list(self.points)))
 
 
-def two_point_swap() -> DiscreteSystem:
-    return DiscreteSystem([0.0, 1.0], [1, 0], name="two_point_swap")
-
-
-def orbit_points(system, x0: float, length: int) -> np.ndarray:
-    """True orbit x0, f(x0), ..., f^(length-1)(x0)."""
+def orbit_points(system, x0, length: int) -> np.ndarray:
+    """True orbits x0, f(x0), ..., f^(length-1)(x0), the start clamped into
+    the space: shape (length,) for a float start, one row per start for an
+    array of starts, all rows stepped by one step_array call per step."""
     if length < 1:
         raise ValueError("length must be >= 1")
     charge("iter_steps", length)
-    out = np.empty(length)
-    out[0] = system.clamp(x0)
+    start = np.clip(np.asarray(x0, dtype=float), system.lo, system.hi)
+    out = np.empty(start.shape + (length,))
+    out[..., 0] = start
     for n in range(1, length):
-        out[n] = system.step(out[n - 1])
+        out[..., n] = system.step_array(out[..., n - 1])
     return out
 
 
@@ -228,31 +218,47 @@ def make_pseudo_orbit(system, delta: float, length: int, scheme: str = "uniform"
     as fast as the cap allows).  Points are clamped into the space, which can
     only shrink a jump.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    check_pseudo_orbits((delta,), length)
-    if scheme == "adversarial" and target is None:
-        raise ValueError("adversarial scheme needs a target")
+    return _pseudo_orbits(system, length,
+                          [(delta, scheme, seed, x0, target, label)])[0]
+
+
+def _pseudo_orbits(system, length: int, rows: Sequence[tuple]) -> list[PseudoOrbit]:
+    """make_pseudo_orbit for each row of (delta, scheme, seed, x0, target,
+    label), every row checked before any work and all of them stepped by one
+    step_array call per step.  Each row draws its start and jumps from its
+    own generator, in make_pseudo_orbit's order, so no row depends on
+    another; only the adversarial jumps depend on the step."""
+    for delta, scheme, _, _, target, _ in rows:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        check_pseudo_orbits((delta,), length)
+        if scheme == "adversarial" and target is None:
+            raise ValueError("adversarial scheme needs a target")
     charge("iter_steps", length)
-    rng = random.Random(f"{seed}/{scheme}/{length}")
-    cap_ = JUMP_FRACTION * delta
-    pts = np.empty(length)
-    pts[0] = system.clamp(x0 if x0 is not None else system.random_point(rng))
-    for n in range(1, length):
-        fx = system.step(pts[n - 1])
-        if scheme == "zero":
-            jump = 0.0
-        elif scheme == "uniform":
-            jump = rng.uniform(-cap_, cap_)
+    start, caps, steer = np.zeros((3, len(rows)))
+    jumps = np.zeros((len(rows), length - 1))
+    for r, (delta, scheme, seed, x0, target, _) in enumerate(rows):
+        rng = random.Random(f"{seed}/{scheme}/{length}")
+        start[r] = x0 if x0 is not None else system.random_point(rng)
+        caps[r] = cap_ = JUMP_FRACTION * delta
+        if scheme == "uniform":
+            jumps[r] = [rng.uniform(-cap_, cap_) for _ in range(length - 1)]
         elif scheme == "bounded":
-            jump = cap_ if rng.random() < 0.5 else -cap_
-        else:
-            jump = min(cap_, max(-cap_, target - fx))
-        pts[n] = system.clamp(fx + jump)
-    return PseudoOrbit(
-        points=pts, delta=delta, label=label or scheme,
-        valid_set=recompute_valid_set(system, pts, delta),
-    )
+            jumps[r] = [cap_ if rng.random() < 0.5 else -cap_
+                        for _ in range(length - 1)]
+        elif scheme == "adversarial":
+            steer[r] = target
+    adversarial = np.array([scheme == "adversarial" for _, scheme, *_ in rows])
+    pts = np.empty((len(rows), length))
+    pts[:, 0] = np.clip(start, system.lo, system.hi)
+    for n in range(1, length):
+        fx = system.step_array(pts[:, n - 1])
+        jump = np.where(adversarial, np.clip(steer - fx, -caps, caps),
+                        jumps[:, n - 1])
+        pts[:, n] = np.clip(fx + jump, system.lo, system.hi)
+    return [PseudoOrbit(points=p, delta=delta, label=label or scheme,
+                        valid_set=recompute_valid_set(system, p, delta))
+            for p, (delta, scheme, *_, label) in zip(pts, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +273,19 @@ class TraceReport:
 
 def trace_set(system, orbit: PseudoOrbit, x0: float, eps: float) -> TraceReport:
     """Hit times {n : d(f^n(x0), p_n) < eps + slack} of a single candidate."""
-    pts = orbit_points(system, x0, len(orbit))
-    hit = np.abs(pts - orbit.points) < eps + FLOAT_SLACK
-    hits = WindowSet(len(orbit), tuple(int(i) for i in np.flatnonzero(hit)))
-    return TraceReport(x0=float(x0), hits=hits, cardinality=len(hits))
+    return _trace_sets(system, (orbit,), (x0,), eps)[0]
+
+
+def _trace_sets(system, orbits: Sequence[PseudoOrbit], starts: Sequence[float],
+                eps: float) -> list[TraceReport]:
+    """trace_set of each start against its orbit, which share one length;
+    their true orbits come from one orbit_points call."""
+    points = np.stack([o.points for o in orbits])
+    true = orbit_points(system, np.asarray(starts, dtype=float), points.shape[1])
+    hits = [WindowSet(len(hit), tuple(np.flatnonzero(hit).tolist()))
+            for hit in np.abs(true - points) < eps + FLOAT_SLACK]
+    return [TraceReport(x0=float(x0), hits=h, cardinality=len(h))
+            for x0, h in zip(starts, hits)]
 
 
 @dataclass(frozen=True)
@@ -302,10 +317,11 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     keeps the last hit (-1 before any) and the largest gap so far, and
     updates only the pairs that hit: a hit at step n opens a gap of n after
     no earlier hit (the leading gap) and of n - last otherwise; a candidate
-    that never hits has gap L + 1, and the score is minus the gap.  Ties break toward the first candidate: within a block by
-    argmax, across blocks because only a strictly better score replaces an
-    orbit's winner.  Each winner is traced again through trace_set for its
-    report.
+    that never hits has gap L + 1, and the score is minus the gap.  Ties
+    break toward the first candidate: within a block by argmax, across
+    blocks because only a strictly better score replaces an orbit's winner.
+    The winners are traced again, all in one orbit_points call, for their
+    reports.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -356,9 +372,8 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
         better = score > best
         best[better] = score[better]
         winner[better] = start + k[better]
-    return [BestTracer(score=float(s),
-                       report=trace_set(system, o, float(candidates[k]), eps))
-            for o, s, k in zip(orbits, best.tolist(), winner.tolist())]
+    reports = _trace_sets(system, orbits, cand[winner], eps)
+    return [BestTracer(score=s, report=r) for s, r in zip(best.tolist(), reports)]
 
 
 @dataclass(frozen=True)
@@ -467,10 +482,10 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     probe is falsified when a challenge defeats the grid at every delta.
 
     No pseudo-orbit depends on a tracing result, so all of them, at every
-    delta, are built first and scored by one best_tracers sweep.  Each row
-    still asks best_tracer for its winner, which reads it from that sweep
-    while the probe runs; the sweep is dropped when the probe returns or
-    raises.
+    delta, are built first, stepped together, and scored by one best_tracers
+    sweep.  Each row still asks best_tracer for its winner, which reads it
+    from that sweep while the probe runs; the sweep is dropped when the
+    probe returns or raises.
     """
     ladder = sorted(set(float(d) for d in deltas), reverse=True)
     check_pseudo_orbits(ladder, length, trials, challenges)
@@ -482,61 +497,45 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     objective = ("min_max_gap" if target in ("syndetic", "thickly_syndetic")
                  else "max_cardinality")
     candidates = system.grid(n_candidates)
-    ladder_orbits = []
+    specs = []      # (make_pseudo_orbit's arguments, is_challenge) per row
     for delta in ladder:
-        orbits = []
         for t in range(trials):
             scheme = ("uniform", "bounded", "adversarial")[t % 3]
             rng = random.Random(f"{seed}/pick/{delta!r}/{t}")
             tgt = system.random_point(rng) if scheme == "adversarial" else None
-            orbits.append((make_pseudo_orbit(
-                system, delta, length, scheme=scheme,
-                seed=f"{seed}/{delta!r}/{t}", target=tgt,
-                label=f"trial{t}:{scheme}"), False))
+            specs.append(((delta, scheme, f"{seed}/{delta!r}/{t}", None, tgt,
+                           f"trial{t}:{scheme}"), False))
         for ch in challenges:
-            orbits.append((make_pseudo_orbit(
-                system, delta, length, scheme=ch.scheme,
-                seed=f"{seed}/{delta!r}/{ch.name}", x0=ch.x0_of_delta(delta),
-                target=ch.target, label=ch.name), True))
-        ladder_orbits.append((delta, orbits))
-    every = [orbit for _, orbits in ladder_orbits for orbit, _ in orbits]
-    winners = best_tracers(system, every, candidates, eps, objective)
+            specs.append(((delta, ch.scheme, f"{seed}/{delta!r}/{ch.name}",
+                           ch.x0_of_delta(delta), ch.target, ch.name), True))
+    orbits = _pseudo_orbits(system, length, [args for args, _ in specs])
+    winners = best_tracers(system, orbits, candidates, eps, objective)
     rows = []
-    delta_pass = None
-    challenge_beaten_everywhere = True
     token = _sweeps.set(_Sweep(candidates, eps, objective,
-                               dict(zip(every, winners))))
+                               dict(zip(orbits, winners))))
     try:
-        for delta, orbits in ladder_orbits:
-            all_ok = True
-            challenge_failed_here = False
-            for orbit, is_challenge in orbits:
-                bt = best_tracer(system, orbit, candidates, eps, objective)
-                hits = bt.report.hits
-                verdict = setfam.classify(hits, params)
-                ok = (len(hits) == hits.horizon if target == "full"
-                      else getattr(verdict, target))
-                rows.append(ProbeRow(
-                    delta=delta, label=orbit.label,
-                    valid_count=len(orbit.valid_set),
-                    tracer=bt.report.x0, cardinality=bt.report.cardinality,
-                    trace_max_gap=verdict.max_gap, tags=verdict.tags(),
-                    ok=ok, challenge=is_challenge,
-                ))
-                if not ok:
-                    all_ok = False
-                    if is_challenge:
-                        challenge_failed_here = True
-            if all_ok and delta_pass is None:
-                delta_pass = delta
-            if not challenge_failed_here:
-                challenge_beaten_everywhere = False
+        for orbit, (_, is_challenge) in zip(orbits, specs):
+            bt = best_tracer(system, orbit, candidates, eps, objective)
+            hits = bt.report.hits
+            verdict = setfam.classify(hits, params)
+            rows.append(ProbeRow(
+                delta=orbit.delta, label=orbit.label,
+                valid_count=len(orbit.valid_set),
+                tracer=bt.report.x0, cardinality=bt.report.cardinality,
+                trace_max_gap=verdict.max_gap, tags=verdict.tags(),
+                ok=(len(hits) == hits.horizon if target == "full"
+                    else getattr(verdict, target)),
+                challenge=is_challenge,
+            ))
     finally:
         _sweeps.reset(token)
+    by_delta = [[r for r in rows if r.delta == d] for d in ladder]
+    delta_pass = next((d for d, here in zip(ladder, by_delta)
+                       if all(r.ok for r in here)), None)
     if delta_pass is not None:
-        verdict = "pass"
-        witness = None
-    elif challenges and challenge_beaten_everywhere:
+        verdict, witness = "pass", None
+    elif challenges and all(any(r.challenge and not r.ok for r in here)
+                            for here in by_delta):
         verdict = "falsified"
         witness = next(r for r in reversed(rows) if r.challenge and not r.ok)
     else:

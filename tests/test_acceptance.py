@@ -40,7 +40,7 @@ from chaoskit.subshift import (
     periodicity_probe, spacing_dense_periodic, spacing_member,
 )
 
-from test_setfam import dilate, with_horizon
+from test_setfam import dilate, max_gap, with_horizon
 
 CLASSIFY = FamilyParams(gap=2, block=8, cofinite_head=8, burnin=8)
 
@@ -233,7 +233,7 @@ def test_criterion_08_sturmian_battery():
     counts_ok = all(sum(1 for w in lang if len(w) == n) == n + 1
                     for n in range(1, 11))
     gaps_ok = all(
-        setfam.max_gap(occurrence_gaps(spec, w), CENSORED) <= 34
+        max_gap(occurrence_gaps(spec, w), CENSORED) <= 34
         for w in lang if 1 <= len(w) <= 8)
     probe_ok = periodicity_probe(oracle, 6, 8) is False
     ok = counts_ok and gaps_ok and probe_ok

@@ -197,6 +197,19 @@ def test_bad_budget_override_exits_2(command, tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # classify-set.
 
+def test_classify_set_reads_one_member_per_line(tmp_path, capsys):
+    set_file = tmp_path / "set.txt"
+    set_file.write_text("horizon=10\n1\n2\n3\n")
+    out = tmp_path / "out"
+    assert main(["classify-set", "--members", f"@{set_file}",
+                 "--out", str(out)]) == 0
+    assert "horizon=10 size=3" in read(out / "report.txt")
+    set_file.write_text("horizon=10\nevens\n1\n")
+    assert main(["classify-set", "--members", f"@{set_file}",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "stray line '1' after generator 'evens'" in capsys.readouterr().err
+
+
 def test_classify_default_report(tmp_path, capsys):
     assert main(["classify-set", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith(

@@ -11,11 +11,53 @@ from hypothesis import strategies as st
 from chaoskit import setfam
 from chaoskit.setfam import (
     CENSORED, STRICT, FamilyParams, WindowSet, classify, empty_window,
-    from_generator, full_window, longest_block, max_gap, union, window_set,
+    from_generator, full_window, window_set,
 )
 
 
-# Window-set arithmetic that only the tests use.
+# Window-set arithmetic and scans that only the tests use.
+
+def max_gap(a: WindowSet, tail_policy: str = CENSORED) -> int:
+    """Largest gap of a non-empty window set.
+
+    Gaps are the leading gap a_1 (distance from the window start) and the
+    successive differences a_{i+1} - a_i.  Under the strict policy the
+    trailing gap horizon - a_k is counted as well.
+    """
+    if not a.members:
+        raise ValueError("max_gap of the empty set is undefined")
+    gaps = [a.members[0]]
+    gaps.extend(b - c for c, b in zip(a.members, a.members[1:]))
+    if tail_policy == STRICT:
+        gaps.append(a.horizon - a.members[-1])
+    elif tail_policy != CENSORED:
+        raise ValueError(f"unknown tail policy {tail_policy!r}")
+    return max(gaps)
+
+
+def longest_block(a: WindowSet) -> int:
+    """Length of the longest run of consecutive members (0 for the empty set)."""
+    best = 0
+    run = 0
+    prev = None
+    for m in a.members:
+        run = run + 1 if prev is not None and m == prev + 1 else 1
+        best = max(best, run)
+        prev = m
+    return best
+
+
+def union(a: WindowSet, b: WindowSet) -> WindowSet:
+    """A ∪ B; the horizons must be equal."""
+    if a.horizon != b.horizon:
+        raise ValueError(f"horizon mismatch: {a.horizon} != {b.horizon}")
+    return window_set(a.horizon, set(a.members) | set(b.members))
+
+
+def complement(a: WindowSet) -> WindowSet:
+    inside = set(a.members)
+    return WindowSet(a.horizon, tuple(n for n in range(a.horizon) if n not in inside))
+
 
 def dilate(a: WindowSet, n: int) -> WindowSet:
     """{n*a : a in A, n*a < horizon}, same horizon."""
@@ -362,6 +404,26 @@ def test_parse_format_round_trip():
         setfam.parse_window_text("members=1,2")
 
 
+def test_parse_reads_every_member_line():
+    # One member per line, as the README documents the @file format, and
+    # lines after "explicit" are members too.
+    assert setfam.parse_window_text("horizon=10\n1\n2\n3") == WindowSet(10, (1, 2, 3))
+    assert setfam.parse_window_text("horizon=10\nexplicit\n1,2,3") \
+        == WindowSet(10, (1, 2, 3))
+    assert setfam.parse_window_text("horizon=10\n1,2\n\n 5 \n") == WindowSet(10, (1, 2, 5))
+    assert setfam.parse_window_text("horizon=10\nexplicit") == empty_window(10)
+
+
+@pytest.mark.parametrize("text", ["horizon=10\nevens\n1",
+                                  "horizon=10\nmultiples(3)\nevens",
+                                  "horizon=10\n1\n2\nx",
+                                  "horizon=10\n1\nevens",
+                                  "horizon=10\n3\n1"])
+def test_parse_rejects_stray_and_bad_lines(text):
+    with pytest.raises(ValueError):
+        setfam.parse_window_text(text)
+
+
 @pytest.mark.parametrize("build", [
     lambda: WindowSet(10, (3, 1)),                       # unsorted
     lambda: WindowSet(10, (1, 1)),                       # duplicate
@@ -509,8 +571,8 @@ def test_dilation_gap_bound(xs, n):
 def test_complement_involution(xs):
     h, base = xs
     a = window_set(h, base)
-    assert a.complement().complement() == a
-    assert len(a) + len(a.complement()) == h
+    assert complement(complement(a)) == a
+    assert len(a) + len(complement(a)) == h
 
 
 @given(member_sets, st.integers(0, 90))

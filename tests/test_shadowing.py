@@ -5,6 +5,7 @@ are ascending, and the float comparisons all use the shared slack constant,
 so expected values can be frozen.
 """
 
+import random
 import tracemalloc
 from dataclasses import replace
 from math import gcd
@@ -21,7 +22,7 @@ from chaoskit.shadowing import (
     TraceReport, best_tracer, best_tracers, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
     chain_transitive_check, crossing_challenge, fg_shadowing_probe,
     make_pseudo_orbit, orbit_points, recompute_valid_set,
-    strongly_connected_components, trace_set, two_point_swap,
+    strongly_connected_components, trace_set,
 )
 
 TENT = IntervalSystem(builtin("tent"), name="tent")
@@ -29,7 +30,23 @@ S = IntervalSystem(builtin("S"), name="S")
 EX = IntervalSystem(builtin("example211"), name="example211")
 IDENT = IntervalSystem(builtin("identity"), name="identity")
 
+
+def _clusters():
+    """Two clusters of 40 points; each point maps to its twin in the other
+    cluster, shifted by one."""
+    k = np.arange(40) / 40
+    return DiscreteSystem(np.concatenate([k, 2 + k]),
+                          [40 + (i + 1) % 40 for i in range(40)] + list(range(40)),
+                          name="clusters")
+
+
+CLUSTERS = _clusters()
+
 TIGHT = FamilyParams(gap=2, block=4, cofinite_head=2, burnin=4)
+
+
+def two_point_swap() -> DiscreteSystem:
+    return DiscreteSystem([0.0, 1.0], [1, 0], name="two_point_swap")
 
 
 def manual_orbit(system, points, delta):
@@ -85,6 +102,132 @@ def test_slack_admits_exact_delta():
     assert vs.members == (0, 1)
     vs = recompute_valid_set(IDENT, np.array([0.0, 0.02]), 0.01)
     assert vs.members == ()
+
+
+def test_systems_step_only_arrays():
+    for system in (TENT, CLUSTERS):
+        assert not hasattr(system, "step") and not hasattr(system, "clamp")
+
+
+@pytest.mark.parametrize("system", [TENT, S, EX, IDENT, CLUSTERS, two_point_swap()],
+                         ids=lambda s: s.name)
+def test_step_array_takes_any_shape(system):
+    # 0-d, 1-d and 2-d input, inside and outside the domain, each against
+    # the one-element call on the same value.
+    rng = np.random.default_rng(23)
+    width = system.hi - system.lo
+    grid = rng.uniform(system.lo - width, system.hi + width, size=(3, 5))
+    grid[0, :2] = system.lo, system.hi
+    want = np.array([system.step_array(np.array([x]))[0] for x in grid.flat])
+    for x, w in zip(grid.flat, want):
+        for zero_d in (np.array(x), float(x)):
+            got = system.step_array(zero_d)
+            assert np.shape(got) == () and got == w
+    assert np.array_equal(system.step_array(grid.reshape(-1)), want)
+    assert np.array_equal(system.step_array(grid), want.reshape(grid.shape))
+
+
+# The loops that stepped one point at a time through the systems' former
+# scalar step and clamp, which orbit_points and the pseudo-orbit builder
+# replaced, kept as oracles.
+
+def scalar_clamp(system, x):
+    return min(system.hi, max(system.lo, x))
+
+
+def scalar_step(system, x):
+    if isinstance(system, IntervalSystem):
+        return float(np.interp(scalar_clamp(system, x), system.xs, system.ys))
+    return float(system.step_array(np.array([float(x)]))[0])
+
+
+def scalar_orbit_points(system, x0, length):
+    out = np.empty(length)
+    out[0] = scalar_clamp(system, x0)
+    for n in range(1, length):
+        out[n] = scalar_step(system, out[n - 1])
+    return out
+
+
+def scalar_pseudo_orbit(system, length, delta, scheme, seed, x0, target, label):
+    rng = random.Random(f"{seed}/{scheme}/{length}")
+    cap_ = shadowing.JUMP_FRACTION * delta
+    pts = np.empty(length)
+    pts[0] = scalar_clamp(system, x0 if x0 is not None else system.random_point(rng))
+    for n in range(1, length):
+        fx = scalar_step(system, pts[n - 1])
+        if scheme == "zero":
+            jump = 0.0
+        elif scheme == "uniform":
+            jump = rng.uniform(-cap_, cap_)
+        elif scheme == "bounded":
+            jump = cap_ if rng.random() < 0.5 else -cap_
+        else:
+            jump = min(cap_, max(-cap_, target - fx))
+        pts[n] = scalar_clamp(system, fx + jump)
+    return PseudoOrbit(points=pts, delta=delta, label=label or scheme,
+                       valid_set=recompute_valid_set(system, pts, delta))
+
+
+@pytest.mark.parametrize("length", [2, 10, 64])
+@pytest.mark.parametrize("system", [TENT, S, EX, CLUSTERS], ids=lambda s: s.name)
+def test_batched_orbits_match_scalar_oracles(system, length):
+    lo, hi = system.lo, system.hi
+    starts = [lo, hi, lo - 0.5, hi + 0.5, lo + (hi - lo) / 3, lo + (hi - lo) * 0.7]
+    rows = orbit_points(system, np.array(starts), length)
+    assert rows.shape == (len(starts), length)
+    for x0, row in zip(starts, rows):
+        assert np.array_equal(row, scalar_orbit_points(system, x0, length))
+        assert np.array_equal(orbit_points(system, x0, length), row)
+    # Every scheme, from a random start, from a start outside the domain and
+    # from one on it; adversarial targets at both domain ends.
+    specs = [(delta, scheme, f"oracle/{system.name}/{delta}", x0, target, label)
+             for delta in (0.01, 0.3)
+             for scheme in shadowing.SCHEMES
+             for x0 in (None, hi + 0.25, lo - 0.25, lo + (hi - lo) / 2)
+             for target in ((lo, hi) if scheme == "adversarial" else (None,))
+             for label in ("", "named")]
+    batched = shadowing._pseudo_orbits(system, length, specs)
+    assert len(batched) == len(specs)
+    for args, orbit in zip(specs, batched):
+        want = scalar_pseudo_orbit(system, length, *args)
+        one = make_pseudo_orbit(system, args[0], length, *args[1:])
+        for got in (orbit, one):
+            assert np.array_equal(got.points, want.points)
+            assert (got.delta, got.label, got.valid_set) == \
+                (want.delta, want.label, want.valid_set)
+    # The winners' trace sets: one orbit_points call for all rows, or one
+    # row through trace_set, against the scalar true orbit.
+    tracers = [starts[i % len(starts)] for i in range(len(batched))]
+    reports = shadowing._trace_sets(system, batched, tracers, 0.05)
+    for orbit, x0, report in zip(batched, tracers, reports):
+        dist = np.abs(scalar_orbit_points(system, x0, length) - orbit.points)
+        want = WindowSet(length, tuple(np.flatnonzero(
+            dist < 0.05 + shadowing.FLOAT_SLACK).tolist()))
+        assert report == trace_set(system, orbit, x0, 0.05)
+        assert (report.x0, report.hits, report.cardinality) == (x0, want, len(want))
+
+
+def test_probe_steps_every_row_together(monkeypatch):
+    # One builder call holds every delta, trial and challenge, and no
+    # step_array call gets fewer points than the probe has rows.
+    built, sizes = [], []
+    original = shadowing._pseudo_orbits
+
+    def builder(system, length, rows):
+        built.append(len(rows))
+        return original(system, length, rows)
+
+    class Counted(IntervalSystem):
+        def step_array(self, arr):
+            sizes.append(np.size(arr))
+            return super().step_array(arr)
+    monkeypatch.setattr(shadowing, "_pseudo_orbits", builder)
+    res = fg_shadowing_probe(Counted(builtin("example211")), 0.05, [0.01, 1e-3],
+                             24, trials=3, n_candidates=501, seed="together",
+                             challenges=[crossing_challenge()])
+    assert built == [len(res.rows)] == [8]
+    assert min(sizes) >= 8
 
 
 def test_bad_arguments():
@@ -225,18 +368,6 @@ def per_orbit_best_tracer(system, orbit, candidates, eps, objective):
     k = int(count.argmax())
     return BestTracer(score=float(count[k]),
                       report=trace_set(system, orbit, float(candidates[k]), eps))
-
-
-def _clusters():
-    """Two clusters of 40 points; each point maps to its twin in the other
-    cluster, shifted by one."""
-    k = np.arange(40) / 40
-    return DiscreteSystem(np.concatenate([k, 2 + k]),
-                          [40 + (i + 1) % 40 for i in range(40)] + list(range(40)),
-                          name="clusters")
-
-
-CLUSTERS = _clusters()
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -818,7 +949,6 @@ def test_discrete_nearest_matches_argmin():
         assert np.array_equal(system._nearest(arr), want)
         assert np.array_equal(system.step_array(arr),
                               points[system.images[want]])
-        assert system.step(arr[0]) == points[system.images[want[0]]]
 
 
 def test_interval_step_array_matches_clipped_interp():
