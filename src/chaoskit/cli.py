@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -242,14 +243,14 @@ def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
     spec = spec.strip()
     if spec.startswith("@"):
         return setfam.parse_window_text(_read(Path(spec[1:]), "set")), spec
-    if spec and spec[0].isdigit():
-        try:
-            members = [int(t) for t in spec.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad member list {spec!r}")
-        budgets.charge("enum_nodes", horizon)
-        return setfam.window_set(horizon, members), spec
-    return setfam.from_generator(spec, horizon), spec
+    if spec[:1].isalpha():
+        return setfam.from_generator(spec, horizon), spec
+    try:
+        members = [int(t) for t in spec.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"bad member list {spec!r}")
+    budgets.charge("enum_nodes", horizon)
+    return setfam.window_set(horizon, members), spec
 
 
 def _load_map(spec: str) -> tuple[interval.PLMap, str]:
@@ -412,6 +413,7 @@ def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
     with _options():
         m, name = _load_map(o.map)
         interval.density_cells(m, o.density_eps)
+        budgets.charge("power", o.density_steps)
         params = interval.SurveyParams(
             cells=o.cells, margin=o.margin, delta=o.delta, n_steps=o.steps,
             family=family, density_epsilon=o.density_eps,
@@ -528,6 +530,7 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
     with _options():
         m, name = _load_map(o.map)
         interval.density_cells(m, o.density_eps)
+        budgets.charge("power", o.density_steps)
         system, probe = _tracer(m, name, o, family)
         system.grid(o.chain_nodes)
     seed = f"{seed}/p-chaos/{name}"
@@ -569,14 +572,13 @@ REPORT_ALL: list[tuple[str, str, dict[str, object]]] = [
     ("spacing_nonpowers", "spacing",
      {"p": "complement(powers(2))", "witness": "1,4,1"}),
     ("sturmian_golden", "sturmian", {}),
-    ("interval_S", "interval-devaney", {"map": "S"}),
+    ("interval_S", "interval-devaney", {}),
     ("interval_tent", "interval-devaney",
      {"map": "tent", "delta": Fraction(1, 4), "density_eps": Fraction(1, 64)}),
     ("interval_example211", "interval-devaney", {"map": "example211"}),
-    ("pchaos_tent", "p-chaos", {"challenge": "none"}),
+    ("pchaos_tent", "p-chaos", {}),
     ("shadow_example211", "shadow",
-     {"map": "example211", "length": 64, "candidates": 2001,
-      "challenge": "crossing"}),
+     {"map": "example211", "length": 64, "candidates": 2001}),
 ]
 
 RUNNERS = {
@@ -605,10 +607,9 @@ def _run(section: str, opts: dict[str, object], seed: str):
             if dest in opts and not 0 < opts[dest] < math.inf:
                 raise ValueError(f"{dest.replace('_', '-')} must be positive "
                                  f"and finite, got {opts[dest]}")
-        family = FamilyParams(
-            gap=opts["gap"], block=opts["block"],
-            cofinite_head=opts["cofinite_head"], burnin=opts["burnin"],
-            tail_policy=opts.get("tail_policy", setfam.CENSORED))
+        family = FamilyParams(**{f.name: opts[f.name]
+                                 for f in dataclasses.fields(FamilyParams)
+                                 if f.name in opts})
     return RUNNERS[section](argparse.Namespace(**opts), family, seed)
 
 
@@ -633,7 +634,7 @@ def _main(argv: list[str]) -> int:
     parser = _build_parser(ini)
     args = parser.parse_args(argv)
     run_ini = ini.get("run", {})
-    run = {name: getattr(args, name, None) or str(run_ini.get(name, default))
+    run = {name: vars(args).get(name, str(run_ini.get(name, default)))
            for name, _, default, _ in RUN_OPTIONS}
     if getattr(args, "dump_config", False):
         sys.stdout.write(_dump_config(ini, run, args))

@@ -227,7 +227,7 @@ def pl_image(m: PLMap, iv: Interval) -> Interval:
     return (Fraction(*lo), Fraction(*hi))
 
 
-def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMap:
+def pl_compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact f∘g (apply g first); domains must agree.
 
     On each non-flat piece of g the solutions of g(x) = b, b in f.xs, lie
@@ -243,7 +243,7 @@ def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMa
     gX, gY, gdx, gdy = g.X, g.Y, g.dx, g.dy
     if fX[0] * gdx != gX[0] * fdx or fX[-1] * gdx != gX[-1] * fdx:
         raise ValueError("compose needs maps on the same domain")
-    limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
+    limit = cap("breakpoints")
     scale = fdx * lcm(*{abs(b - a) for a, b in zip(gY, gY[1:]) if a != b})
     vden = fdy * gdy * lcm(*(b - a for a, b in zip(fX, fX[1:])))
     inner_ys = [y * (vden // fdy) for y in fY]
@@ -285,13 +285,13 @@ def pl_compose(f: PLMap, g: PLMap, breakpoint_budget: int | None = None) -> PLMa
     return PLMap(tuple(xs), gdx * scale, tuple(ys), vden)
 
 
-def pl_power(m: PLMap, n: int, breakpoint_budget: int | None = None) -> PLMap:
+def pl_power(m: PLMap, n: int) -> PLMap:
     if n < 1:
         raise ValueError("power must be >= 1")
     charge("power", n)
     out = m
     for _ in range(n - 1):
-        out = pl_compose(m, out, breakpoint_budget)
+        out = pl_compose(m, out)
     return out
 
 
@@ -599,6 +599,7 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     params = params or SurveyParams()
     grid = params.grid(m)
     verdict = setfam.classifier(params.family)
+    density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     token = _orbits.set({})
     try:
         sens = []
@@ -612,7 +613,6 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
                 trans.append((i, j, verdict(hs.window)))
     finally:
         _orbits.reset(token)
-    density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)
     verdicts = {}

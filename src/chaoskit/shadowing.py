@@ -420,8 +420,7 @@ class Challenge:
 
     name: str
     x0_of_delta: Callable[[float], float]
-    scheme: str = "adversarial"
-    target: float | None = None
+    target: float
 
 
 def crossing_challenge() -> Challenge:
@@ -437,7 +436,6 @@ def crossing_challenge() -> Challenge:
     return Challenge(
         name="crossing",
         x0_of_delta=lambda d: (0.5 - 1.15 * d) / 3.0,
-        scheme="adversarial",
         target=1.0,
     )
 
@@ -506,7 +504,7 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
             specs.append(((delta, scheme, f"{seed}/{delta!r}/{t}", None, tgt,
                            f"trial{t}:{scheme}"), False))
         for ch in challenges:
-            specs.append(((delta, ch.scheme, f"{seed}/{delta!r}/{ch.name}",
+            specs.append(((delta, "adversarial", f"{seed}/{delta!r}/{ch.name}",
                            ch.x0_of_delta(delta), ch.target, ch.name), True))
     orbits = _pseudo_orbits(system, length, [args for args, _ in specs])
     winners = best_tracers(system, orbits, candidates, eps, objective)

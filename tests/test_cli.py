@@ -7,7 +7,7 @@ import pytest
 
 from chaoskit import interval, setfam, shadowing, subshift
 from chaoskit.budgets import ENV_OVERRIDE, cap
-from chaoskit.cli import SECTIONS, main
+from chaoskit.cli import REPORT_ALL, SECTIONS, _defaults, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,14 +131,18 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(interval, "periodic_density_report", refuse)
     monkeypatch.setattr(shadowing, "fg_shadowing_probe", refuse)
     n = cap("enum_nodes") + 1
+    p = cap("power") + 1
     # The density grid has ceil(width / eps) cells: S spans [0, 2], tent [0, 1].
-    for argv, cells in ((["shadow", "--candidates", str(n)], n),
-                        (["p-chaos", "--chain-nodes", str(n)], n),
-                        (["interval-devaney", "--density-eps", "1/2000000"],
-                         4_000_000),
-                        (["p-chaos", "--density-eps", "1/2000000"], 2_000_000)):
+    for argv, name, amount in (
+            (["shadow", "--candidates", str(n)], "enum_nodes", n),
+            (["p-chaos", "--chain-nodes", str(n)], "enum_nodes", n),
+            (["interval-devaney", "--density-eps", "1/2000000"], "enum_nodes",
+             4_000_000),
+            (["p-chaos", "--density-eps", "1/2000000"], "enum_nodes", 2_000_000),
+            (["interval-devaney", "--density-steps", str(p)], "power", p),
+            (["p-chaos", "--density-steps", str(p)], "power", p)):
         assert main(argv + ["--out", str(tmp_path)]) == 3
-        assert (f"enum_nodes budget exceeded: {cells} > {n - 1}"
+        assert (f"{name} budget exceeded: {amount} > {cap(name)}"
                 in capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
@@ -230,6 +234,20 @@ def test_classify_member_list(tmp_path):
     assert main(["classify-set", "--horizon", "8", "--members", "1,3,5",
                  "--out", str(tmp_path)]) == 0
     assert "size=3" in read(tmp_path / "report.txt")
+
+
+@pytest.mark.parametrize("spec", ["1,,2", "+1,2"])
+def test_inline_member_list_reads_as_a_file_body(spec, tmp_path, capsys):
+    set_file = tmp_path / "set.txt"
+    set_file.write_text(f"horizon=8\n{spec}\n")
+    for source, out in ((spec, "inline"), (f"@{set_file}", "file")):
+        assert main(["classify-set", "--horizon", "8", "--members", source,
+                     "--out", str(tmp_path / out)]) == 0
+        assert "horizon=8 size=2" in read(tmp_path / out / "report.txt")
+    capsys.readouterr()
+    assert (read(tmp_path / "inline" / "set.csv")
+            == read(tmp_path / "file" / "set.csv")
+            == "n,member\n0,0\n1,1\n2,1\n" + "".join(f"{n},0\n" for n in range(3, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +445,25 @@ def test_dump_config_keeps_subcommand_flags(tmp_path, capsys):
     assert "trials=3" in read(tmp_path / "replay" / "report.txt")
 
 
+def test_empty_run_option_is_honoured(tmp_path, capsys):
+    """An empty --seed is a value, as an empty INI seed= is: it beats the
+    INI and the built-in default, and the run uses it."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nseed=7\n")
+    for argv in (["--seed", ""], ["--config", str(cfg), "--seed", ""]):
+        assert main(argv + ["--dump-config"]) == 0
+        assert _ini_sections(capsys.readouterr().out)["[run]"] \
+            == "[run]\nseed=\nout=."
+    cfg.write_text("[run]\nseed=\n")
+    runs = {"flag": ["--seed", ""], "ini": ["--config", str(cfg)], "default": []}
+    for out, argv in runs.items():
+        assert main(argv + ["shadow", "--trials", "3", "--out",
+                            str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    probe = {out: read(tmp_path / out / "probe.csv") for out in runs}
+    assert probe["flag"] == probe["ini"] != probe["default"]
+
+
 # ---------------------------------------------------------------------------
 # Determinism of emitted files.
 
@@ -470,3 +507,12 @@ def test_report_all_summary(tmp_path, capsys, golden_diff):
                 "sturmian_golden", "interval_S", "interval_tent",
                 "interval_example211", "pchaos_tent", "shadow_example211"):
         assert (tmp_path / sub / "report.txt").exists()
+
+
+def test_report_all_overrides_change_their_section():
+    """Each report-all override differs from what its section resolves to
+    without it, so no default is written a second time."""
+    for sub, section, overrides in REPORT_ALL:
+        defaults = _defaults(section, {})
+        for dest, value in overrides.items():
+            assert value != defaults[dest], (sub, dest)

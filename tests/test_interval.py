@@ -9,12 +9,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoskit import interval, setfam
+from chaoskit import budgets, interval, setfam
 from chaoskit.budgets import BudgetError, cap, charge
 from chaoskit.interval import (
     SurveyParams, builtin, devaney_report, leo_check, parse_pl_text,
@@ -377,10 +378,10 @@ def frac_image(m, iv):
     return (min(vals), max(vals))
 
 
-def frac_compose(f, g, breakpoint_budget=None):
+def frac_compose(f, g):
     if f.domain != g.domain:
         raise ValueError("compose needs maps on the same domain")
-    limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
+    limit = cap("breakpoints")
     count = len(g.xs)
     xs = [g.xs[0]]
     ys = [frac_eval(f, g.ys[0])]
@@ -404,13 +405,13 @@ def frac_compose(f, g, breakpoint_budget=None):
     return FracMap(tuple(xs), tuple(ys))
 
 
-def frac_power(m, n, breakpoint_budget=None):
+def frac_power(m, n):
     if n < 1:
         raise ValueError("power must be >= 1")
     charge("power", n)
     out = m
     for _ in range(n - 1):
-        out = frac_compose(m, out, breakpoint_budget)
+        out = frac_compose(m, out)
     return out
 
 
@@ -573,11 +574,13 @@ def test_integer_engine_matches_fraction_engine(rng):
     for eps, n_max in ((F(1, 7), 3), (F(2, 9), 4), (F(1, 16), 2)):
         assert periodic_density_report(f, eps, n_max) \
             == frac_density_report(f, eps, n_max)
-    # BudgetError parity: the same budgets raise with the same messages.
+    # BudgetError parity: the same caps raise with the same messages (a cap
+    # is never below 1).
     n = len(pl_compose(f, g).xs)
-    for budget in (n - 2, n - 1, n, rng.randint(1, n + 1)):
-        assert raised(pl_compose, f, g, budget) == raised(frac_compose, f, g, budget)
-        assert raised(pl_power, f, 3, budget) == raised(frac_power, f, 3, budget)
+    for budget in {n - 2, n - 1, n, rng.randint(1, n + 1)} - {0}:
+        with mock.patch.dict(budgets.CAPS, breakpoints=budget):
+            assert raised(pl_compose, f, g) == raised(frac_compose, f, g)
+            assert raised(pl_power, f, 3) == raised(frac_power, f, 3)
     top = cap("power") + 1
     assert raised(periodic_points, f, top) == raised(frac_periodic_points, f, top)
     assert raised(periodic_density_report, f, F(1, 8), top) \
@@ -588,10 +591,10 @@ def test_integer_engine_matches_fraction_engine(rng):
 # The ordered compose and the orbit walk for prime periods, against the
 # set-and-sort compose and the divisor filter they replaced.
 
-def compose_by_sorting(f, g, breakpoint_budget=None):
+def compose_by_sorting(f, g):
     """f∘g from the sorted set of g's breakpoints and the solved g-preimages
     of f's, with f(g(x)) evaluated at each."""
-    limit = cap("breakpoints") if breakpoint_budget is None else breakpoint_budget
+    limit = cap("breakpoints")
     xs = set(g.xs)
     for i in range(len(g.xs) - 1):
         x0, x1 = g.xs[i], g.xs[i + 1]
@@ -674,9 +677,11 @@ def test_compose_matches_sorting_oracle():
 
 
 def budget_error(compose, f, g, budget):
-    """The BudgetError message compose raises, or None."""
+    """The BudgetError message compose raises under a breakpoints cap of
+    budget, or None."""
     try:
-        compose(f, g, budget)
+        with mock.patch.dict(budgets.CAPS, breakpoints=budget):
+            compose(f, g)
     except BudgetError as err:
         return str(err)
     return None
@@ -812,6 +817,16 @@ def test_devaney_verdicts_follow_the_family_checks(name):
     assert list(rep.verdicts) == list(FAMILY_CHECKS)
     for fam, check in FAMILY_CHECKS.items():
         assert rep.verdicts[fam] == (dense and all(map(check, verdicts))), fam
+
+
+def test_devaney_report_checks_density_before_any_hitting_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hitting set was built before the density check")
+
+    monkeypatch.setattr(interval, "sensitivity_hitting_set", refuse)
+    monkeypatch.setattr(interval, "transitivity_hitting_set", refuse)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        devaney_report(S, SurveyParams(density_epsilon=F(0)), "S")
 
 
 def test_devaney_report_identity():
