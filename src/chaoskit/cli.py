@@ -334,18 +334,11 @@ def _spacing_witness(text: str, p: WindowSet) -> subshift.SpacingWitness:
 def run_spacing(o: argparse.Namespace, family: FamilyParams, seed: str):
     with _options():
         p, source = _load_window(o.p, o.horizon)
-        # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
-        # and u 0^n_max v puts their 1s 2w - 1 + n_max apart.
-        widest = 2 * o.word_len - 1 + o.n_max
-        if widest >= p.horizon:
-            raise ValueError(
-                f"word-len {o.word_len} and n-max {o.n_max} need gap "
-                f"{widest}, not decidable below horizon {p.horizon}")
+        oracle = subshift.SpacingShift(p)
+        subshift.check_transitivity_report(oracle, o.word_len, o.n_max, family)
         witness = _spacing_witness(o.witness, p) if o.witness else None
-        family.check_horizon(min(p.horizon, o.n_max + 1))
         if not p.members:
             raise ConfigError("empty spacing set: nothing to survey")
-    oracle = subshift.SpacingShift(p)
     rep = subshift.fs_transitivity_report(oracle, o.word_len, o.n_max, family)
     dp = subshift.spacing_dense_periodic(p, o.k_max)
     lines = [
@@ -381,15 +374,15 @@ def run_sturmian(o: argparse.Namespace, family: FamilyParams, seed: str):
         word = subshift.parse_word(o.word)
         if not word:
             raise ValueError("empty word: nothing to locate")
-        family.check_horizon(o.prefix_len - len(word) + 1)
-        # accepts raises BudgetError for a word too long for the prefix.
-        if not oracle.accepts(word):
+        # occurrence_gaps raises BudgetError for a word too long for it.
+        occ = subshift.occurrence_gaps(oracle.spec, word)
+        family.check_horizon(occ.horizon)
+        if not occ.members:
             raise ConfigError(f"word {word} does not occur in the prefix")
     lang = subshift.language(oracle, o.word_len)
     counts = {n: sum(1 for w in lang if len(w) == n)
               for n in range(1, o.word_len + 1)}
     complexity_ok = all(counts[n] == n + 1 for n in counts)
-    occ = subshift.occurrence_gaps(oracle.spec, word)
     v = setfam.classify(occ, family)
     lines = [
         "sturmian factor survey (golden rotation)",
@@ -412,14 +405,11 @@ def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
                          seed: str):
     with _options():
         m, name = _load_map(o.map)
-        interval.density_cells(m, o.density_eps)
-        budgets.charge("power", o.density_steps)
         params = interval.SurveyParams(
             cells=o.cells, margin=o.margin, delta=o.delta, n_steps=o.steps,
             family=family, density_epsilon=o.density_eps,
             density_n_max=o.density_steps)
         params.grid(m)
-        family.check_horizon(o.steps + 1)
     survey = interval.devaney_report(m, params, map_name=name)
     fams = " ".join(f"{k}={_pf(ok)}" for k, ok in survey.verdicts.items())
     lines = [
@@ -462,14 +452,13 @@ def _challenges_for(name: str, choice: str):
 
 
 def _tracer(m: interval.PLMap, name: str, o: argparse.Namespace,
-            family: FamilyParams):
-    """The tracing system of m, checked against o's probe options and the
-    family horizon, and its probe as probe(target, seed)."""
+            family: FamilyParams, *targets: str):
+    """The tracing system of m, checked against o's probe options for a
+    probe of each target, and its probe as probe(target, seed)."""
     system = shadowing.IntervalSystem(m, name=name)
-    system.grid(o.candidates)
     challenges = _challenges_for(name, o.challenge)
-    shadowing.check_pseudo_orbits(o.deltas, o.length, o.trials, challenges)
-    family.check_horizon(o.length)
+    shadowing.check_probe(system, o.eps, o.deltas, o.length, o.trials,
+                          targets, family, o.candidates, challenges)
 
     def probe(target: str, seed: str) -> shadowing.ProbeResult:
         return shadowing.fg_shadowing_probe(
@@ -510,9 +499,7 @@ def _probe_lines(probe: shadowing.ProbeResult) -> list[str]:
 
 def run_shadow(o: argparse.Namespace, family: FamilyParams, seed: str):
     with _options():
-        system, probe = _tracer(*_load_map(o.map), o, family)
-        if o.target not in shadowing.TARGETS:
-            raise ConfigError(f"unknown target {o.target!r}")
+        system, probe = _tracer(*_load_map(o.map), o, family, o.target)
     result = probe(o.target, f"{seed}/shadow/{system.name}")
     lines = [f"tracing probe: {system.name}"] + _probe_lines(result) + [""]
     return ("\n".join(lines), {"probe.csv": _probe_rows(result)},
@@ -529,9 +516,9 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
     """
     with _options():
         m, name = _load_map(o.map)
-        interval.density_cells(m, o.density_eps)
-        budgets.charge("power", o.density_steps)
-        system, probe = _tracer(m, name, o, family)
+        interval.density_cells(m, o.density_eps, o.density_steps)
+        system, probe = _tracer(m, name, o, family, "full",
+                                "piecewise_syndetic")
         system.grid(o.chain_nodes)
     seed = f"{seed}/p-chaos/{name}"
     density = interval.periodic_density_report(m, o.density_eps,
@@ -592,8 +579,7 @@ RUNNERS = {
 
 # Options that a run needs positive (and finite, for floats); a zero would
 # leave the survey nothing to search or compare against.
-_POSITIVE = ("word_len", "k_max", "delta", "density_eps", "density_steps",
-             "chain_delta", "eps")
+_POSITIVE = ("word_len", "k_max", "delta", "chain_delta")
 
 
 def _run(section: str, opts: dict[str, object], seed: str):

@@ -378,14 +378,18 @@ class DensityReport:
     period_reached: int  # coverage completed at this period (or n_max)
 
 
-def density_cells(m: PLMap, epsilon: Fraction) -> int:
+def density_cells(m: PLMap, epsilon: Fraction, n_max: int) -> int:
     """ceil(width / epsilon), the number of epsilon-cells of m's domain,
-    charged to enum_nodes before any cell is allocated."""
+    charged to enum_nodes before any cell is allocated; the largest period
+    searched, n_max >= 1, is charged to power."""
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     lo, hi = m.domain
     cells = int(-((lo - hi) // epsilon))
     charge("enum_nodes", cells)
+    charge("power", n_max)
     return cells
 
 
@@ -397,8 +401,7 @@ def periodic_density_report(m: PLMap, epsilon: Fraction | str,
     coverage, which keeps the composed maps small for expanding fixtures.
     """
     epsilon = Fraction(epsilon)
-    cells = density_cells(m, epsilon)
-    charge("power", n_max)
+    cells = density_cells(m, epsilon, n_max)
     lo, hi = m.domain
     covered = [False] * cells
     x0, dx = m.X[0], m.dx
@@ -545,9 +548,10 @@ class SurveyParams:
     density_n_max: int = 10
 
     def grid(self, m: PLMap) -> list[Interval]:
-        """The cells, each shrunk by the margin.  The survey classifies one
-        transitivity set per ordered pair of cells, so cells**2 is charged
-        to enum_nodes before any cell is built."""
+        """The cells, each shrunk by the margin, after all of devaney_report's
+        checks: density_cells, the cells**2 transitivity sets charged to
+        enum_nodes, the margin, and the hitting-set horizon n_steps + 1."""
+        density_cells(m, self.density_epsilon, self.density_n_max)
         if self.cells < 1:
             raise ValueError(f"cells must be >= 1, got {self.cells}")
         charge("enum_nodes", self.cells ** 2)
@@ -557,12 +561,9 @@ class SurveyParams:
             raise ValueError("margin must be >= 0")
         if 2 * self.margin >= width:
             raise ValueError("margin too large for the cell width")
-        out = []
-        for k in range(self.cells):
-            a = lo + k * width + self.margin
-            b = lo + (k + 1) * width - self.margin
-            out.append((a, b))
-        return out
+        self.family.check_horizon(self.n_steps + 1)
+        return [(lo + k * width + self.margin, lo + (k + 1) * width - self.margin)
+                for k in range(self.cells)]
 
 
 @dataclass(frozen=True)
@@ -597,7 +598,7 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     memos are dropped when the report returns or raises.
     """
     params = params or SurveyParams()
-    grid = params.grid(m)
+    grid = params.grid(m)       # every input check, before any work
     verdict = setfam.classifier(params.family)
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     token = _orbits.set({})

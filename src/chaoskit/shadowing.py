@@ -82,7 +82,6 @@ class IntervalSystem:
     """A piecewise-linear map pushed down to binary64 for bulk iteration."""
 
     def __init__(self, m: PLMap, name: str = ""):
-        self.pl = m
         self.name = name
         self.xs = np.array([float(x) for x in m.xs])
         self.ys = np.array([float(y) for y in m.ys])
@@ -144,6 +143,7 @@ class DiscreteSystem:
         return self.points[self.images[self._nearest(arr)]]
 
     def grid(self, n: int) -> np.ndarray:
+        charge("enum_nodes", len(self.points))
         return self.points.copy()
 
     def random_point(self, rng: random.Random) -> float:
@@ -467,6 +467,24 @@ class ProbeResult:
     witness: ProbeRow | None
 
 
+def check_probe(system, eps: float, deltas: Sequence[float], length: int,
+                trials: int, targets: Sequence[str], params: FamilyParams | None,
+                n_candidates: int, challenges: Sequence[Challenge]):
+    """fg_shadowing_probe's checks, made before any work, for a probe of
+    each target: eps positive and finite, check_pseudo_orbits, the targets
+    and the trace-set horizon, length.  Returns the descending ladder, the
+    params and the candidate grid, which the system charges as it builds."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    ladder = sorted(set(float(d) for d in deltas), reverse=True)
+    check_pseudo_orbits(ladder, length, trials, challenges)
+    if unknown := [t for t in targets if t not in TARGETS]:
+        raise ValueError(f"unknown target {unknown[0]!r}")
+    params = params or FamilyParams()
+    params.check_horizon(length)   # every trace set has horizon length
+    return ladder, params, system.grid(n_candidates)
+
+
 def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
                        trials: int, target: str = "full",
                        params: FamilyParams | None = None,
@@ -485,16 +503,12 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     from that sweep while the probe runs; the sweep is dropped when the
     probe returns or raises.
     """
-    ladder = sorted(set(float(d) for d in deltas), reverse=True)
-    check_pseudo_orbits(ladder, length, trials, challenges)
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    params = params or FamilyParams()
-    params.check_horizon(length)   # every trace set has horizon length
+    ladder, params, candidates = check_probe(
+        system, eps, deltas, length, trials, (target,), params, n_candidates,
+        challenges)
     # Gap-bounded targets want the smallest largest gap, the rest most hits.
     objective = ("min_max_gap" if target in ("syndetic", "thickly_syndetic")
                  else "max_cardinality")
-    candidates = system.grid(n_candidates)
     specs = []      # (make_pseudo_orbit's arguments, is_challenge) per row
     for delta in ladder:
         for t in range(trials):
@@ -630,9 +644,8 @@ class ChainGraph:
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     """Edges i -> j whenever d(f(p_i), p_j) < delta + slack; succ[i] is the
     range of those j (the system's grid must ascend)."""
-    pts = system.grid(n_nodes)
+    pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
     n = len(pts)
-    charge("enum_nodes", n)
     fx = system.step_array(pts)
     tol = delta + FLOAT_SLACK
     # abs(fx - p) < tol, split into its two halves, each monotone in j.

@@ -297,6 +297,26 @@ class TransitivityReport:
     p_verdict: FamilyVerdict | None = None
 
 
+def check_transitivity_report(oracle, word_len: int, n_max: int,
+                              params: FamilyParams) -> None:
+    """fs_transitivity_report's checks, made before any work: ValueError
+    unless word_len >= 1, params can classify every gap set (horizon n_max
+    + 1) and P, and every gap a spacing survey meets is below P's horizon."""
+    if word_len < 1:
+        raise ValueError(f"word_len must be >= 1, got {word_len}")
+    p = oracle.p_set
+    if p is not None:
+        # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
+        # and u 0^n_max v puts their 1s 2w - 1 + n_max apart.
+        widest = 2 * word_len - 1 + n_max
+        if widest >= p.horizon:
+            raise ValueError(
+                f"word-len {word_len} and n-max {n_max} need gap "
+                f"{widest}, not decidable below horizon {p.horizon}")
+    # A gap set's horizon n_max + 1 is at most the widest gap, below P's.
+    params.check_horizon(n_max + 1)
+
+
 def fs_transitivity_report(oracle, word_len: int, n_max: int,
                            params: FamilyParams) -> TransitivityReport:
     """Classify gap_set(u, v) for every ordered pair of short language words.
@@ -305,6 +325,7 @@ def fs_transitivity_report(oracle, word_len: int, n_max: int,
     shift's gap set depends on u and v only through their cross distances,
     so gap_set runs once per distinct distance set; other shifts run it once
     per pair."""
+    check_transitivity_report(oracle, word_len, n_max, params)
     words = sorted(w for w in language(oracle, word_len) if w)
     verdict = setfam.classifier(params)
     by_key: dict = {}

@@ -147,6 +147,41 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())
 
 
+# Each survey checks its inputs before any work; the runner calls the same
+# check inside its options block, so the survey itself never starts.
+CHECKED_BEFORE_WORK = [
+    (["spacing", "--n-max", "123"], [(subshift, "fs_transitivity_report")],
+     "word-len 3 and n-max 123 need gap 128, not decidable below horizon 128"),
+    (["interval-devaney", "--steps", "4", "--burnin", "8"],
+     [(interval, "devaney_report"), (interval, "periodic_density_report")],
+     "burnin 8 exceeds horizon 5"),
+    (["shadow", "--target", "foo"], [(shadowing, "fg_shadowing_probe")],
+     "unknown target 'foo'"),
+    (["shadow", "--length", "3", "--burnin", "4"],
+     [(shadowing, "fg_shadowing_probe")], "burnin 4 exceeds horizon 3"),
+    (["p-chaos", "--eps", "nan"], [(shadowing, "fg_shadowing_probe"),
+                                   (interval, "periodic_density_report")],
+     "eps must be positive and finite, got nan"),
+    (["sturmian", "--prefix-len", "40", "--burnin", "64"],
+     [(subshift, "language")], "burnin 64 exceeds horizon 38"),
+]
+
+
+@pytest.mark.parametrize("argv, surveys, message", CHECKED_BEFORE_WORK,
+                         ids=[" ".join(argv) for argv, *_ in CHECKED_BEFORE_WORK])
+def test_survey_inputs_are_checked_before_any_work(argv, surveys, message,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("survey ran past the build step")
+
+    for module, name in surveys:
+        monkeypatch.setattr(module, name, refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_survey_cells_are_capped_before_any_work(tmp_path, monkeypatch,
                                                  capsys):
     def refuse(*args, **kwargs):

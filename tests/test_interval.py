@@ -779,6 +779,15 @@ def test_density_budget():
         periodic_density_report(TENT, F(1, 1024), 13)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_density_rejects_no_period(n_max):
+    # No period searched would report coverage 0 on no evidence.
+    with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+        periodic_density_report(TENT, F(1, 16), n_max)
+    with pytest.raises(ValueError, match="epsilon must be positive, got -1/4"):
+        interval.density_cells(TENT, F(-1, 4), 3)
+
+
 # ---------------------------------------------------------------------------
 # The survey wrapper.
 
@@ -827,6 +836,23 @@ def test_devaney_report_checks_density_before_any_hitting_set(monkeypatch):
     monkeypatch.setattr(interval, "transitivity_hitting_set", refuse)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         devaney_report(S, SurveyParams(density_epsilon=F(0)), "S")
+
+
+@pytest.mark.parametrize("params, message", [
+    (SurveyParams(n_steps=4, family=setfam.FamilyParams(burnin=8)),
+     "burnin 8 exceeds horizon 5"),
+    (SurveyParams(density_n_max=0), "n_max must be >= 1, got 0"),
+])
+def test_devaney_report_checks_before_any_work(monkeypatch, params, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the survey composed a map before its checks")
+
+    monkeypatch.setattr(interval, "pl_compose", refuse)
+    monkeypatch.setattr(interval, "pl_image", refuse)
+    with pytest.raises(ValueError, match=message):
+        devaney_report(S, params, "S")
+    with pytest.raises(ValueError, match=message):
+        params.grid(S)
 
 
 def test_devaney_report_identity():

@@ -9,11 +9,12 @@ import random
 import tracemalloc
 from dataclasses import replace
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from chaoskit import shadowing
+from chaoskit import budgets, shadowing
 from chaoskit.budgets import BudgetError
 from chaoskit.interval import builtin
 from chaoskit.setfam import CENSORED, STRICT, FamilyParams, WindowSet, classify
@@ -991,3 +992,52 @@ def test_probe_needs_a_pseudo_orbit():
 def test_chain_budget():
     with pytest.raises(BudgetError):
         chain_graph(TENT, 2 ** 20 + 1, 0.01)
+
+
+@pytest.mark.parametrize("system", [TENT, CLUSTERS], ids=lambda s: s.name)
+def test_each_grid_is_charged_once_where_it_is_built(monkeypatch, system):
+    charges = []
+    monkeypatch.setattr(shadowing, "charge",
+                        lambda name, amount: charges.append((name, amount)))
+    g = chain_graph(system, 33, 0.05)
+    assert charges == [("enum_nodes", len(g))]
+    charges.clear()
+    system.grid(33)
+    assert charges == [("enum_nodes", len(g))]
+
+
+def test_discrete_grid_is_capped():
+    with mock.patch.dict(budgets.CAPS, enum_nodes=len(CLUSTERS.points) - 1):
+        with pytest.raises(BudgetError, match="enum_nodes budget exceeded: 80"):
+            CLUSTERS.grid(2)
+        with pytest.raises(BudgetError):
+            chain_graph(CLUSTERS, 2, 0.05)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05, float("nan"), float("inf")])
+def test_probe_rejects_eps_before_any_work(monkeypatch, eps):
+    # No eps-ball, or one that every start meets, leaves no evidence.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe did work before its checks")
+
+    for name in ("_pseudo_orbits", "best_tracers"):
+        monkeypatch.setattr(shadowing, name, refuse)
+    system = IntervalSystem(builtin("tent"))
+    system.grid = refuse
+    with pytest.raises(ValueError,
+                       match=f"eps must be positive and finite, got {eps}"):
+        fg_shadowing_probe(system, eps, [0.01], 10, trials=1)
+
+
+def test_check_probe_checks_every_target_and_builds_one_grid():
+    built = []
+    system = IntervalSystem(builtin("tent"))
+    system.grid = lambda n: built.append(n) or np.zeros(n)
+    with pytest.raises(ValueError, match="unknown target 'nope'"):
+        shadowing.check_probe(system, 0.05, [0.01], 10, 1, ("full", "nope"),
+                              None, 65, ())
+    assert built == []
+    ladder, params, candidates = shadowing.check_probe(
+        system, 0.05, [0.001, 0.01, 0.001], 10, 1,
+        ("full", "piecewise_syndetic"), TIGHT, 65, ())
+    assert (ladder, params, len(candidates), built) == ([0.01, 0.001], TIGHT, 65, [65])

@@ -472,6 +472,34 @@ def test_transitivity_report_mixing_iff_cofinite():
         assert rep.all_cofinite == rep.p_verdict.cofinite
 
 
+@pytest.mark.parametrize("word_len", [0, -1])
+def test_transitivity_report_rejects_no_words(word_len):
+    # Zero words make zero pairs, and every all_* panel would hold vacuously.
+    for oracle in (SpacingShift(evens(128)), FullShift()):
+        with pytest.raises(ValueError,
+                           match=f"word_len must be >= 1, got {word_len}"):
+            subshift.fs_transitivity_report(oracle, word_len, 8, REPORT_PARAMS)
+
+
+@pytest.mark.parametrize("word_len, n_max, burnin, message", [
+    # u = 1000 and v = 0001 put their 1s 2 * 4 - 1 + 60 = 67 apart.
+    (4, 60, 8, "word-len 4 and n-max 60 need gap 67, not decidable below "
+               "horizon 64"),
+    # Every gap set has horizon n_max + 1, below P's once the widest gap is.
+    (2, 6, 8, "burnin 8 exceeds horizon 7"),
+])
+def test_transitivity_report_checks_before_any_gap_set(
+        monkeypatch, word_len, n_max, burnin, message):
+    def refuse(self, u, v, n_max):
+        raise AssertionError("a gap set was built before the checks")
+
+    monkeypatch.setattr(SpacingShift, "gaps", refuse)
+    params = setfam.FamilyParams(burnin=burnin)
+    with pytest.raises(ValueError, match=message):
+        subshift.fs_transitivity_report(SpacingShift(evens(64)), word_len,
+                                        n_max, params)
+
+
 # ---------------------------------------------------------------------------
 # The report decides each distinct set once; the per-pair loop is its oracle.
 
