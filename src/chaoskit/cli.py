@@ -14,7 +14,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -245,12 +244,7 @@ def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
         return setfam.parse_window_text(_read(Path(spec[1:]), "set")), spec
     if spec[:1].isalpha():
         return setfam.from_generator(spec, horizon), spec
-    try:
-        members = [int(t) for t in spec.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"bad member list {spec!r}")
-    budgets.charge("enum_nodes", horizon)
-    return setfam.window_set(horizon, members), spec
+    return setfam.from_members([spec], horizon, ascending=False), spec
 
 
 def _load_map(spec: str) -> tuple[interval.PLMap, str]:
@@ -289,8 +283,10 @@ def _member_rows(a: WindowSet) -> list[list]:
 
 @contextlib.contextmanager
 def _options():
-    """Turn a library ValueError raised while building inputs into a
-    ConfigError, exit 2; the same error from a survey stays a bug."""
+    """Turn a library ValueError into a ConfigError, exit 2.  A survey's
+    ValueError is a bug, so the block holds only calls whose ValueErrors are
+    all input checks: parsers, the surveys' checks, and language,
+    chain_graph, occurrence_gaps and spacing_dense_periodic."""
     try:
         yield
     except ValueError as e:
@@ -339,8 +335,8 @@ def run_spacing(o: argparse.Namespace, family: FamilyParams, seed: str):
         witness = _spacing_witness(o.witness, p) if o.witness else None
         if not p.members:
             raise ConfigError("empty spacing set: nothing to survey")
+        dp = subshift.spacing_dense_periodic(p, o.k_max)
     rep = subshift.fs_transitivity_report(oracle, o.word_len, o.n_max, family)
-    dp = subshift.spacing_dense_periodic(p, o.k_max)
     lines = [
         "spacing shift survey",
         f"p: {source} horizon={p.horizon} size={len(p)}",
@@ -372,14 +368,12 @@ def run_sturmian(o: argparse.Namespace, family: FamilyParams, seed: str):
     with _options():
         oracle = subshift.SturmianShift(subshift.golden_spec(o.prefix_len))
         word = subshift.parse_word(o.word)
-        if not word:
-            raise ValueError("empty word: nothing to locate")
         # occurrence_gaps raises BudgetError for a word too long for it.
         occ = subshift.occurrence_gaps(oracle.spec, word)
         family.check_horizon(occ.horizon)
         if not occ.members:
             raise ConfigError(f"word {word} does not occur in the prefix")
-    lang = subshift.language(oracle, o.word_len)
+        lang = subshift.language(oracle, o.word_len)
     counts = {n: sum(1 for w in lang if len(w) == n)
               for n in range(1, o.word_len + 1)}
     complexity_ok = all(counts[n] == n + 1 for n in counts)
@@ -519,13 +513,12 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
         interval.density_cells(m, o.density_eps, o.density_steps)
         system, probe = _tracer(m, name, o, family, "full",
                                 "piecewise_syndetic")
-        system.grid(o.chain_nodes)
+        g = shadowing.chain_graph(system, o.chain_nodes, o.chain_delta)
     seed = f"{seed}/p-chaos/{name}"
     density = interval.periodic_density_report(m, o.density_eps,
                                                o.density_steps)
     full = probe("full", seed)
     aux = probe("piecewise_syndetic", seed + "/aux")
-    g = shadowing.chain_graph(system, o.chain_nodes, o.chain_delta)
     transitive = shadowing.chain_transitive_check(g)
     mixing = shadowing.chain_mixing_check(g)
     evidence = density.covered_fraction == 1 and full.verdict == "pass"
@@ -577,22 +570,11 @@ RUNNERS = {
     "p-chaos": run_p_chaos,
 }
 
-# Options that a run needs positive (and finite, for floats); a zero would
-# leave the survey nothing to search or compare against.
-_POSITIVE = ("word_len", "k_max", "delta", "chain_delta")
-
 
 def _run(section: str, opts: dict[str, object], seed: str):
     """Run one section on its option dests; returns (report, csvs, headline).
-
-    The checks shared by every section come first; the section's runner
-    then builds and checks its own inputs before its survey starts.
-    """
+    Every value check is the library's own, made before any survey starts."""
     with _options():
-        for dest in _POSITIVE:
-            if dest in opts and not 0 < opts[dest] < math.inf:
-                raise ValueError(f"{dest.replace('_', '-')} must be positive "
-                                 f"and finite, got {opts[dest]}")
         family = FamilyParams(**{f.name: opts[f.name]
                                  for f in dataclasses.fields(FamilyParams)
                                  if f.name in opts})

@@ -472,6 +472,8 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
     of the report, so the hitting sets of one cell share one walk; callers
     share it, so it is returned as tuples.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     charge("iter_steps", n_max)
     cur = (Fraction(u[0]), Fraction(u[1]))
     memo = _orbits.get({})          # a throwaway dict outside a report
@@ -548,9 +550,11 @@ class SurveyParams:
     density_n_max: int = 10
 
     def grid(self, m: PLMap) -> list[Interval]:
-        """The cells, each shrunk by the margin, after all of devaney_report's
-        checks: density_cells, the cells**2 transitivity sets charged to
+        """The cells, shrunk by the margin, after devaney_report's checks:
+        delta > 0, density_cells, the cells**2 transitivity sets charged to
         enum_nodes, the margin, and the hitting-set horizon n_steps + 1."""
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         density_cells(m, self.density_epsilon, self.density_n_max)
         if self.cells < 1:
             raise ValueError(f"cells must be >= 1, got {self.cells}")

@@ -318,6 +318,20 @@ def from_generator(expr: str, horizon: int) -> WindowSet:
     raise ValueError(f"unknown set generator {expr!r}")
 
 
+def from_members(lines: Iterable[str], horizon: int,
+                 ascending: bool = True) -> WindowSet:
+    """The set listed on lines, comma-separated with blanks skipped, its
+    horizon charged to enum_nodes first; ascending=False takes any order."""
+    members = []
+    for line in lines:
+        try:
+            members += [int(tok) for tok in line.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"bad member list {line!r}") from None
+    charge("enum_nodes", horizon)
+    return WindowSet(horizon, tuple(members)) if ascending else window_set(horizon, members)
+
+
 def parse_window_text(text: str) -> WindowSet:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("horizon="):
@@ -326,17 +340,10 @@ def parse_window_text(text: str) -> WindowSet:
         horizon = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise ValueError(f"bad horizon line {lines[0]!r}")
-    charge("enum_nodes", horizon)
     body = lines[1:]
     if body and (body[0] in ("all", "evens")
                  or body[0].startswith(("multiples(", "complement("))):
         if len(body) > 1:
             raise ValueError(f"stray line {body[1]!r} after generator {body[0]!r}")
         return from_generator(body[0], horizon)
-    members = []
-    for line in body[1:] if body[:1] == ["explicit"] else body:
-        try:
-            members += [int(tok) for tok in line.split(",") if tok.strip()]
-        except ValueError:
-            raise ValueError(f"bad member list {line!r}")
-    return WindowSet(horizon, tuple(members))
+    return from_members(body[1:] if body[:1] == ["explicit"] else body, horizon)

@@ -644,6 +644,8 @@ class ChainGraph:
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     """Edges i -> j whenever d(f(p_i), p_j) < delta + slack; succ[i] is the
     range of those j (the system's grid must ascend)."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"chain delta must be positive and finite, got {delta}")
     pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
     n = len(pts)
     fx = system.step_array(pts)

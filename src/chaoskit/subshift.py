@@ -201,6 +201,8 @@ def language(oracle, max_len: int, node_budget: int | None = None) -> set[str]:
     """All accepted words of length <= max_len, including the empty word, by
     depth-first search over accepts.  Subshift languages are factor-closed,
     hence prefix-closed, so rejected prefixes never extend."""
+    if max_len < 1:
+        raise ValueError(f"word length must be >= 1, got {max_len}")
     charge("word_len", max_len)
     budget = cap("enum_nodes") if node_budget is None else node_budget
     visited = 0
@@ -230,6 +232,8 @@ def _require_in_language(oracle, *words: str) -> None:
 def gap_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
     """{|w| <= n_max : u w v is in the language}, as a WindowSet."""
     check_word(u), check_word(v)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     charge("iter_steps", n_max)
     _require_in_language(oracle, u, v)
     return oracle.gaps(u, v, n_max)
@@ -381,6 +385,8 @@ def spacing_dense_periodic(p_set: WindowSet, k_max: int = K_MAX) -> DensePeriodi
     Tested p are capped at horizon/4 so the progressions are observed over a
     meaningful stretch; larger members are reported as skipped.
     """
+    if k_max < 1:
+        raise ValueError(f"modulus bound must be >= 1, got {k_max}")
     witnesses: dict[int, int] = {}
     failures = []
     skipped = []
@@ -438,7 +444,7 @@ def occurrence_gaps(spec: SturmianSpec, w: str) -> WindowSet:
     """Start positions of w in the prefix, as a WindowSet."""
     _check_prefix_word(spec, w)
     if not w:
-        raise ValueError("occurrence_gaps needs a non-empty word")
+        raise ValueError("empty word: nothing to locate")
     prefix = sturmian_prefix(spec)
     return WindowSet._trusted(len(prefix) - len(w) + 1,
                               tuple(_occurrences(prefix, w)))

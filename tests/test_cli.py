@@ -164,6 +164,15 @@ CHECKED_BEFORE_WORK = [
      "eps must be positive and finite, got nan"),
     (["sturmian", "--prefix-len", "40", "--burnin", "64"],
      [(subshift, "language")], "burnin 64 exceeds horizon 38"),
+    (["spacing", "--k-max", "0"], [(subshift, "fs_transitivity_report")],
+     "modulus bound must be >= 1, got 0"),
+    (["sturmian", "--word-len", "0"], [(setfam, "classify")],
+     "word length must be >= 1, got 0"),
+    (["interval-devaney", "--delta", "0"], [(interval, "devaney_report")],
+     "delta must be positive, got 0"),
+    (["p-chaos", "--chain-delta", "nan"],
+     [(shadowing, "fg_shadowing_probe"), (interval, "periodic_density_report")],
+     "chain delta must be positive and finite, got nan"),
 ]
 
 

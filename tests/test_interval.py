@@ -179,6 +179,22 @@ def test_leo_frozen():
     assert leo_check(S, (F(-1, 10), F(1, 10)), 32) == 8
 
 
+@pytest.mark.parametrize("n_max", [-1, -5])
+def test_orbit_rejects_negative_horizon(monkeypatch, n_max):
+    # The window [0, n_max] would be empty: no set of horizon n_max + 1 < 1
+    # is built, and no step is charged.
+    def refuse(*args):
+        raise AssertionError("charged before the horizon check")
+
+    monkeypatch.setattr(interval, "charge", refuse)
+    u = (F(1, 10), F(1, 5))
+    for call in (lambda: transitivity_hitting_set(TENT, u, u, n_max),
+                 lambda: sensitivity_hitting_set(TENT, u, F(1, 8), n_max),
+                 lambda: leo_check(TENT, u, n_max)):
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n_max}"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Hitting sets: sensitivity, transitivity, the parity law of S.
 
@@ -842,6 +858,9 @@ def test_devaney_report_checks_density_before_any_hitting_set(monkeypatch):
     (SurveyParams(n_steps=4, family=setfam.FamilyParams(burnin=8)),
      "burnin 8 exceeds horizon 5"),
     (SurveyParams(density_n_max=0), "n_max must be >= 1, got 0"),
+    # At delta <= 0 every non-degenerate image counts as sensitive.
+    (SurveyParams(delta=F(0)), "delta must be positive, got 0"),
+    (SurveyParams(delta=F(-1)), "delta must be positive, got -1"),
 ])
 def test_devaney_report_checks_before_any_work(monkeypatch, params, message):
     def refuse(*args, **kwargs):

@@ -414,6 +414,27 @@ def test_parse_reads_every_member_line():
     assert setfam.parse_window_text("horizon=10\nexplicit") == empty_window(10)
 
 
+@pytest.mark.parametrize("body", ["1,,2", "+1,2", " 0, 5 ,7", ""])
+def test_inline_members_read_as_a_file_body(body):
+    # The CLI's inline member list and an @file body share one token rule.
+    assert (setfam.from_members([body], 8, ascending=False)
+            == setfam.parse_window_text(f"horizon=8\n{body}"))
+
+
+@pytest.mark.parametrize("body", ["3,x", "1.5", "-", "1;2"])
+def test_bad_member_list_message_is_shared(body):
+    for parse in (lambda: setfam.from_members([body], 8, ascending=False),
+                  lambda: setfam.parse_window_text(f"horizon=8\n{body}")):
+        with pytest.raises(ValueError, match=f"^bad member list {body!r}$"):
+            parse()
+
+
+def test_only_inline_members_may_come_in_any_order():
+    assert setfam.from_members(["5,1,5"], 8, ascending=False) == WindowSet(8, (1, 5))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        setfam.from_members(["5,1"], 8)
+
+
 @pytest.mark.parametrize("text", ["horizon=10\nevens\n1",
                                   "horizon=10\nmultiples(3)\nevens",
                                   "horizon=10\n1\n2\nx",

@@ -699,6 +699,16 @@ def test_chain_identity_coarse_vs_fine():
     assert chain_recurrent_nodes(fine) == tuple(range(65))
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.5, float("nan"), float("inf")])
+def test_chain_graph_rejects_delta_before_any_grid(delta):
+    # NaN links nothing and infinity links everything: no chain evidence.
+    system = IntervalSystem(builtin("tent"))
+    system.grid = mock.Mock(side_effect=AssertionError("grid built"))
+    with pytest.raises(ValueError, match=f"chain delta must be positive and "
+                                         f"finite, got {delta}"):
+        chain_graph(system, 129, delta)
+
+
 def test_chain_half_swap_interval():
     # The half-swap interval map comes out chain mixing at this resolution:
     # its fixed point at 0 gives the chain graph a self-loop, which kills

@@ -12,13 +12,14 @@ import itertools
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from chaoskit import setfam, subshift
+from chaoskit import budgets, setfam, subshift
 from chaoskit.budgets import BudgetError
 from chaoskit.setfam import WindowSet, window_set
 from chaoskit.subshift import (
@@ -76,6 +77,15 @@ def test_language_budget():
         language(FullShift(), 4, node_budget=10)
     with pytest.raises(BudgetError):
         language(FullShift(), 17)
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_language_rejects_no_words(max_len):
+    # A small node cap makes a search that never stops at max_len fail fast.
+    with mock.patch.dict(budgets.CAPS, enum_nodes=64), \
+            pytest.raises(ValueError,
+                          match=f"word length must be >= 1, got {max_len}"):
+        language(FullShift(), max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +155,19 @@ def test_gap_set_nonpowers_frozen():
 def test_gap_set_undecidable_horizon():
     with pytest.raises(ValueError):
         gap_set(SpacingShift(evens(16)), "1", "1", 32)
+
+
+@pytest.mark.parametrize("n_max", [-1, -5])
+def test_gap_set_rejects_negative_horizon(n_max):
+    # A window [0, n_max] with n_max < 0 is no window; it is refused before
+    # any budget is charged.
+    refuse = mock.Mock(side_effect=AssertionError("charged"))
+    for oracle in (SpacingShift(evens(64)), FullShift(),
+                   SturmianShift(golden_spec(400))):
+        with mock.patch.object(subshift, "charge", refuse), \
+                pytest.raises(ValueError,
+                              match=f"n_max must be >= 0, got {n_max}"):
+            gap_set(oracle, "1", "1", n_max)
 
 
 def dfs_gap_set(oracle, u, v, n_max, budget=2 ** 20):
@@ -247,6 +270,14 @@ def test_spacing_dense_periodic_reports():
     rep = spacing_dense_periodic(evens(128))
     assert rep.passed
     assert all(k == 2 for k in rep.witnesses.values())
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_spacing_dense_periodic_rejects_no_modulus(k_max):
+    # With no modulus to try, every member would fail unsearched.
+    with pytest.raises(ValueError,
+                       match=f"modulus bound must be >= 1, got {k_max}"):
+        spacing_dense_periodic(evens(128), k_max)
 
 
 def test_spacing_witness_frozen():
@@ -372,6 +403,8 @@ def test_sturmian_word_budget():
         oracle.accepts("0" * 26)
     with pytest.raises(BudgetError):
         occurrence_gaps(oracle.spec, "01" * 20)
+    with pytest.raises(ValueError, match="^empty word: nothing to locate$"):
+        occurrence_gaps(oracle.spec, "")
     # The search asks accepts for a word of length 6 > 20 // 4.
     with pytest.raises(BudgetError, match="word too long for the prefix"):
         language(SturmianShift(golden_spec(20)), 8)
