@@ -242,9 +242,7 @@ def _load_window(spec: str, horizon: int) -> tuple[WindowSet, str]:
     spec = spec.strip()
     if spec.startswith("@"):
         return setfam.parse_window_text(_read(Path(spec[1:]), "set")), spec
-    if spec[:1].isalpha():
-        return setfam.from_generator(spec, horizon), spec
-    return setfam.from_members([spec], horizon, ascending=False), spec
+    return setfam.from_body([spec], horizon, ascending=False), spec
 
 
 def _load_map(spec: str) -> tuple[interval.PLMap, str]:

@@ -22,8 +22,10 @@ out in order and carry known values, and the composed map is emitted sorted,
 evaluating f only at g's breakpoint values.
 
 The periodic points of period n are the fixed points of f^n, solved piece by
-piece.  Every point of a periodic orbit is one of them, so each orbit is
-walked once under f and its length is the prime period of all its points.
+piece in one pass: a slope-1 fixed stretch meets another piece's fixed point
+only at a breakpoint they share, so a point it swallows is dropped there.
+Each periodic orbit is walked once under f, and its length is the prime
+period of all its points.
 
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
@@ -306,11 +308,14 @@ class PeriodicReport:
 
 def _fixed_of(m: PLMap) -> tuple[list[Ratio], list[tuple[Ratio, Ratio]]]:
     """The isolated fixed points and the merged slope-1 fixed stretches of m,
-    ascending, as reduced pairs.
+    ascending, as reduced pairs, in one pass over the pieces.
 
     On piece i the fixed point is (Y0·ΔX − ΔY·X0) / (ΔX·dy − ΔY·dx), which
     lies in [x_i, x_{i+1}]; the slope is 1 iff that denominator is 0.  So the
-    points come out in order, a repeat only where two pieces share one."""
+    points come out in order, a repeat only where two pieces share one.  A
+    stretch swallows a point only at its first or last breakpoint, so the
+    last point is popped when an identity piece starts on it, and a point on
+    the end of the last stretch is skipped."""
     X, Y, dx, dy = m.X, m.Y, m.dx, m.dy
     points: list[Ratio] = []
     segments: list[list[int]] = []      # [X_a, X_b] over dx
@@ -320,6 +325,8 @@ def _fixed_of(m: PLMap) -> tuple[list[Ratio], list[tuple[Ratio, Ratio]]]:
         den = w * dy - h * dx
         if den == 0:
             if y0 * dx == x0 * dy:
+                if points and points[-1][0] * dx == x0 * points[-1][1]:
+                    points.pop()
                 if segments and segments[-1][1] == x0:
                     segments[-1][1] = x1
                 else:
@@ -330,17 +337,9 @@ def _fixed_of(m: PLMap) -> tuple[list[Ratio], list[tuple[Ratio, Ratio]]]:
             num, den = -num, -den
         if x0 * den <= num * dx <= x1 * den:
             p = _ratio(num, den)
-            if not points or points[-1] != p:
+            if (not points or points[-1] != p) and not (
+                    segments and segments[-1][1] * p[1] == p[0] * dx):
                 points.append(p)
-    # Points swallowed by a fixed segment are reported once, via the segment.
-    if segments:
-        kept, k = [], 0
-        for n, d in points:
-            while k < len(segments) and segments[k][1] * d < n * dx:
-                k += 1
-            if k == len(segments) or segments[k][0] * d > n * dx:
-                kept.append((n, d))
-        points = kept
     return points, [(_ratio(a, dx), _ratio(b, dx)) for a, b in segments]
 
 
@@ -383,9 +382,9 @@ def density_cells(m: PLMap, epsilon: Fraction, n_max: int) -> int:
     charged to enum_nodes before any cell is allocated; the largest period
     searched, n_max >= 1, is charged to power."""
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"periodic-point cell size must be positive, got {epsilon}")
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise ValueError(f"largest period searched must be >= 1, got {n_max}")
     lo, hi = m.domain
     cells = int(-((lo - hi) // epsilon))
     charge("enum_nodes", cells)
@@ -412,37 +411,28 @@ def periodic_density_report(m: PLMap, epsilon: Fraction | str,
         n, d = x
         return (n * dx - x0 * d) * ed // (d * dx * en)
 
-    def cell_range(a: Ratio, b: Ratio) -> range:
-        return range(max(0, cell(a)), min(cells - 1, cell(b)) + 1)
-
     power = None
-    reached = 0
     for n in range(1, n_max + 1):
         power = m if power is None else pl_compose(m, power)
         pts, segs = _fixed_of(power)
-        for p in pts:
-            for c in cell_range(p, p):
-                covered[c] = True
-        for a, b in segs:
-            for c in cell_range(a, b):
-                covered[c] = True
-        reached = n
+        for a, b in [*zip(pts, pts), *segs]:     # a point is a one-point stretch
+            i, j = max(0, cell(a)), min(cells - 1, cell(b)) + 1
+            covered[i:j] = [True] * (j - i)
         if all(covered):
             break
-    uncovered = []
-    i = 0
-    while i < cells:
-        if not covered[i]:
-            j = i
-            while j + 1 < cells and not covered[j + 1]:
-                j += 1
-            uncovered.append((lo + i * epsilon, min(hi, lo + (j + 1) * epsilon)))
-            i = j + 1
-        i += 1
+    runs: list[list[int]] = []          # [first, last + 1] of each uncovered run
+    for i, c in enumerate(covered):
+        if c:
+            continue
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
     return DensityReport(
         epsilon=epsilon, n_max=n_max,
         covered_fraction=Fraction(sum(covered), cells),
-        cells=cells, uncovered=tuple(uncovered), period_reached=reached,
+        cells=cells, period_reached=n,
+        uncovered=tuple((lo + i * epsilon, min(hi, lo + j * epsilon)) for i, j in runs),
     )
 
 
@@ -473,7 +463,7 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
     share it, so it is returned as tuples.
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"iteration window length must be >= 0, got {n_max}")
     charge("iter_steps", n_max)
     cur = (Fraction(u[0]), Fraction(u[1]))
     memo = _orbits.get({})          # a throwaway dict outside a report

@@ -95,10 +95,6 @@ def full_window(horizon: int) -> WindowSet:
     return WindowSet(horizon, tuple(range(horizon)))
 
 
-def empty_window(horizon: int) -> WindowSet:
-    return WindowSet(horizon, ())
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Surrogate thresholds for the family checks.
@@ -124,11 +120,11 @@ class FamilyParams:
         if self.block < 1:
             raise ValueError("block must be >= 1")
         if self.cofinite_head < 0:
-            raise ValueError("cofinite_head must be >= 0")
+            raise ValueError("co-finite head must be >= 0")
         if self.burnin < 1:
             raise ValueError("burnin must be >= 1")
         if self.tail_policy not in (CENSORED, STRICT):
-            raise ValueError(f"tail_policy must be censored|strict, got {self.tail_policy!r}")
+            raise ValueError(f"tail policy must be censored|strict, got {self.tail_policy!r}")
 
     def check_horizon(self, horizon: int) -> None:
         """ValueError unless a set on this horizon can be classified."""
@@ -287,9 +283,10 @@ def _density_bounds(a: WindowSet, runs: list[tuple[int, int]],
 #
 #   horizon=<N>
 #   <generator>, or an optional "explicit" line and then the members,
-#   ascending, comma- or newline-separated
+#   comma- or newline-separated, ascending unless ascending=False
 #
-# Generators: all | evens | multiples(k) | complement(powers(2)).
+# A body whose first line starts with a letter, "explicit" aside, is one
+# generator line: all | evens | multiples(k) | complement(powers(2)).
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -332,6 +329,17 @@ def from_members(lines: Iterable[str], horizon: int,
     return WindowSet(horizon, tuple(members)) if ascending else window_set(horizon, members)
 
 
+def from_body(lines: list[str], horizon: int, ascending: bool = True) -> WindowSet:
+    """The set a body of stripped lines names; ascending=False as in from_members."""
+    if lines[:1] == ["explicit"]:
+        lines = lines[1:]
+    elif lines and lines[0][:1].isalpha():
+        if len(lines) > 1:
+            raise ValueError(f"stray line {lines[1]!r} after generator {lines[0]!r}")
+        return from_generator(lines[0], horizon)
+    return from_members(lines, horizon, ascending)
+
+
 def parse_window_text(text: str) -> WindowSet:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("horizon="):
@@ -340,10 +348,4 @@ def parse_window_text(text: str) -> WindowSet:
         horizon = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise ValueError(f"bad horizon line {lines[0]!r}")
-    body = lines[1:]
-    if body and (body[0] in ("all", "evens")
-                 or body[0].startswith(("multiples(", "complement("))):
-        if len(body) > 1:
-            raise ValueError(f"stray line {body[1]!r} after generator {body[0]!r}")
-        return from_generator(body[0], horizon)
-    return from_members(body[1:] if body[:1] == ["explicit"] else body, horizon)
+    return from_body(lines[1:], horizon)

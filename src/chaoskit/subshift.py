@@ -58,19 +58,17 @@ def one_positions(w: str) -> list[int]:
 def spacing_member(p_set: WindowSet, w: str) -> bool:
     """Gap criterion: every pairwise distance of 1-positions must lie in P.
 
-    Raises a horizon error when some pairwise distance is >= P.horizon, since
-    the window cannot decide such a gap.
-    """
+    False as soon as a distance below P.horizon is not in P.  Otherwise the
+    largest distance, first 1 to last, raises a horizon error when it is >=
+    P.horizon, as the window cannot decide such a gap."""
     check_word(w)
     ones = one_positions(w)
-    for a_idx in range(len(ones)):
-        for b_idx in range(a_idx + 1, len(ones)):
-            g = ones[b_idx] - ones[a_idx]
-            if g >= p_set.horizon:
-                raise ValueError(
-                    f"gap {g} not decidable below horizon {p_set.horizon}")
-            if g not in p_set:
+    for i, a in enumerate(ones):
+        for b in ones[i + 1:]:
+            if b - a < p_set.horizon and b - a not in p_set:
                 return False
+    if len(ones) > 1 and ones[-1] - ones[0] >= p_set.horizon:
+        raise ValueError(f"gap {ones[-1] - ones[0]} not decidable below horizon {p_set.horizon}")
     return True
 
 
@@ -138,7 +136,7 @@ class SturmianSpec:
 
     def __post_init__(self) -> None:
         if self.prefix_len < 1:
-            raise ValueError("prefix_len must be >= 1")
+            raise ValueError("prefix length must be >= 1")
         limit = cap("prefix_len")
         if self.prefix_len > limit:
             raise BudgetError(f"prefix_len budget exceeded: "
@@ -233,7 +231,7 @@ def gap_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
     """{|w| <= n_max : u w v is in the language}, as a WindowSet."""
     check_word(u), check_word(v)
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"largest filler length must be >= 0, got {n_max}")
     charge("iter_steps", n_max)
     _require_in_language(oracle, u, v)
     return oracle.gaps(u, v, n_max)
@@ -307,7 +305,7 @@ def check_transitivity_report(oracle, word_len: int, n_max: int,
     unless word_len >= 1, params can classify every gap set (horizon n_max
     + 1) and P, and every gap a spacing survey meets is below P's horizon."""
     if word_len < 1:
-        raise ValueError(f"word_len must be >= 1, got {word_len}")
+        raise ValueError(f"word length must be >= 1, got {word_len}")
     p = oracle.p_set
     if p is not None:
         # u = 1 0^(w-1) and v = 0^(w-1) 1 are in every spacing language,
@@ -315,8 +313,8 @@ def check_transitivity_report(oracle, word_len: int, n_max: int,
         widest = 2 * word_len - 1 + n_max
         if widest >= p.horizon:
             raise ValueError(
-                f"word-len {word_len} and n-max {n_max} need gap "
-                f"{widest}, not decidable below horizon {p.horizon}")
+                f"word length {word_len} and largest filler length {n_max} "
+                f"need gap {widest}, not decidable below horizon {p.horizon}")
     # A gap set's horizon n_max + 1 is at most the widest gap, below P's.
     params.check_horizon(n_max + 1)
 

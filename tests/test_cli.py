@@ -151,7 +151,8 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
 # check inside its options block, so the survey itself never starts.
 CHECKED_BEFORE_WORK = [
     (["spacing", "--n-max", "123"], [(subshift, "fs_transitivity_report")],
-     "word-len 3 and n-max 123 need gap 128, not decidable below horizon 128"),
+     "word length 3 and largest filler length 123 need gap 128, not decidable "
+     "below horizon 128"),
     (["interval-devaney", "--steps", "4", "--burnin", "8"],
      [(interval, "devaney_report"), (interval, "periodic_density_report")],
      "burnin 8 exceeds horizon 5"),
@@ -215,7 +216,7 @@ def test_window_horizon_is_capped_before_any_set(source, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("a set was built past the cap")
 
-    for name in ("WindowSet", "full_window", "empty_window", "window_set"):
+    for name in ("WindowSet", "full_window", "window_set"):
         monkeypatch.setattr(setfam, name, refuse)
     n = cap("enum_nodes") + 1
     members = {"generator": "all", "members": "3,9"}.get(source)
@@ -294,6 +295,18 @@ def test_inline_member_list_reads_as_a_file_body(spec, tmp_path, capsys):
             == "n,member\n0,0\n1,1\n2,1\n" + "".join(f"{n},0\n" for n in range(3, 8)))
 
 
+@pytest.mark.parametrize("spec", ["Evens", "multiples (3)"])
+def test_inline_generator_reads_as_a_file_body(spec, tmp_path, capsys):
+    # One rule decides "generator or member list" for both sources.
+    set_file = tmp_path / "set.txt"
+    set_file.write_text(f"horizon=8\n{spec}\n")
+    for source in (spec, f"@{set_file}"):
+        assert main(["classify-set", "--horizon", "8", "--members", source,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: unknown set generator {spec!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # spacing and sturmian.
 
@@ -314,6 +327,17 @@ def test_spacing_witness_line(tmp_path):
     assert ("witness: word=100001 k=4 member=true block_start=false"
             in read(tmp_path / "report.txt"))
     assert main(["spacing", "--witness", "1,x,1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("triple, word", [("1,69,11", "1" + "0" * 69 + "11"),
+                                          ("11,69,1", "11" + "0" * 69 + "1")])
+def test_spacing_witness_with_undecidable_gap_is_decided(triple, word, tmp_path):
+    # Distance 1 is not in the evens, so neither order needs gap 70 or 71,
+    # which lie past the horizon.
+    assert main(["spacing", "--p", "evens", "--horizon", "64", "--n-max", "40",
+                 "--witness", triple, "--out", str(tmp_path)]) == 0
+    assert (f"witness: word={word} k=69 member=false block_start=false"
+            in read(tmp_path / "report.txt"))
 
 
 def test_spacing_witness_checked_before_survey(tmp_path, monkeypatch, capsys):

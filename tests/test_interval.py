@@ -191,7 +191,7 @@ def test_orbit_rejects_negative_horizon(monkeypatch, n_max):
     for call in (lambda: transitivity_hitting_set(TENT, u, u, n_max),
                  lambda: sensitivity_hitting_set(TENT, u, F(1, 8), n_max),
                  lambda: leo_check(TENT, u, n_max)):
-        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n_max}"):
+        with pytest.raises(ValueError, match=f"iteration window length must be >= 0, got {n_max}"):
             call()
 
 
@@ -431,7 +431,9 @@ def frac_power(m, n):
     return out
 
 
-def frac_fixed_of(m):
+def frac_piece_fixed(m):
+    """Each non-identity piece's fixed points and each identity piece, as
+    found piece by piece: nothing swallowed is dropped, nothing merged."""
     points = set()
     segments = []
     for i in range(len(m.xs) - 1):
@@ -445,6 +447,11 @@ def frac_fixed_of(m):
         x_star = (y0 - slope * x0) / (1 - slope)
         if x0 <= x_star <= x1:
             points.add(x_star)
+    return points, segments
+
+
+def frac_fixed_of(m):
+    points, segments = frac_piece_fixed(m)
     points = {p for p in points if not any(a <= p <= b for a, b in segments)}
     merged = []
     for a, b in sorted(segments):
@@ -556,8 +563,11 @@ def mixed_pair(rng):
 
 def test_mixed_maps_cover_every_feature():
     """The maps the engine is checked on below have mixed denominators, flat
-    pieces, slope-1 fixed stretches and numerator steps |ΔY| > 1."""
-    seen = dict.fromkeys(("mixed", "flat", "diagonal", "wide"), 0)
+    pieces, slope-1 fixed stretches and numerator steps |ΔY| > 1, and some
+    piece's fixed point lies where a fixed stretch starts, or ends: the two
+    cases in which _fixed_of drops a swallowed point."""
+    seen = dict.fromkeys(("mixed", "flat", "diagonal", "wide", "starts_on_point",
+                          "ends_on_point"), 0)
     rng = random.Random("features")
     for _ in range(100):
         m, _ = mixed_pair(rng)
@@ -565,7 +575,17 @@ def test_mixed_maps_cover_every_feature():
         seen["flat"] += any(a == b for a, b in zip(m.Y, m.Y[1:]))
         seen["diagonal"] += bool(interval._fixed_of(m)[1])
         seen["wide"] += any(abs(b - a) > 1 for a, b in zip(m.Y, m.Y[1:]))
+        points, segments = frac_piece_fixed(m)
+        seen["starts_on_point"] += any(a in points for a, _ in segments)
+        seen["ends_on_point"] += any(b in points for _, b in segments)
     assert min(seen.values()) > 5, seen
+
+
+def test_stretch_reports_the_points_it_swallows():
+    # Each outer piece has slope -1/2 and its fixed point on an end of the
+    # identity stretch [1/3, 2/3]: one before the stretch, one after it.
+    m = pl_map([(0, F(1, 2)), (F(1, 3), F(1, 3)), (F(2, 3), F(2, 3)), (1, F(1, 2))])
+    assert fixed_as_fractions(interval._fixed_of(m)) == ([], [(F(1, 3), F(2, 3))])
 
 
 @given(st.randoms(use_true_random=False))
@@ -798,9 +818,9 @@ def test_density_budget():
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_density_rejects_no_period(n_max):
     # No period searched would report coverage 0 on no evidence.
-    with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+    with pytest.raises(ValueError, match=f"largest period searched must be >= 1, got {n_max}"):
         periodic_density_report(TENT, F(1, 16), n_max)
-    with pytest.raises(ValueError, match="epsilon must be positive, got -1/4"):
+    with pytest.raises(ValueError, match="periodic-point cell size must be positive, got -1/4"):
         interval.density_cells(TENT, F(-1, 4), 3)
 
 
@@ -850,14 +870,14 @@ def test_devaney_report_checks_density_before_any_hitting_set(monkeypatch):
 
     monkeypatch.setattr(interval, "sensitivity_hitting_set", refuse)
     monkeypatch.setattr(interval, "transitivity_hitting_set", refuse)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="periodic-point cell size must be positive"):
         devaney_report(S, SurveyParams(density_epsilon=F(0)), "S")
 
 
 @pytest.mark.parametrize("params, message", [
     (SurveyParams(n_steps=4, family=setfam.FamilyParams(burnin=8)),
      "burnin 8 exceeds horizon 5"),
-    (SurveyParams(density_n_max=0), "n_max must be >= 1, got 0"),
+    (SurveyParams(density_n_max=0), "largest period searched must be >= 1, got 0"),
     # At delta <= 0 every non-degenerate image counts as sensitive.
     (SurveyParams(delta=F(0)), "delta must be positive, got 0"),
     (SurveyParams(delta=F(-1)), "delta must be positive, got -1"),

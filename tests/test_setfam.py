@@ -1,5 +1,6 @@
 """Window-set combinatorics: frozen fixtures plus hypothesis properties."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from chaoskit import setfam
 from chaoskit.setfam import (
-    CENSORED, STRICT, FamilyParams, WindowSet, classify, empty_window,
-    from_generator, full_window, window_set,
+    CENSORED, STRICT, FamilyParams, WindowSet, classify, from_generator,
+    full_window, window_set,
 )
 
 
@@ -45,6 +46,10 @@ def longest_block(a: WindowSet) -> int:
         best = max(best, run)
         prev = m
     return best
+
+
+def empty_window(horizon: int) -> WindowSet:
+    return WindowSet(horizon, ())
 
 
 def union(a: WindowSet, b: WindowSet) -> WindowSet:
@@ -427,6 +432,25 @@ def test_bad_member_list_message_is_shared(body):
                   lambda: setfam.parse_window_text(f"horizon=8\n{body}")):
         with pytest.raises(ValueError, match=f"^bad member list {body!r}$"):
             parse()
+
+
+@pytest.mark.parametrize("body", ["Evens", "multiples (3)", "odds", "x1,2"])
+def test_bad_generator_message_is_shared(body):
+    # A spec that starts with a letter names a generator, inline and in a
+    # file alike, so a misspelt one is never read as a member list.
+    for parse in (lambda: setfam.from_body([body], 8, ascending=False),
+                  lambda: setfam.parse_window_text(f"horizon=8\n{body}")):
+        with pytest.raises(ValueError, match=f"^unknown set generator {re.escape(repr(body))}$"):
+            parse()
+
+
+def test_explicit_line_reads_the_rest_as_members():
+    assert setfam.from_body(["explicit", "5,1"], 8, ascending=False) == WindowSet(8, (1, 5))
+    assert setfam.from_body(["explicit"], 8) == empty_window(8)
+    with pytest.raises(ValueError, match="^bad member list 'evens'$"):
+        setfam.from_body(["explicit", "evens"], 8)
+    with pytest.raises(ValueError, match="^stray line '1' after generator 'evens'$"):
+        setfam.from_body(["evens", "1"], 8, ascending=False)
 
 
 def test_only_inline_members_may_come_in_any_order():

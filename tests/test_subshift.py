@@ -59,6 +59,20 @@ def test_spacing_member():
         spacing_member(evens(4), "10001")  # gap 4 is beyond the horizon
 
 
+@pytest.mark.parametrize("word", ["1" + "0" * 69 + "11", "11" + "0" * 69 + "1"])
+def test_spacing_member_is_false_on_any_decidable_miss(word):
+    # Distance 1 is not in P, so the word is out whatever the undecidable
+    # distances 70 and 71 are, in either order of the pairs.
+    assert not spacing_member(evens(64), word)
+
+
+def test_spacing_member_names_the_largest_undecidable_gap():
+    # 1s at 0, 68 and 70: distance 2 is in P, and 68 and 70 are past the
+    # horizon, so only the undecidable gaps are left.
+    with pytest.raises(ValueError, match="^gap 70 not decidable below horizon 64$"):
+        spacing_member(evens(64), "1" + "0" * 67 + "101")
+
+
 # ---------------------------------------------------------------------------
 # Language enumeration.
 
@@ -166,7 +180,7 @@ def test_gap_set_rejects_negative_horizon(n_max):
                    SturmianShift(golden_spec(400))):
         with mock.patch.object(subshift, "charge", refuse), \
                 pytest.raises(ValueError,
-                              match=f"n_max must be >= 0, got {n_max}"):
+                              match=f"largest filler length must be >= 0, got {n_max}"):
             gap_set(oracle, "1", "1", n_max)
 
 
@@ -510,14 +524,14 @@ def test_transitivity_report_rejects_no_words(word_len):
     # Zero words make zero pairs, and every all_* panel would hold vacuously.
     for oracle in (SpacingShift(evens(128)), FullShift()):
         with pytest.raises(ValueError,
-                           match=f"word_len must be >= 1, got {word_len}"):
+                           match=f"word length must be >= 1, got {word_len}"):
             subshift.fs_transitivity_report(oracle, word_len, 8, REPORT_PARAMS)
 
 
 @pytest.mark.parametrize("word_len, n_max, burnin, message", [
     # u = 1000 and v = 0001 put their 1s 2 * 4 - 1 + 60 = 67 apart.
-    (4, 60, 8, "word-len 4 and n-max 60 need gap 67, not decidable below "
-               "horizon 64"),
+    (4, 60, 8, "word length 4 and largest filler length 60 need gap 67, "
+               "not decidable below horizon 64"),
     # Every gap set has horizon n_max + 1, below P's once the widest gap is.
     (2, 6, 8, "burnin 8 exceeds horizon 7"),
 ])
