@@ -294,25 +294,23 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def from_generator(expr: str, horizon: int) -> WindowSet:
-    """A named set on [0, horizon); the horizon is charged to enum_nodes
-    before the set is built."""
-    charge("enum_nodes", horizon)
+    """A named set on [0, horizon); the name is checked first, then the
+    horizon is charged to enum_nodes before the set is built."""
     expr = expr.strip()
+    m = re.fullmatch(r"multiples\((\d+)\)", expr)
+    step = int(m.group(1)) if m else {"evens": 2}.get(expr)
+    if step is None and expr not in ("all", "complement(powers(2))"):
+        raise ValueError(f"unknown set generator {expr!r}")
+    if step is not None and step < 1:
+        raise ValueError("multiples(k) needs k >= 1")
+    charge("enum_nodes", horizon)
+    if step is not None:
+        return WindowSet(horizon, tuple(range(0, horizon, step)))
     if expr == "all":
         return full_window(horizon)
-    if expr == "evens":
-        return WindowSet(horizon, tuple(range(0, horizon, 2)))
-    m = re.fullmatch(r"multiples\((\d+)\)", expr)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
-            raise ValueError("multiples(k) needs k >= 1")
-        return WindowSet(horizon, tuple(range(0, horizon, k)))
-    if expr == "complement(powers(2))":
-        # The positive integers minus {2, 4, 8, ...}; 0 is not listed because
-        # the underlying set lives in the positive integers.
-        return WindowSet(horizon, tuple(n for n in range(1, horizon) if not _is_power_of_two(n)))
-    raise ValueError(f"unknown set generator {expr!r}")
+    # The positive integers minus {2, 4, 8, ...}; 0 is not listed because the
+    # underlying set lives in the positive integers.
+    return WindowSet(horizon, tuple(n for n in range(1, horizon) if not _is_power_of_two(n)))
 
 
 def from_members(lines: Iterable[str], horizon: int,

@@ -30,13 +30,20 @@ with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
 then the successors of each node are one index range, stored as
 range(lo, hi), and both ends of the ranges ascend together with f(p_i).
 Chain transitivity is strong connectivity; chain mixing additionally needs
-an aperiodic graph (cycle-length gcd 1).  Kosaraju's two passes find the
-SCCs, each walking a "next unvisited index" union-find: the forward pass over
-successor ranges, the reverse pass over runs of predecessors in the nodes
-sorted by their ranges.  After that O(n log n) sort every check runs on the
-ranges in near-linear time and O(n) memory, and each graph is traversed
-once per pass: the forward pass records depth-first depths, and the period
-is read off them.
+an aperiodic graph (cycle-length gcd 1).  The checks are decided by two
+level-synchronous BFSs from node 0, each run at most once per graph, with
+O(n) numpy work a level and no edge listed: a forward level is the nodes
+that the frontier's ranges cover, a backward level the nodes whose range
+holds a frontier node.  The graph is chain transitive iff both reach every
+node; the forward levels give the period by Denardo's gcd; and every node
+of a strongly connected graph with more than one node is chain recurrent.
+A BFS may expand at most _BFS_LEVELS levels (the fixtures are at most 12
+deep).  Past that cap, and for the recurrent nodes of a graph that is not
+strongly connected, Kosaraju's two passes find the SCCs, each walking a
+"next unvisited index" union-find: the forward pass over successor ranges,
+whose depth-first depths then give the period, the reverse pass over runs
+of predecessors in the nodes sorted by their ranges.  That sort, made once
+per graph, also checks that the ranges ascend together.
 """
 
 from __future__ import annotations
@@ -60,22 +67,22 @@ FLOAT_SLACK = 2.0 ** -40
 JUMP_FRACTION = 0.9  # jumps are capped at this fraction of delta
 
 
-def _first_true(pred, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-    """Per row r, the least j in [lo[r], hi[r]) with pred(j)[r] true, else hi[r].
+def _least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
+    """Per row r, the least j in [0, size] with pred(j)[r] true (size when
+    none), found by moving each guess one index at a time until no guess
+    moves.
 
-    pred takes one index into an array of the given size per row and must be
-    monotone in j on each row's interval (false, then true); bisection, all
-    rows at once.
+    pred takes one index into an array of the given size per row and must
+    be false, then true, in j on each row between the answer and the guess,
+    so a guess that a search on rounded values put a step or two off
+    settles in as many passes, all rows at once.
     """
-    lo, hi = lo.copy(), hi.copy()
     while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) // 2
-        ok = pred(np.minimum(mid, size - 1))
-        hi = np.where(active & ok, mid, hi)
-        lo = np.where(active & ~ok, mid + 1, lo)
+        down = (guess > 0) & pred(np.maximum(guess - 1, 0))
+        up = (guess < size) & ~pred(np.minimum(guess, size - 1))
+        if not (down | up).any():
+            return guess
+        guess = guess - down + up
 
 
 class IntervalSystem:
@@ -136,8 +143,7 @@ class DiscreteSystem:
         d = np.minimum(d_left, d_right)
         # Rounded distances fall toward arr, so the points at distance d below
         # best form one run ending at best; argmin takes its first.
-        return _first_true(lambda j: np.abs(arr - pts[j]) <= d,
-                           np.zeros_like(best), best + 1, len(pts))
+        return _least_true(lambda j: np.abs(arr - pts[j]) <= d, best, len(pts))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
         return self.points[self.images[self._nearest(arr)]]
@@ -575,12 +581,27 @@ class ChainGraph:
         return len(self.points)
 
     @cached_property
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ends lo, hi of the successor ranges as int arrays, built once
-        per graph for the reverse pass and the period."""
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ends lo, hi of the successor ranges as int arrays and the
+        nodes sorted by (lo, hi), built once per graph.  Every chain check
+        starts here, so a graph whose ranges do not ascend together (hi
+        falls somewhere in that order) raises ValueError before any work."""
         lo = np.fromiter((r.start for r in self.succ), np.intp, len(self))
         hi = np.fromiter((r.stop for r in self.succ), np.intp, len(self))
-        return lo, hi
+        by = np.lexsort((hi, lo))
+        if (np.diff(hi[by]) < 0).any():
+            raise ValueError("successor ranges do not ascend together")
+        return lo, hi, by
+
+    @cached_property
+    def _levels(self) -> np.ndarray | None:
+        """The forward BFS from node 0, run once per graph (_bfs_levels)."""
+        return _bfs_levels(*self._bounds[:2])
+
+    @cached_property
+    def _coreach(self) -> np.ndarray | None:
+        """The backward BFS to node 0, run once per graph (_bfs_coreach)."""
+        return _bfs_coreach(*self._bounds[:2])
 
     @cached_property
     def _forward(self) -> tuple[list[int], list[int]]:
@@ -610,7 +631,9 @@ class ChainGraph:
 
     @cached_property
     def components(self) -> list[list[int]]:
-        """The strongly connected components, found once per graph."""
+        """The strongly connected components, found once per graph; only a
+        BFS past the level cap, or chain_recurrent_nodes on a graph that is
+        not strongly connected, asks for them."""
         return strongly_connected_components(self)
 
     @cached_property
@@ -618,20 +641,24 @@ class ChainGraph:
         """gcd of cycle lengths of a strongly connected graph (None
         otherwise), found once per graph; 1 means aperiodic.
 
-        For the depths of any spanning tree rooted at node 0, here the first
-        tree of the forward pass, the period is the gcd over all edges u->v
-        of depth(u)+1-depth(v): each term is a difference of two closed-walk
+        For the depths of any spanning tree rooted at node 0, here the levels
+        of the forward BFS, the period is the gcd over all edges u->v of
+        depth(u)+1-depth(v): each term is a difference of two closed-walk
         lengths through 0, and each cycle's length is the sum of its terms
         (Denardo 1977).  Over one successor range [lo, hi) the terms reduce
         to depth(u)+1-depth(lo) and the differences depth(k+1)-depth(k) for
         k in [lo, hi-1); a difference array marks every k that some range
-        covers, and one gcd reduction takes them all, in O(n).
+        covers, and one gcd reduction takes them all, in O(n).  Past the
+        BFS level cap, the first tree of Kosaraju's forward pass gives the
+        depths instead.
         """
         if not chain_transitive_check(self):
             return None
         n = len(self)
-        depth = np.array(self._forward[1], dtype=np.int64)
-        lo, hi = self._bounds
+        depth = self._levels
+        if depth is None:
+            depth = np.array(self._forward[1], dtype=np.int64)
+        lo, hi, _ = self._bounds
         rows = np.flatnonzero(hi > lo)
         lo, hi = lo[rows], hi[rows]
         covered = np.cumsum(np.bincount(lo, minlength=n)
@@ -650,12 +677,58 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     n = len(pts)
     fx = system.step_array(pts)
     tol = delta + FLOAT_SLACK
-    # abs(fx - p) < tol, split into its two halves, each monotone in j.
-    lo = _first_true(lambda j: fx - pts[j] < tol,
-                     np.zeros(n, dtype=np.intp), np.full(n, n), n)
-    hi = _first_true(lambda j: ~(fx - pts[j] > -tol), lo, np.full(n, n), n)
+    # abs(fx - p) < tol, split into its two halves, each monotone in j: a
+    # search on fx -+ tol puts each end within a step of the exact one.
+    lo = _least_true(lambda j: fx - pts[j] < tol,
+                     np.searchsorted(pts, fx - tol, "right"), n)
+    hi = _least_true(lambda j: ~(fx - pts[j] > -tol),
+                     np.searchsorted(pts, fx + tol, "left"), n)
     succ = tuple(map(range, lo.tolist(), hi.tolist()))
     return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
+
+
+# The levels a BFS may expand before the chain checks fall back to Kosaraju.
+# The fixture graphs are at most 12 levels deep at any size; a graph whose
+# chains creep (two clusters, each chain alternating between them) can be
+# about n/2 deep.
+_BFS_LEVELS = 48
+
+
+def _bfs_levels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Each node's distance from node 0 along the ranges [lo, hi), -1 where
+    node 0 does not reach; None if some node is _BFS_LEVELS or more levels
+    from node 0.  The next level is the nodes that the frontier's ranges
+    cover, a difference array over their ends summed in one cumsum, that no
+    earlier level holds: O(n) numpy work a level, and no edge is listed."""
+    n = len(lo)
+    level = np.full(n, -1, dtype=np.int64)
+    front = np.arange(min(n, 1))
+    level[front] = 0
+    for k in range(1, _BFS_LEVELS + 1):
+        cover = np.cumsum(np.bincount(lo[front], minlength=n + 1)
+                          - np.bincount(hi[front], minlength=n + 1))[:n] > 0
+        front = np.flatnonzero(cover & (level < 0))
+        if not len(front):
+            return level
+        level[front] = k
+    return None
+
+
+def _bfs_coreach(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Which nodes reach node 0 along the ranges [lo, hi); None if some node
+    is _BFS_LEVELS or more levels from it.  A node joins the next level
+    when its range holds a frontier node, c[hi] > c[lo] for the frontier's
+    prefix count c."""
+    n = len(lo)
+    seen = np.arange(n) == 0
+    front, count = seen, np.zeros(n + 1, dtype=np.intp)
+    for _ in range(_BFS_LEVELS):
+        np.cumsum(front, out=count[1:])
+        front = (count[hi] > count[lo]) & ~seen
+        if not front.any():
+            return seen
+        seen |= front
+    return None
 
 
 def _unvisited(n: int):
@@ -679,7 +752,9 @@ def _unvisited(n: int):
 
 def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
     """Kosaraju's two passes over the successor ranges, each a walk of one
-    _unvisited union-find.
+    _unvisited union-find.  The chain checks decide a graph by BFS and come
+    here only when a BFS passes its level cap (_BFS_LEVELS), or for the
+    recurrent nodes of a graph that is not strongly connected.
 
     The forward pass is the graph's cached _forward.  The reverse pass needs
     the unassigned u with lo[u] <= v < hi[u].  In every graph chain_graph
@@ -691,10 +766,7 @@ def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
     ascend together raises ValueError before either pass.
     """
     n = len(g)
-    lo, hi = g._bounds
-    by = np.lexsort((hi, lo))
-    if (np.diff(hi[by]) < 0).any():
-        raise ValueError("successor ranges do not ascend together")
+    lo, hi, by = g._bounds
     order = g._forward[0]
     nodes = np.arange(n)
     pos = np.empty(n, dtype=np.intp)
@@ -722,7 +794,16 @@ def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
 
 
 def chain_transitive_check(g: ChainGraph) -> bool:
-    return len(g.components) == 1
+    """Strong connectivity: the forward and the backward BFS from node 0
+    each reach every node.  Where a BFS passes the level cap, the graph is
+    transitive iff it is one SCC."""
+    level = g._levels
+    if level is not None and (level < 0).any():
+        return False
+    coreach = None if level is None else g._coreach
+    if coreach is None:
+        return len(g.components) == 1
+    return len(g) > 0 and bool(coreach.all())
 
 
 def chain_period(g: ChainGraph) -> int | None:
@@ -736,7 +817,11 @@ def chain_mixing_check(g: ChainGraph) -> bool:
 
 
 def chain_recurrent_nodes(g: ChainGraph) -> tuple[int, ...]:
-    """Nodes lying on some cycle: SCC of size > 1, or a self-loop."""
+    """Nodes lying on some cycle: every node of a strongly connected graph
+    with more than one node; otherwise the nodes of an SCC of size > 1, or
+    with a self-loop."""
+    if chain_transitive_check(g) and len(g) > 1:
+        return tuple(range(len(g)))
     out = []
     for comp in g.components:
         if len(comp) > 1:

@@ -36,6 +36,23 @@ def test_bad_generator_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("members, message", [
+    ("Evens", "unknown set generator 'Evens'"),
+    ("multiples(0)", "multiples(k) needs k >= 1"),
+])
+def test_bad_generator_past_the_cap_exits_2(members, message, tmp_path,
+                                            capsys):
+    # The generator is checked before its horizon is charged, as a member
+    # list is, so a misspelt name does not read as a budget breach.
+    assert main(["classify-set", "--members", members, "--horizon", "2000000",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["classify-set", "--members", "evens", "--horizon", "2000000",
+                 "--out", str(tmp_path)]) == 3
+    assert "enum_nodes budget exceeded" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 BAD_PARAMETERS = [
     ["classify-set", "--gap", "0"],
     ["classify-set", "--tail-policy", "foo"],

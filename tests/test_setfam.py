@@ -10,6 +10,7 @@ from hypothesis import example, given, assume, settings
 from hypothesis import strategies as st
 
 from chaoskit import setfam
+from chaoskit.budgets import BudgetError
 from chaoskit.setfam import (
     CENSORED, STRICT, FamilyParams, WindowSet, classify, from_generator,
     full_window, window_set,
@@ -395,6 +396,26 @@ def test_from_generator_frozen():
     assert len(from_generator("all", 12)) == 12
     with pytest.raises(ValueError):
         from_generator("odds", 10)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("Evens", "unknown set generator 'Evens'"),
+    ("multiples(0)", "multiples(k) needs k >= 1"),
+])
+def test_from_generator_checks_the_name_before_charging(expr, message,
+                                                        monkeypatch):
+    # A horizon past the cap must not mask a bad name as a budget breach.
+    def refuse(name, amount):
+        raise AssertionError("charged before the name was checked")
+
+    monkeypatch.setattr(setfam, "charge", refuse)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_generator(expr, 2_000_000)
+
+
+def test_from_generator_charges_a_good_name():
+    with pytest.raises(BudgetError, match="enum_nodes budget exceeded"):
+        from_generator("evens", 2_000_000)
 
 
 def test_parse_format_round_trip():

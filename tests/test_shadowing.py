@@ -25,6 +25,7 @@ from chaoskit.shadowing import (
     make_pseudo_orbit, orbit_points, recompute_valid_set,
     strongly_connected_components, trace_set,
 )
+from test_interval import random_maps
 
 TENT = IntervalSystem(builtin("tent"), name="tent")
 S = IntervalSystem(builtin("S"), name="S")
@@ -817,6 +818,55 @@ def assert_matches_oracle(g, succ):
     assert chain_recurrent_nodes(g) == tuple(recurrent)
 
 
+def first_true(pred, lo, hi, size):
+    """Per row r, the least j in [lo[r], hi[r]) with pred(j)[r] true, else
+    hi[r]: the bisection, all rows at once, that chain_graph's searchsorted
+    and fix-up replaced.  pred must be monotone in j on each row's interval
+    (false, then true)."""
+    lo, hi = lo.copy(), hi.copy()
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(np.minimum(mid, size - 1))
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid + 1, lo)
+
+
+def bisected_succ(system, n_nodes, delta):
+    pts = system.grid(n_nodes)
+    n = len(pts)
+    fx = system.step_array(pts)
+    tol = delta + shadowing.FLOAT_SLACK
+    lo = first_true(lambda j: fx - pts[j] < tol,
+                    np.zeros(n, dtype=np.intp), np.full(n, n), n)
+    hi = first_true(lambda j: ~(fx - pts[j] > -tol), lo, np.full(n, n), n)
+    return tuple(map(range, lo.tolist(), hi.tolist()))
+
+
+def test_chain_ranges_match_bisection():
+    """The ends that chain_graph settles from a search on fx -+ tol are the
+    bisection's, exactly: on the fixtures and seeded random PL maps at every
+    size and delta from far below the grid spacing to above the domain, and
+    on random discrete systems."""
+    maps = [TENT, S, EX, IDENT] + [IntervalSystem(m, name=f"random{k}")
+                                   for k, m in enumerate(random_maps(12, 29))]
+    for system in maps:
+        for n in (2, 3, 129, 1001, 2001):
+            spacing = (system.hi - system.lo) / (n - 1)
+            for delta in (1e-9, spacing, 0.01, 0.3, 2.0):
+                assert (chain_graph(system, n, delta).succ
+                        == bisected_succ(system, n, delta)), (system.name, n, delta)
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        points = np.cumsum(rng.choice([0.25, 0.5, 1.0], size=n)) - 3.0
+        system = DiscreteSystem(points, rng.integers(0, n, size=n))
+        for delta in (0.1, 0.25, 0.5, 1.0, 40.0):
+            assert chain_graph(system, n, delta).succ == bisected_succ(system, n, delta)
+
+
 @pytest.mark.parametrize("system", [TENT, S, EX, IDENT], ids=lambda s: s.name)
 @pytest.mark.parametrize("n_nodes", [129, 1001, 2001])
 def test_chain_ranges_match_dense_oracle(system, n_nodes):
@@ -879,9 +929,17 @@ CHAIN_CHECKS = (strongly_connected_components, chain_transitive_check,
                 chain_period, chain_mixing_check, chain_recurrent_nodes)
 
 
-def test_chain_checks_match_oracle_on_range_graphs():
+def test_chain_checks_match_oracle_on_range_graphs(monkeypatch):
     """Every chain check matches the oracle on graphs whose ranges ascend
-    together, and refuses the random-range graphs whose ranges do not."""
+    together, and refuses the random-range graphs whose ranges do not.  A
+    level cap of 1 or 2 sends most graphs to the Kosaraju fallback, and the
+    default cap decides nearly all of them by BFS."""
+    for levels in (1, 2, shadowing._BFS_LEVELS):
+        monkeypatch.setattr(shadowing, "_BFS_LEVELS", levels)
+        check_range_graphs()
+
+
+def check_range_graphs():
     rng = np.random.default_rng(3)
     refused = 0
     for trial in range(400):
@@ -911,34 +969,75 @@ def test_chain_checks_match_oracle_on_range_graphs():
         assert_matches_oracle(g, tuple(map(tuple, succ)))
 
 
-def test_chain_components_found_once_per_graph(monkeypatch):
+def two_cluster_ring(k):
+    """Two clusters of k points, each point mapping to its twin in the
+    other: at delta 1.5/k each chain steps to a twin's neighbour, so the
+    chain graph is one period-2 ring whose BFS from node 0 needs about 2k
+    levels."""
+    points = np.arange(k) / k
+    return DiscreteSystem(np.concatenate([points, 10 + points]),
+                          [k + i for i in range(k)] + list(range(k)))
+
+
+def count_calls(monkeypatch, name):
+    """Patch shadowing.<name> to log the size of the graph of each call."""
     calls = []
-    original = shadowing.strongly_connected_components
-    monkeypatch.setattr(shadowing, "strongly_connected_components",
-                        lambda g: calls.append(g) or original(g))
-    g = chain_graph(TENT, 129, 0.02)
-    chain_transitive_check(g)
-    chain_mixing_check(g)
-    chain_period(g)
-    chain_recurrent_nodes(g)
-    assert calls == [g]
+    original = getattr(shadowing, name)
+
+    def logged(first, *rest):
+        calls.append(first if isinstance(first, int) else len(first))
+        return original(first, *rest)
+
+    monkeypatch.setattr(shadowing, name, logged)
+    return calls
+
+
+def run_chain_checks(g):
+    """Every chain check, twice over; the second round must agree."""
+    first, again = ([check(g) for check in (chain_transitive_check,
+                                            chain_mixing_check, chain_period,
+                                            chain_recurrent_nodes)]
+                    for _ in range(2))
+    assert first == again
+    return first
+
+
+def test_chain_ring_deeper_than_the_cap_falls_back(monkeypatch):
+    forward = count_calls(monkeypatch, "_bfs_levels")
+    backward = count_calls(monkeypatch, "_bfs_coreach")
+    passes = count_calls(monkeypatch, "_unvisited")
+    g = chain_graph(two_cluster_ring(100), 200, 0.015)
+    assert run_chain_checks(g) == [True, False, 2, tuple(range(200))]
+    assert g._levels is None
+    # The forward BFS stops at the cap, the backward one never starts, and
+    # Kosaraju's two passes answer in their place, once each.
+    assert (forward, backward, passes) == ([200], [], [200, 200])
+
+
+def test_chain_components_found_once_per_graph(monkeypatch):
+    """A graph that is not strongly connected is decided by the forward BFS,
+    and only chain_recurrent_nodes needs its SCCs, found once however often
+    it asks."""
+    calls = count_calls(monkeypatch, "strongly_connected_components")
+    backward = count_calls(monkeypatch, "_bfs_coreach")
+    g = chain_graph(IDENT, 65, 0.001)       # only self-loops
+    assert run_chain_checks(g) == [False, False, None, tuple(range(65))]
+    assert (calls, backward) == ([65], [])
 
 
 def test_chain_period_found_once_per_graph(monkeypatch):
-    """Each graph is traversed once per Kosaraju pass, however many checks
-    ask: each pass walks one _unvisited union-find, and the period reads the
-    depths of the forward pass."""
-    calls = []
-    original = shadowing._unvisited
-    monkeypatch.setattr(shadowing, "_unvisited",
-                        lambda n: calls.append(n) or original(n))
-    g = chain_graph(TENT, 129, 0.02)
-    chain_transitive_check(g)
-    chain_mixing_check(g)
-    chain_period(g)
-    chain_recurrent_nodes(g)
-    assert chain_period(g) == 1
-    assert calls == [129, 129]
+    """Each BFS direction runs once per graph, however many checks ask, and
+    decides all four checks on tent and S at 10^5 nodes: no Kosaraju pass
+    and no SCC is computed."""
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("_bfs_levels", "_bfs_coreach", "_unvisited",
+                          "strongly_connected_components")}
+    n = 100_001
+    for system in (TENT, S):
+        g = chain_graph(system, n, 0.02)
+        assert run_chain_checks(g) == [True, True, 1, tuple(range(n))]
+    assert calls == {"_bfs_levels": [n, n], "_bfs_coreach": [n, n],
+                     "_unvisited": [], "strongly_connected_components": []}
 
 
 def test_discrete_nearest_matches_argmin():
