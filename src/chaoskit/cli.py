@@ -262,8 +262,9 @@ def _emit(outdir: Path, report: str, csvs: dict[str, list[list]]) -> None:
 
 
 def _verdict_cells(v) -> list:
+    """A verdict's witness cells: max_gap, longest_block, cofinite_head."""
     return [v.max_gap if v.max_gap is not None else "",
-            v.longest_block, v.cofinite_head, ";".join(v.tags())]
+            v.longest_block, v.cofinite_head]
 
 
 def _member_rows(a: WindowSet) -> list[list]:
@@ -357,7 +358,7 @@ def run_spacing(o: argparse.Namespace, family: FamilyParams, seed: str):
     for r in rep.rows:
         rows.append([subshift.format_word(r.u), subshift.format_word(r.v),
                      ";".join(str(m) for m in r.gaps.members),
-                     *_verdict_cells(r.verdict)[:-1],
+                     *_verdict_cells(r.verdict),
                      *(_fb(getattr(r.verdict, f)) for f in FAMILIES.values())])
     return "\n".join(lines), {"pairs.csv": rows}, headline
 
@@ -418,10 +419,11 @@ def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
     sens_rows = [["cell", "a", "b", "max_gap", "longest_block",
                   "cofinite_head", "tags"]]
     for i, (u, v) in enumerate(survey.sensitivity):
-        sens_rows.append([i, str(u[0]), str(u[1])] + _verdict_cells(v))
+        sens_rows.append([i, str(u[0]), str(u[1]), *_verdict_cells(v),
+                          ";".join(v.tags())])
     trans_rows = [["i", "j", "max_gap", "longest_block", "cofinite_head", "tags"]]
     for i, j, v in survey.transitivity:
-        trans_rows.append([i, j] + _verdict_cells(v))
+        trans_rows.append([i, j, *_verdict_cells(v), ";".join(v.tags())])
     dens_rows = [["epsilon", "n_max", "cells", "covered_fraction",
                   "period_reached"],
                  [str(survey.density.epsilon), survey.density.n_max,

@@ -41,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import lt
 from typing import Sequence
@@ -249,15 +249,12 @@ def pl_compose(f: PLMap, g: PLMap) -> PLMap:
     scale = fdx * lcm(*{abs(b - a) for a, b in zip(gY, gY[1:]) if a != b})
     vden = fdy * gdy * lcm(*(b - a for a, b in zip(fX, fX[1:])))
     inner_ys = [y * (vden // fdy) for y in fY]
-    at: dict[int, int] = {}
 
+    @cache
     def f_at(y: int) -> int:
         """f(y / gdy) as a numerator over vden."""
-        v = at.get(y)
-        if v is None:
-            n, d = _ev(f, y, gdy)
-            v = at[y] = n * (vden // d)
-        return v
+        n, d = _ev(f, y, gdy)
+        return n * (vden // d)
 
     count = len(gX)
     xs = [gX[0] * scale]

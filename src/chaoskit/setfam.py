@@ -30,6 +30,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from .budgets import charge
@@ -245,16 +246,10 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
 
 
 def classifier(p: FamilyParams) -> Callable[[WindowSet], FamilyVerdict]:
-    """classify(·, p) deciding each distinct set once.  A report makes one
-    and drops it when it returns, so no verdict outlives the call."""
-    seen: dict[WindowSet, FamilyVerdict] = {}
-
-    def verdict(a: WindowSet) -> FamilyVerdict:
-        v = seen.get(a)
-        if v is None:
-            v = seen[a] = classify(a, p)
-        return v
-    return verdict
+    """classify(·, p) deciding each distinct set once: a functools.cache of
+    its own per call.  A report makes one and drops it when it returns, so
+    no verdict outlives the call."""
+    return cache(lambda a: classify(a, p))
 
 
 def _density_bounds(a: WindowSet, runs: list[tuple[int, int]],

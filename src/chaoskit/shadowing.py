@@ -23,7 +23,8 @@ builds all of its pseudo-orbits together and scores them in one sweep of
 the candidate grid (best_tracers): the candidates are iterated in blocks,
 and each step of a block is compared with every pseudo-orbit at once, so
 the grid is walked once per probe, not once per pseudo-orbit.  While the
-probe runs, best_tracer reads each row's winner from that sweep.
+probe runs, its winners sit in a dict keyed by (orbit, id(candidates), eps,
+objective), from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
@@ -69,20 +70,34 @@ JUMP_FRACTION = 0.9  # jumps are capped at this fraction of delta
 
 def _least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
     """Per row r, the least j in [0, size] with pred(j)[r] true (size when
-    none), found by moving each guess one index at a time until no guess
-    moves.
+    none), all rows at once.
 
-    pred takes one index into an array of the given size per row and must
-    be false, then true, in j on each row between the answer and the guess,
+    pred takes one index in [0, size) per row and must be monotone in j on
+    each row over all of [0, size): false, then true.  Both callers' are:
+    chain_graph's compare f(p_i) with the ascending points, and _nearest's
+    holds from its pick up.  Each guess gallops away from itself by 1, 2,
+    4, ... indices a pass until pred flips, and the last step is bisected;
     so a guess that a search on rounded values put a step or two off
-    settles in as many passes, all rows at once.
+    settles in a pass or two, and one k indices off in O(log k) passes.
     """
-    while True:
-        down = (guess > 0) & pred(np.maximum(guess - 1, 0))
-        up = (guess < size) & ~pred(np.minimum(guess, size - 1))
-        if not (down | up).any():
-            return guess
-        guess = guess - down + up
+    down = (guess > 0) & pred(np.maximum(guess - 1, 0))
+    up = (guess < size) & ~pred(np.minimum(guess, size - 1))
+    # pred is false below lo and true at hi (or hi is size).
+    lo = np.where(down, 0, guess + up)
+    hi = np.where(down, guess - 1, np.where(up, size, guess))
+    step = 1
+    while (moving := lo < hi).any():
+        # A galloping row probes step indices past its last probe; a row
+        # whose gallop has overshot bisects.
+        at = np.where(down, np.maximum(hi - step, lo),
+                      np.where(up, np.minimum(lo + step - 1, hi - 1), (lo + hi) // 2))
+        hit = pred(np.clip(at, 0, size - 1))
+        hi = np.where(moving & hit, at, hi)
+        lo = np.where(moving & ~hit, at + 1, lo)
+        down &= hit
+        up &= ~hit
+        step *= 2
+    return lo
 
 
 class IntervalSystem:
@@ -142,8 +157,10 @@ class DiscreteSystem:
         best = np.where(d_left <= d_right, left, right)
         d = np.minimum(d_left, d_right)
         # Rounded distances fall toward arr, so the points at distance d below
-        # best form one run ending at best; argmin takes its first.
-        return _least_true(lambda j: np.abs(arr - pts[j]) <= d, best, len(pts))
+        # best form one run ending at best; argmin takes its first.  Read at
+        # best past it, the test holds from the run's start up.
+        return _least_true(lambda j: np.abs(arr - pts[np.minimum(j, best)]) <= d,
+                           best, len(pts))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
         return self.points[self.images[self._nearest(arr)]]
@@ -382,19 +399,11 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     return [BestTracer(score=s, report=r) for s, r in zip(best.tolist(), reports)]
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """The winners of one probe's sweep and the arguments they answer for."""
-
-    candidates: np.ndarray
-    eps: float
-    objective: str
-    winners: dict[PseudoOrbit, BestTracer]
-
-
-# The sweep of the fg_shadowing_probe in progress; unset outside a probe, so
-# no winner outlives its call.
-_sweeps: ContextVar[_Sweep] = ContextVar("_sweeps")
+# The winners of the fg_shadowing_probe in progress, keyed by (orbit,
+# id(candidates), eps, objective); unset outside a probe, so no winner
+# outlives its call.  The probe holds its candidate array while the dict
+# lives, so the id cannot be reused meanwhile.
+_sweeps: ContextVar[dict[tuple, BestTracer]] = ContextVar("_sweeps")
 
 
 def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
@@ -404,14 +413,10 @@ def best_tracer(system, orbit: PseudoOrbit, candidates: np.ndarray, eps: float,
 
     Inside fg_shadowing_probe, which scores all of its pseudo-orbits in one
     sweep first, the winner of a probe orbit is read from that sweep when
-    the candidates, eps and objective are the probe's own.
+    the candidate array, eps and objective are the probe's own.
     """
-    sweep = _sweeps.get(None)
-    if (sweep is not None and sweep.candidates is candidates
-            and sweep.eps == eps and sweep.objective == objective
-            and orbit in sweep.winners):
-        return sweep.winners[orbit]
-    return best_tracers(system, (orbit,), candidates, eps, objective)[0]
+    won = _sweeps.get({}).get((orbit, id(candidates), eps, objective))
+    return won or best_tracers(system, (orbit,), candidates, eps, objective)[0]
 
 
 TARGETS = ("full", *setfam.TAGS)
@@ -529,8 +534,8 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
     orbits = _pseudo_orbits(system, length, [args for args, _ in specs])
     winners = best_tracers(system, orbits, candidates, eps, objective)
     rows = []
-    token = _sweeps.set(_Sweep(candidates, eps, objective,
-                               dict(zip(orbits, winners))))
+    token = _sweeps.set({(o, id(candidates), eps, objective): w
+                         for o, w in zip(orbits, winners)})
     try:
         for orbit, (_, is_challenge) in zip(orbits, specs):
             bt = best_tracer(system, orbit, candidates, eps, objective)

@@ -271,7 +271,7 @@ def cylinder_hitting_set(oracle, u: str, v: str, n_max: int) -> WindowSet:
             members.append(n)
     if n_max >= len(u):
         gaps = gap_set(oracle, u, v, n_max - len(u))
-        members += [len(u) + s for s in gaps.members]
+        members += [len(u) + s for s in gaps.members if len(u) + s >= 1]
     return WindowSet(n_max + 1, tuple(members))
 
 

@@ -1,7 +1,9 @@
 """Every import in the package is used, and so is every name it defines: a
 removed check must not leave an import behind, and a helper that only the
-tests call lives in the tests.  Standard library only (ast), so it adds no
-dependency."""
+tests call lives in the tests.  No cache outlives the call that fills it:
+functools caches are made inside a call, and a context variable set in a
+function is reset in a finally of that function.  Standard library only
+(ast), so it adds no dependency."""
 
 import ast
 import re
@@ -96,3 +98,141 @@ def test_unread_names_are_found(tmp_path):
 def test_package_defines_no_unread_name(path):
     docs = "\n".join(p.read_text() for p in DOCS)
     assert unread_names(path, READERS, docs) == []
+
+
+# The one cache that lives as long as the module, with the reason it stays:
+# perfbench/workloads.py clears it to start each run cold, so it goes only
+# with a change to the benchmark.
+LIFELONG_CACHES = {"subshift.sturmian_prefix": "perfbench calls its cache_clear()"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own(body: list[ast.stmt]) -> list[ast.AST]:
+    """Every node that runs with a body, in source order: the bodies of the
+    functions it defines are left out, their decorators kept."""
+    stack, out = list(body), []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [c for c in ast.iter_child_nodes(node)
+                  if not (isinstance(node, FUNCTIONS) and c in node.body)]
+    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
+                                      getattr(n, "col_offset", 0)))
+
+
+def lifelong_caches(source: str) -> list[str]:
+    """The names a module caches with functools.cache or lru_cache outside
+    any function body (at module or class level), where the cache lives as
+    long as the module; a cache made inside a call dies with it."""
+    tree = ast.parse(source)
+    wrappers = {"cache", "lru_cache"} | {
+        a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+        and n.module == "functools" for a in n.names
+        if a.asname and a.name in ("cache", "lru_cache")}
+
+    def is_cache(node) -> bool:
+        while isinstance(node, ast.Call):
+            node = node.func
+        return (node.attr if isinstance(node, ast.Attribute)
+                else getattr(node, "id", None)) in wrappers
+
+    found = []
+    for node in own(tree.body):
+        if isinstance(node, FUNCTIONS) and any(map(is_cache, node.decorator_list)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.Call) and is_cache(n) for n in ast.walk(node.value)):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def unreset_context_vars(source: str) -> list[str]:
+    """Each call var.set(...) on a module-level ContextVar that its own
+    scope does not undo, as "scope: var": the set must bind a token, and a
+    finally of the same function must call var.reset(token)."""
+    tree = ast.parse(source)
+    cvars = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+             and isinstance(n.value, ast.Call)
+             and getattr(n.value.func, "id", None) == "ContextVar"
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])}
+
+    def var_of(n, method: str) -> str | None:
+        """The context variable whose method n calls, if it is one."""
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == method
+                and getattr(n.func.value, "id", None) in cvars):
+            return n.func.value.id
+        return None
+
+    bad = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        nodes = own(scope.body)
+        token = {id(n.value): n.targets[0].id for n in nodes
+                 if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
+        reset = {(var_of(n, "reset"), getattr(n.args[0], "id", None))
+                 for t in nodes if isinstance(t, ast.Try)
+                 for n in own(t.finalbody) if var_of(n, "reset") and n.args}
+        bad += [f"{getattr(scope, 'name', '<module>')}: {var}" for n in nodes
+                if (var := var_of(n, "set")) and (var, token.get(id(n))) not in reset]
+    return bad
+
+
+def test_cache_rule_breaches_are_found():
+    mod = """
+import functools
+from contextvars import ContextVar
+from functools import cache, lru_cache as lru
+_memo: ContextVar[dict] = ContextVar("_memo")
+_other = ContextVar("_other")
+
+@functools.lru_cache(maxsize=8)
+def kept(x): return x
+
+@lru
+def kept_too(x): return x
+
+table = cache(len)
+
+class K:
+    @cache
+    def method(self): return 1
+
+def per_call(xs):
+    @cache
+    def f(x): return x
+    g = functools.cache(lambda y: y)
+    token = _memo.set({})
+    try:
+        return [f(x) + g(x) for x in xs]
+    finally:
+        _memo.reset(token)
+
+def leaks():
+    _memo.set({})
+    token = _other.set(1)
+    _other.reset(token)
+
+def wrong_token():
+    token, other = _memo.set({}), None
+    try:
+        pass
+    finally:
+        _memo.reset(other)
+
+_other.set(2)
+"""
+    assert lifelong_caches(mod) == ["kept", "kept_too", "table", "method"]
+    assert unreset_context_vars(mod) == [
+        "<module>: _other", "leaks: _memo", "leaks: _other", "wrong_token: _memo"]
+
+
+def test_package_caches_die_with_their_call():
+    found = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+             for name in lifelong_caches(path.read_text())}
+    assert found == set(LIFELONG_CACHES)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_resets_every_context_var_it_sets(path):
+    assert unreset_context_vars(path.read_text()) == []

@@ -113,6 +113,20 @@ def test_compose_order():
     assert pl_eval(m, F(1, 3)) == 1
 
 
+def test_compose_evaluates_f_once_per_distinct_value_of_g(monkeypatch):
+    calls = []
+    real = interval._ev
+    monkeypatch.setattr(interval, "_ev",
+                        lambda m, p, q: calls.append((m, p, q)) or real(m, p, q))
+    for f, g in ((EX, pl_power(TENT, 3)), (TENT, EX), (S, pl_power(S, 3))):
+        calls.clear()
+        h = pl_compose(f, g)
+        assert len(calls) == len(set(g.ys)) and {m for m, _, _ in calls} == {f}
+        assert all(pl_eval(h, x) == pl_eval(f, pl_eval(g, x)) for x in g.xs)
+    # tent^3 takes 9 breakpoints but only the values 0 and 1.
+    assert len(pl_power(TENT, 3).ys) == 9
+
+
 def test_power_budget():
     with pytest.raises(BudgetError):
         pl_power(TENT, 13)

@@ -309,6 +309,27 @@ def test_one_pass_thickly_syndetic_matches_level_filter(case):
         == thickly_syndetic_by_levels(runs, horizon, p)
 
 
+def test_classifiers_share_no_cache(monkeypatch):
+    # Each classifier(p) decides a set once, and only for itself: a second
+    # classifier, of the same or of other params, classifies afresh.
+    calls = []
+    real = setfam.classify
+    monkeypatch.setattr(setfam, "classify",
+                        lambda a, p: calls.append((a, p)) or real(a, p))
+    a, b = window_set(16, range(0, 16, 2)), window_set(16, range(0, 16, 3))
+    tight = FamilyParams(gap=2, block=2, cofinite_head=2, burnin=2)
+    first, second, other = (setfam.classifier(FamilyParams()),
+                            setfam.classifier(FamilyParams()),
+                            setfam.classifier(tight))
+    for _ in range(3):
+        assert first(a) == second(a) == real(a, FamilyParams())
+        assert first(b) == real(b, FamilyParams())
+        assert other(a) == real(a, tight)
+    assert first(window_set(16, range(0, 16, 2))) == first(a)
+    assert calls == [(a, FamilyParams()), (a, FamilyParams()), (b, FamilyParams()),
+                     (a, tight)]
+
+
 # ---------------------------------------------------------------------------
 # Classifier fixtures.
 

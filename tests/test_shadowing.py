@@ -8,7 +8,7 @@ so expected values can be frozen.
 import random
 import tracemalloc
 from dataclasses import replace
-from math import gcd
+from math import ceil, gcd, log2
 from unittest import mock
 
 import numpy as np
@@ -479,37 +479,44 @@ def test_probe_sweep_is_unset_after_the_probe(monkeypatch):
 
 
 def test_best_tracer_answers_from_the_sweep_only_for_its_arguments(monkeypatch):
-    # Mid-probe, a probe orbit asked for at another eps, objective or grid
-    # is scored afresh; outside a probe there is no sweep to read.
-    got = []
+    # Mid-probe, a probe orbit asked for at another eps, objective or
+    # candidate array is scored afresh; the probe's own arguments read the
+    # sweep's winner; outside a probe there is no sweep to read.
+    got, swept = [], []
     original = shadowing.setfam.classify
+    sweep = shadowing.best_tracers
+
+    def counted(system, orbits, cands, *rest):
+        swept.append((len(orbits), cands))
+        return sweep(system, orbits, cands, *rest)
+    monkeypatch.setattr(shadowing, "best_tracers", counted)
 
     def classify(a, params):
-        sweep = shadowing._sweeps.get()
-        orbit = next(iter(sweep.winners))
-        for eps, objective, cands in ((0.01, sweep.objective, sweep.candidates),
-                                      (sweep.eps, "min_max_gap", sweep.candidates),
-                                      (sweep.eps, sweep.objective, sweep.candidates[:-1] + 1e-3)):
-            got.append((best_tracer(TENT, orbit, cands, eps, objective),
-                        per_orbit_best_tracer(TENT, orbit, cands, eps, objective)))
-        got.append((best_tracer(TENT, orbit, sweep.candidates, sweep.eps,
-                                sweep.objective), sweep.winners[orbit]))
+        winners = shadowing._sweeps.get()
+        orbit, _, eps, objective = key = next(iter(winners))
+        cands = swept[0][1]
+        for e, obj, c in ((0.01, objective, cands),
+                          (eps, "min_max_gap", cands),
+                          (eps, objective, cands[:-1] + 1e-3),
+                          (eps, objective, cands.copy())):
+            got.append((best_tracer(TENT, orbit, c, e, obj),
+                        per_orbit_best_tracer(TENT, orbit, c, e, obj)))
+        got.append((best_tracer(TENT, orbit, cands, eps, objective), winners[key]))
         return original(a, params)
     monkeypatch.setattr(shadowing.setfam, "classify", classify)
     fg_shadowing_probe(TENT, 0.05, [0.01], 10, trials=1, n_candidates=101,
                        seed="answers")
-    assert len(got) == 4
+    assert len(got) == 5
     assert all(fresh == oracle for fresh, oracle in got)
+    # The probe's sweep, then one fresh sweep per foreign argument set; the
+    # probe's own arguments sweep nothing.
+    assert len(swept) == 1 + 4
 
     monkeypatch.setattr(shadowing.setfam, "classify", original)
-    calls = []
-    sweep = shadowing.best_tracers
-    monkeypatch.setattr(shadowing, "best_tracers",
-                        lambda system, orbits, *rest: calls.append(len(orbits))
-                        or sweep(system, orbits, *rest))
+    swept.clear()
     orbit = make_pseudo_orbit(TENT, 0.01, 10, scheme="uniform", seed="outside")
     best_tracer(TENT, orbit, TENT.grid(101), 0.05)
-    assert calls == [1]
+    assert [rows for rows, _ in swept] == [1]
 
 
 def test_best_tracer_memory_is_linear_in_candidates():
@@ -1059,6 +1066,41 @@ def test_discrete_nearest_matches_argmin():
         assert np.array_equal(system._nearest(arr), want)
         assert np.array_equal(system.step_array(arr),
                               points[system.images[want]])
+
+
+def test_discrete_nearest_gallops_over_tied_distances(monkeypatch):
+    # Seen from 1e300 every distance to 20,000 points in [0, 1) rounds to
+    # 1e300, so the tie run is all of them; the search must cross it in
+    # O(log n) predicate passes, not one pass per tied point.
+    n = 20_000
+    points = np.arange(n) / n
+    system = DiscreteSystem(points, np.zeros(n, dtype=int))
+    calls = []
+    real = shadowing._least_true
+
+    def counted(pred, guess, size):
+        return real(lambda j: calls.append(len(j)) or pred(j), guess, size)
+    monkeypatch.setattr(shadowing, "_least_true", counted)
+    bound = 2 * ceil(log2(n)) + 3
+    for value, want in ((1e300, 0), (-1e300, 0), (0.5 + 1e-9, n // 2),
+                        (2.0, n - 1)):
+        calls.clear()
+        assert system._nearest(np.array([value])).tolist() == [want]
+        assert len(calls) <= bound, (value, len(calls))
+    assert 0 < len(calls) <= 3
+
+
+def test_least_true_finds_each_threshold_from_any_guess():
+    # Rows of monotone predicates j >= t, with t and the guess anywhere in
+    # [0, size] (t = size: never true), all settled together.
+    rng = np.random.default_rng(41)
+    for size in (1, 2, 3, 17, 1000):
+        t = rng.integers(0, size + 1, 500)
+        guess = rng.integers(0, size + 1, 500)
+        passes = []
+        got = shadowing._least_true(lambda j: passes.append(1) or j >= t, guess, size)
+        assert np.array_equal(got, t)
+        assert len(passes) <= 2 * ceil(log2(size + 1)) + 3
 
 
 def test_interval_step_array_matches_clipped_interp():

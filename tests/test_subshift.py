@@ -152,6 +152,18 @@ def test_cylinder_overlap_region_frozen():
     assert got.members == tuple(range(1, 11))
 
 
+@pytest.mark.parametrize("oracle", [
+    FullShift(), SpacingShift(evens(64)), SpacingShift(nonpowers(128)),
+    SturmianShift(golden_spec(400))], ids=["full", "evens", "nonpowers", "sturmian"])
+def test_cylinder_of_the_empty_word_starts_at_1(oracle):
+    # The empty word's cylinder is the whole space, so every shift n >= 1
+    # meets every cylinder of the language; n = 0 is outside {1..n_max}.
+    for n_max in (0, 1, 5, 12):
+        for v in sorted(language(oracle, 3)):
+            assert cylinder_hitting_set(oracle, "", v, n_max).members \
+                == tuple(range(1, n_max + 1)), (v, n_max)
+
+
 def test_gap_set_is_shifted_p():
     """gap_set(1, 1) recovers P - 1 on the window, for every fixture."""
     for p in (evens(64), nonpowers(128), setfam.full_window(64),
