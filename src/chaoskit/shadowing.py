@@ -29,22 +29,20 @@ objective), from which best_tracer reads each row's winner.
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
 then the successors of each node are one index range, stored as
-range(lo, hi), and both ends of the ranges ascend together with f(p_i).
-Chain transitivity is strong connectivity; chain mixing additionally needs
-an aperiodic graph (cycle-length gcd 1).  The checks are decided by two
-level-synchronous BFSs from node 0, each run at most once per graph, with
-O(n) numpy work a level and no edge listed: a forward level is the nodes
-that the frontier's ranges cover, a backward level the nodes whose range
-holds a frontier node.  The graph is chain transitive iff both reach every
-node; the forward levels give the period by Denardo's gcd; and every node
-of a strongly connected graph with more than one node is chain recurrent.
-A BFS may expand at most _BFS_LEVELS levels (the fixtures are at most 12
-deep).  Past that cap, and for the recurrent nodes of a graph that is not
-strongly connected, Kosaraju's two passes find the SCCs, each walking a
-"next unvisited index" union-find: the forward pass over successor ranges,
-whose depth-first depths then give the period, the reverse pass over runs
-of predecessors in the nodes sorted by their ranges.  That sort, made once
-per graph, also checks that the ranges ascend together.
+range(lo, hi), whose ends ascend together with f(p_i).  So each node's
+predecessors are a run of the nodes sorted by (lo, hi), and the reverse
+graph is a range graph too.  Chain transitivity is strong connectivity;
+chain mixing also needs the cycle-length gcd to be 1.  One level-synchronous
+BFS, O(n) numpy work a level and no edge listed, runs from node 0 on the
+graph and on its reverse, each at most once per graph: the graph is chain
+transitive iff both reach every node, the forward levels give the period by
+Denardo's gcd, and every node of a strongly connected graph with more than
+one node is chain recurrent.  A BFS may expand at most _BFS_LEVELS levels
+(the fixtures are at most 12 deep).  Past that cap, and for the recurrent
+nodes of a graph that is not strongly connected, Kosaraju's two passes find
+the SCCs: one depth-first walk of a "next unvisited index" union-find, on
+the graph and then on its reverse.  The forward walk's depths then give the
+period.
 """
 
 from __future__ import annotations
@@ -130,8 +128,8 @@ class DiscreteSystem:
 
     The points must ascend strictly.  step_array snaps each value to the
     nearest listed point (the lower one on a tie) and returns that point's
-    image; useful as a worked fixture where pseudo-orbits with delta below
-    the minimum spacing are exact orbits.
+    image, and NaN as NaN; useful as a worked fixture where pseudo-orbits
+    with delta below the minimum spacing are exact orbits.
     """
 
     def __init__(self, points: Sequence[float], images: Sequence[int],
@@ -163,7 +161,10 @@ class DiscreteSystem:
                            best, len(pts))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
-        return self.points[self.images[self._nearest(arr)]]
+        # NaN has no nearest point: it is looked up as lo and comes back NaN.
+        nan = np.isnan(arr)
+        image = self.points[self.images[self._nearest(np.where(nan, self.lo, arr))]]
+        return np.where(nan, np.nan, image)
 
     def grid(self, n: int) -> np.ndarray:
         charge("enum_nodes", len(self.points))
@@ -599,40 +600,33 @@ class ChainGraph:
         return lo, hi, by
 
     @cached_property
+    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reverse ranges, built once per graph: over the positions of
+        the (lo, hi) order, node by[k]'s predecessors sit at positions
+        [rlo[k], rhi[k]).  hi ascends in that order too, so the u with
+        lo[u] <= v < hi[u] run from the count of hi <= v to that of lo <= v."""
+        lo, hi, by = self._bounds
+        n = len(self)
+        return (np.cumsum(np.bincount(hi, minlength=n + 1))[by],
+                np.cumsum(np.bincount(lo, minlength=n + 1))[by])
+
+    @cached_property
     def _levels(self) -> np.ndarray | None:
-        """The forward BFS from node 0, run once per graph (_bfs_levels)."""
-        return _bfs_levels(*self._bounds[:2])
+        """The forward BFS from node 0, run once per graph."""
+        return _bfs_levels(*self._bounds[:2], 0)
 
     @cached_property
     def _coreach(self) -> np.ndarray | None:
-        """The backward BFS to node 0, run once per graph (_bfs_coreach)."""
-        return _bfs_coreach(*self._bounds[:2])
+        """The backward BFS, run once per graph: the BFS on the reverse
+        ranges from node 0's position, read only for whether it reaches all."""
+        return _bfs_levels(*self._reverse, int(np.argmin(self._bounds[2])))
 
     @cached_property
     def _forward(self) -> tuple[list[int], list[int]]:
-        """Kosaraju's forward pass, run once per graph: the nodes in the order
-        they finish, and each node's depth in its depth-first tree, the stack
-        height when it is pushed.  Node 0 roots the first tree, which spans a
-        strongly connected graph.  The union-find hands out each unvisited
-        successor once."""
-        succ = self.succ
-        find, visit = _unvisited(len(self))
-        order, depth = [], [0] * len(self)
-        for root in range(len(self)):
-            if find(root) != root:
-                continue
-            visit(root)
-            stack = [root]
-            while stack:
-                r = succ[stack[-1]]
-                v = find(r.start)
-                if v < r.stop:
-                    visit(v)
-                    depth[v] = len(stack)
-                    stack.append(v)
-                else:
-                    order.append(stack.pop())
-        return order, depth
+        """Kosaraju's forward pass, run once per graph: _dfs from every node
+        in index order.  Node 0 roots the first tree, which spans a strongly
+        connected graph."""
+        return _dfs(*self._bounds[:2], range(len(self)))
 
     @cached_property
     def components(self) -> list[list[int]]:
@@ -699,15 +693,15 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
 _BFS_LEVELS = 48
 
 
-def _bfs_levels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Each node's distance from node 0 along the ranges [lo, hi), -1 where
-    node 0 does not reach; None if some node is _BFS_LEVELS or more levels
-    from node 0.  The next level is the nodes that the frontier's ranges
+def _bfs_levels(lo: np.ndarray, hi: np.ndarray, start: int) -> np.ndarray | None:
+    """Each node's distance from start along the ranges [lo, hi), -1 where
+    start does not reach; None if some node is _BFS_LEVELS or more levels
+    from start.  The next level is the nodes that the frontier's ranges
     cover, a difference array over their ends summed in one cumsum, that no
     earlier level holds: O(n) numpy work a level, and no edge is listed."""
     n = len(lo)
     level = np.full(n, -1, dtype=np.int64)
-    front = np.arange(min(n, 1))
+    front = np.array([start])
     level[front] = 0
     for k in range(1, _BFS_LEVELS + 1):
         cover = np.cumsum(np.bincount(lo[front], minlength=n + 1)
@@ -719,27 +713,16 @@ def _bfs_levels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _bfs_coreach(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Which nodes reach node 0 along the ranges [lo, hi); None if some node
-    is _BFS_LEVELS or more levels from it.  A node joins the next level
-    when its range holds a frontier node, c[hi] > c[lo] for the frontier's
-    prefix count c."""
-    n = len(lo)
-    seen = np.arange(n) == 0
-    front, count = seen, np.zeros(n + 1, dtype=np.intp)
-    for _ in range(_BFS_LEVELS):
-        np.cumsum(front, out=count[1:])
-        front = (count[hi] > count[lo]) & ~seen
-        if not front.any():
-            return seen
-        seen |= front
-    return None
-
-
-def _unvisited(n: int):
-    """A "next unvisited index" union-find: find(x) is the least unvisited
-    index >= x (n when none is left); visit(v) removes v."""
-    nxt = list(range(n + 1))
+def _dfs(lo: np.ndarray, hi: np.ndarray, roots) -> tuple[list[int], list[int]]:
+    """A depth-first walk along the ranges [lo, hi) that roots a tree at
+    each root not yet visited, in the order given.  Returns the nodes in the
+    order they finish, where each tree is one run that its root ends, and
+    each node's depth in its tree (the stack height when it is pushed, 0 at
+    a root).  A "next unvisited index" union-find hands out each unvisited
+    node of a range once: find(x) is the least unvisited index >= x (n when
+    none is left), and a visited v links to v + 1."""
+    lo, hi = lo.tolist(), hi.tolist()
+    nxt = list(range(len(lo) + 1))
 
     def find(x: int) -> int:
         root = x
@@ -749,66 +732,55 @@ def _unvisited(n: int):
             nxt[x], x = root, nxt[x]
         return root
 
-    def visit(v: int) -> None:
-        nxt[v] = v + 1
-
-    return find, visit
+    order, depth = [], [0] * len(lo)
+    for root in roots:
+        if nxt[root] != root:
+            continue
+        nxt[root] = root + 1
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            v = find(lo[u])
+            if v < hi[u]:
+                nxt[v] = v + 1
+                depth[v] = len(stack)
+                stack.append(v)
+            else:
+                order.append(stack.pop())
+    return order, depth
 
 
 def strongly_connected_components(g: ChainGraph) -> list[list[int]]:
-    """Kosaraju's two passes over the successor ranges, each a walk of one
-    _unvisited union-find.  The chain checks decide a graph by BFS and come
-    here only when a BFS passes its level cap (_BFS_LEVELS), or for the
+    """Kosaraju's two passes (Sharir 1981), each a _dfs walk; the chain
+    checks come here only past the BFS level cap (_BFS_LEVELS), or for the
     recurrent nodes of a graph that is not strongly connected.
 
-    The forward pass is the graph's cached _forward.  The reverse pass needs
-    the unassigned u with lo[u] <= v < hi[u].  In every graph chain_graph
-    builds, both ends are non-decreasing in f(p_i), so in the order by
-    (lo, hi) hi ascends too, and those u are one run by[a:b]: a is the first
-    position whose hi exceeds v, b the first whose lo does.  The union-find
-    over positions hands out each node once (Sharir 1981 has the two-pass
-    method), and no reverse edge list is built.  A graph whose ranges do not
-    ascend together raises ValueError before either pass.
+    The forward pass is the graph's cached _forward.  The reverse pass walks
+    the reverse ranges (ChainGraph._reverse), rooted at the nodes' positions
+    in reverse finishing order, and maps each tree back through the (lo, hi)
+    order to a component.  No edge list is built; a graph whose ranges do
+    not ascend together raises ValueError before either pass.
     """
-    n = len(g)
-    lo, hi, by = g._bounds
-    order = g._forward[0]
-    nodes = np.arange(n)
-    pos = np.empty(n, dtype=np.intp)
-    pos[by] = nodes
-    # memoryviews read the arrays as Python ints without copying them.
-    first = memoryview(np.searchsorted(hi[by], nodes, "right"))
-    stop = memoryview(np.searchsorted(lo[by], nodes, "right"))
-    pos, by = memoryview(pos), memoryview(by)
-    find, visit = _unvisited(n)
-    comps: list[list[int]] = []
-    for root in reversed(order):
-        k = pos[root]
-        if find(k) != k:
-            continue
-        visit(k)
-        comp = [root]
-        for v in comp:      # comp grows while it is walked
-            k = find(first[v])
-            while k < stop[v]:
-                visit(k)
-                comp.append(by[k])
-                k = find(k)
-        comps.append(comp)
-    return comps
+    by = g._bounds[2]
+    order, depth = _dfs(*g._reverse, np.argsort(by)[g._forward[0][::-1]].tolist())
+    ends = (np.flatnonzero(np.array(depth)[order] == 0) + 1).tolist()
+    nodes = by[order].tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def chain_transitive_check(g: ChainGraph) -> bool:
     """Strong connectivity: the forward and the backward BFS from node 0
     each reach every node.  Where a BFS passes the level cap, the graph is
     transitive iff it is one SCC."""
+    if not len(g):
+        return False
     level = g._levels
     if level is not None and (level < 0).any():
         return False
     coreach = None if level is None else g._coreach
     if coreach is None:
         return len(g.components) == 1
-    return len(g) > 0 and bool(coreach.all())
+    return bool((coreach >= 0).all())
 
 
 def chain_period(g: ChainGraph) -> int | None:

@@ -1,9 +1,10 @@
 """Every import in the package is used, and so is every name it defines: a
-removed check must not leave an import behind, and a helper that only the
-tests call lives in the tests.  No cache outlives the call that fills it:
-functools caches are made inside a call, and a context variable set in a
-function is reset in a finally of that function.  Standard library only
-(ast), so it adds no dependency."""
+removed check must not leave an import behind, a helper that only the
+tests call lives in the tests, and a private helper that a refactor leaves
+without a caller in the package goes with it.  No cache outlives the call
+that fills it: functools caches are made inside a call, and a context
+variable set in a function is reset in a finally of that function.
+Standard library only (ast), so it adds no dependency."""
 
 import ast
 import re
@@ -57,9 +58,10 @@ def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return {n: node for n, node in out.items() if not re.fullmatch(r"__\w+__", n)}
 
 
-def reads(nodes) -> set[str]:
-    """The names the nodes read: as variables, as attributes, or as words of
-    a string, which covers docstrings and lookups by name."""
+def reads(nodes, strings: bool = True) -> set[str]:
+    """The names the nodes read: as variables, as attributes, and, with
+    strings, as words of a string, which covers docstrings and lookups by
+    name."""
     out = set()
     for node in nodes:
         for n in ast.walk(node):
@@ -67,7 +69,8 @@ def reads(nodes) -> set[str]:
                 out.add(n.id)
             elif isinstance(n, ast.Attribute):
                 out.add(n.attr)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            elif (strings and isinstance(n, ast.Constant)
+                  and isinstance(n.value, str)):
                 out.update(re.findall(r"\w+", n.value))
     return out
 
@@ -98,6 +101,35 @@ def test_unread_names_are_found(tmp_path):
 def test_package_defines_no_unread_name(path):
     docs = "\n".join(p.read_text() for p in DOCS)
     assert unread_names(path, READERS, docs) == []
+
+
+def orphaned_private_names(path: Path, package: list[Path]) -> list[str]:
+    """The private names (one leading underscore) that path defines at top
+    level and that no code of the package reads outside the definition: a
+    read by a test, by the benchmark or in a string does not keep one."""
+    tree = ast.parse(path.read_text())
+    elsewhere = reads((ast.parse(p.read_text()) for p in package if p != path),
+                      strings=False)
+    return [name for name, node in definitions(tree).items()
+            if name.startswith("_") and name not in elsewhere
+            and name not in reads((s for s in tree.body if s is not node),
+                                  strings=False)]
+
+
+def test_orphaned_private_names_are_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text('"""_doc is named here."""\n_A = 1\n_B = _A\n_C = 2\n'
+                   "def _f(): return _f()\ndef _g(): pass\ndef _doc(): pass\n"
+                   "def h(): return _g\nclass _K: pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import mod\nmod._K()\n")
+    assert orphaned_private_names(mod, [mod, user]) == ["_B", "_C", "_f", "_doc"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_private_names_are_read_by_the_package(path):
+    assert orphaned_private_names(path, sorted(PACKAGE.glob("*.py"))) == []
 
 
 # The one cache that lives as long as the module, with the reason it stays:

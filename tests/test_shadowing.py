@@ -987,16 +987,23 @@ def two_cluster_ring(k):
 
 
 def count_calls(monkeypatch, name):
-    """Patch shadowing.<name> to log the size of the graph of each call."""
+    """Patch shadowing.<name> to log the first argument of each call."""
     calls = []
     original = getattr(shadowing, name)
 
     def logged(first, *rest):
-        calls.append(first if isinstance(first, int) else len(first))
+        calls.append(first)
         return original(first, *rest)
 
     monkeypatch.setattr(shadowing, name, logged)
     return calls
+
+
+def directions(g, calls):
+    """Which of g's two range views each logged BFS or walk went along:
+    the successor ranges or the reverse ranges."""
+    return ["forward" if lo is g._bounds[0] else
+            "reverse" if lo is g._reverse[0] else "other" for lo in calls]
 
 
 def run_chain_checks(g):
@@ -1010,15 +1017,15 @@ def run_chain_checks(g):
 
 
 def test_chain_ring_deeper_than_the_cap_falls_back(monkeypatch):
-    forward = count_calls(monkeypatch, "_bfs_levels")
-    backward = count_calls(monkeypatch, "_bfs_coreach")
-    passes = count_calls(monkeypatch, "_unvisited")
+    bfs = count_calls(monkeypatch, "_bfs_levels")
+    walks = count_calls(monkeypatch, "_dfs")
     g = chain_graph(two_cluster_ring(100), 200, 0.015)
     assert run_chain_checks(g) == [True, False, 2, tuple(range(200))]
     assert g._levels is None
     # The forward BFS stops at the cap, the backward one never starts, and
-    # Kosaraju's two passes answer in their place, once each.
-    assert (forward, backward, passes) == ([200], [], [200, 200])
+    # Kosaraju's two passes answer in their place, one walk each way.
+    assert directions(g, bfs) == ["forward"]
+    assert directions(g, walks) == ["forward", "reverse"]
 
 
 def test_chain_components_found_once_per_graph(monkeypatch):
@@ -1026,25 +1033,61 @@ def test_chain_components_found_once_per_graph(monkeypatch):
     and only chain_recurrent_nodes needs its SCCs, found once however often
     it asks."""
     calls = count_calls(monkeypatch, "strongly_connected_components")
-    backward = count_calls(monkeypatch, "_bfs_coreach")
+    bfs = count_calls(monkeypatch, "_bfs_levels")
+    walks = count_calls(monkeypatch, "_dfs")
     g = chain_graph(IDENT, 65, 0.001)       # only self-loops
     assert run_chain_checks(g) == [False, False, None, tuple(range(65))]
-    assert (calls, backward) == ([65], [])
+    assert len(calls) == 1 and calls[0] is g
+    assert directions(g, bfs) == ["forward"]
+    assert directions(g, walks) == ["forward", "reverse"]
 
 
 def test_chain_period_found_once_per_graph(monkeypatch):
     """Each BFS direction runs once per graph, however many checks ask, and
-    decides all four checks on tent and S at 10^5 nodes: no Kosaraju pass
+    decides all four checks on tent and S at 10^5 nodes: no Kosaraju walk
     and no SCC is computed."""
     calls = {name: count_calls(monkeypatch, name)
-             for name in ("_bfs_levels", "_bfs_coreach", "_unvisited",
-                          "strongly_connected_components")}
+             for name in ("_bfs_levels", "_dfs", "strongly_connected_components")}
     n = 100_001
     for system in (TENT, S):
         g = chain_graph(system, n, 0.02)
         assert run_chain_checks(g) == [True, True, 1, tuple(range(n))]
-    assert calls == {"_bfs_levels": [n, n], "_bfs_coreach": [n, n],
-                     "_unvisited": [], "strongly_connected_components": []}
+        assert directions(g, calls["_bfs_levels"]) == ["forward", "reverse"]
+        calls["_bfs_levels"].clear()
+    assert calls["_dfs"] == calls["strongly_connected_components"] == []
+
+
+def brute_reverse(succ):
+    """For each position k of the (lo, hi) order, the positions of the
+    nodes whose range holds node by[k], found by listing every edge."""
+    by = sorted(range(len(succ)), key=lambda u: (succ[u].start, succ[u].stop))
+    pos = {u: k for k, u in enumerate(by)}
+    preds = [set() for _ in succ]
+    for u, r in enumerate(succ):
+        for v in r:
+            preds[pos[v]].add(pos[u])
+    return by, preds
+
+
+def assert_reverse_matches_brute_force(g):
+    by, preds = brute_reverse(g.succ)
+    assert g._bounds[2].tolist() == by
+    rlo, rhi = g._reverse
+    assert [set(range(a, b)) for a, b in zip(rlo.tolist(), rhi.tolist())] == preds
+
+
+def test_reverse_ranges_match_brute_force():
+    """Each position's reverse range holds exactly the positions of its
+    node's predecessors, on hand-built and on chain_graph graphs."""
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        succ = block_cycle_succ(rng) if trial % 2 else ascending_succ(rng)
+        assert_reverse_matches_brute_force(ChainGraph(
+            points=tuple(map(float, range(len(succ)))), delta=0.0, succ=succ))
+    for system in (TENT, S, EX, IDENT):
+        for n, delta in ((2, 0.5), (129, 0.01), (1001, 1e-4), (1001, 0.03)):
+            assert_reverse_matches_brute_force(chain_graph(system, n, delta))
+    assert_reverse_matches_brute_force(chain_graph(two_cluster_ring(100), 200, 0.015))
 
 
 def test_discrete_nearest_matches_argmin():
@@ -1119,6 +1162,19 @@ def test_interval_step_array_matches_clipped_interp():
         want = np.interp(np.clip(arr, system.lo, system.hi), xs, system.ys)
         got = system.step_array(arr)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), system.name
+
+
+@pytest.mark.parametrize("system", [
+    DiscreteSystem([0.0, 0.5, 1.0], [1, 2, 0]), TENT, two_cluster_ring(5)],
+    ids=lambda s: type(s).__name__ + (f":{s.name}" if s.name else ""))
+def test_step_array_keeps_nan(system):
+    # NaN entries come back NaN; the finite entries step as they do alone.
+    finite = np.linspace(system.lo - 1, system.hi + 1, 41)
+    arr = np.insert(finite, [0, 7, 41], np.nan)
+    got = system.step_array(arr)
+    assert np.isnan(got).tolist() == np.isnan(arr).tolist()
+    assert np.array_equal(got[~np.isnan(arr)], system.step_array(finite))
+    assert np.isnan(system.step_array(np.array([np.nan]))).all()
 
 
 def test_discrete_points_must_ascend():
