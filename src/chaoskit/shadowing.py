@@ -19,12 +19,19 @@ The probes are grid searches and their verdicts are grid-relative:
 A system is lo, hi, name, step_array, grid and random_point; every orbit,
 pseudo or true, is stepped through step_array with all of its rows at once,
 and a point is clamped into the space by np.clip to [lo, hi].  A probe
-builds all of its pseudo-orbits together and scores them in one sweep of
-the candidate grid (best_tracers): the candidates are iterated in blocks,
-and each step of a block is compared with every pseudo-orbit at once, so
-the grid is walked once per probe, not once per pseudo-orbit.  While the
-probe runs, its winners sit in a dict keyed by (orbit, id(candidates), eps,
-objective), from which best_tracer reads each row's winner.
+builds all of its pseudo-orbits together and scores them together
+(best_tracers), in two passes over blocks of the candidate grid.  A perfect
+score (a hit at every step for max_cardinality, a hit at step 0 and at no
+later step for min_max_gap) cannot be beaten and needs a hit at step 0, so
+pass 1 follows only the (orbit, candidate) pairs that hit at step 0, and
+drops each pair at the first step where it leaves that pattern; an orbit's
+first surviving candidate is the first with the best score, which is the
+sweep's own tie rule.  Pass 2 sweeps the whole grid, each step of a block
+compared with every orbit at once, for the orbits that pass 1 left without
+a winner.  Either pass holds at most rows x block pairs at once, and the
+grid is walked at most twice per probe, not once per pseudo-orbit.  While
+the probe runs, its winners sit in a dict keyed by (orbit, id(candidates),
+eps, objective), from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
@@ -72,11 +79,11 @@ def _least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
 
     pred takes one index in [0, size) per row and must be monotone in j on
     each row over all of [0, size): false, then true.  Both callers' are:
-    chain_graph's compare f(p_i) with the ascending points, and _nearest's
-    holds from its pick up.  Each guess gallops away from itself by 1, 2,
-    4, ... indices a pass until pred flips, and the last step is bisected;
-    so a guess that a search on rounded values put a step or two off
-    settles in a pass or two, and one k indices off in O(log k) passes.
+    _match_runs' compare one value a row with ascending points, and
+    _nearest's holds from its pick up.  Each guess gallops away from itself
+    by 1, 2, 4, ... indices a pass until pred flips, and the last step is
+    bisected; so a guess that a search on rounded values put a step or two
+    off settles in a pass or two, and one k indices off in O(log k) passes.
     """
     down = (guess > 0) & pred(np.maximum(guess - 1, 0))
     up = (guess < size) & ~pred(np.minimum(guess, size - 1))
@@ -126,10 +133,11 @@ class IntervalSystem:
 class DiscreteSystem:
     """A finite metric space (points on the real line) with an index map.
 
-    The points must ascend strictly.  step_array snaps each value to the
-    nearest listed point (the lower one on a tie) and returns that point's
-    image, and NaN as NaN; useful as a worked fixture where pseudo-orbits
-    with delta below the minimum spacing are exact orbits.
+    The points must ascend strictly.  step_array clamps each value into
+    [lo, hi], snaps it to the nearest listed point (the lower one on a tie)
+    and returns that point's image, and NaN as NaN; useful as a worked
+    fixture where pseudo-orbits with delta below the minimum spacing are
+    exact orbits.
     """
 
     def __init__(self, points: Sequence[float], images: Sequence[int],
@@ -161,7 +169,10 @@ class DiscreteSystem:
                            best, len(pts))
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
-        # NaN has no nearest point: it is looked up as lo and comes back NaN.
+        # A value past an end is nearest that end, though its rounded
+        # distances may tie with every point; so it is clamped first.  NaN
+        # has no nearest point: it is looked up as lo and comes back NaN.
+        arr = np.clip(arr, self.lo, self.hi)
         nan = np.isnan(arr)
         image = self.points[self.images[self._nearest(np.where(nan, self.lo, arr))]]
         return np.where(nan, np.nan, image)
@@ -320,23 +331,34 @@ class BestTracer:
 
 OBJECTIVES = ("max_cardinality", "min_max_gap")
 
-# Orbit x candidate cells scored per block of the sweep.  A block's buffers
-# take at most 17 bytes a cell (about half a megabyte), whatever the grid
-# size and the number of orbits; larger blocks raised peak RSS for little
-# speed.
+# Orbit x candidate cells scored per block of the sweep, and the most
+# (orbit, candidate) pairs one block of the perfect walk holds.  A sweep
+# block's buffers take at most 17 bytes a cell (about half a megabyte),
+# whatever the grid size and the number of orbits; larger blocks raised
+# peak RSS for little speed.
 _SWEEP_CELLS = 2 ** 15
 
 
 def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
                  eps: float, objective: str = "max_cardinality") -> list[BestTracer]:
-    """The best tracing start among the candidates for each orbit, from one
-    walk of the candidate grid.
+    """The best tracing start among the candidates for each orbit, from at
+    most two walks of the candidate grid.
 
-    The orbits must share one length L.  The candidates are iterated in
-    blocks of about _SWEEP_CELLS / len(orbits): one step_array call per step
-    of a block, each step compared with every orbit's point at once, and a
-    running score per (orbit, candidate) of the block, so memory is
-    O(L * len(orbits)) beside a block whatever the grid size.
+    The orbits must share one length L.  Both passes iterate the candidates
+    in blocks of about _SWEEP_CELLS / len(orbits), with one step_array call
+    per step of a block, so memory is O(L * len(orbits)) beside a block of
+    at most len(orbits) x block pairs, whatever the grid size.
+
+    Pass 1 (_perfect_tracers) finds each orbit's first candidate with a
+    perfect score, one that no candidate can beat: L hits, or a largest gap
+    of 0.  Such a candidate hits at step 0, so only the step-0 matches are
+    stepped, and each is dropped where it leaves the perfect pattern.  The
+    first survivor in candidate order is exactly what the sweep returns,
+    the first candidate with the best score.
+
+    Pass 2 (_sweep) scores the rest of the orbits over every candidate:
+    each step of a block is compared with every orbit's point at once, with
+    a running score per (orbit, candidate) of the block.
     max_cardinality counts the hits and scores their number.  min_max_gap
     keeps the last hit (-1 before any) and the largest gap so far, and
     updates only the pairs that hit: a hit at step n opens a gap of n after
@@ -360,9 +382,86 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     charge("iter_steps", length)
     tol = eps + FLOAT_SLACK
     by_gap = objective == "min_max_gap"
-    rows = len(orbits)
-    # points[n] is step n of every orbit, as a column against a block's row.
-    points = np.stack([o.points for o in orbits], axis=1)[:, :, None]
+    steps = np.stack([o.points for o in orbits], axis=1)   # step n of each orbit
+    winner = _perfect_tracers(system, steps, cand, tol, by_gap)
+    best = np.where(winner >= 0, 0.0 if by_gap else float(length), -np.inf)
+    if len(rest := np.flatnonzero(winner < 0)):
+        best[rest], winner[rest] = _sweep(system, steps[:, rest], cand, tol, by_gap)
+    reports = _trace_sets(system, orbits, cand[winner], eps)
+    return [BestTracer(score=s, report=r) for s, r in zip(best.tolist(), reports)]
+
+
+def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
+                     by_gap: bool) -> np.ndarray:
+    """Each orbit's first candidate with a perfect score, -1 where none has
+    one; steps[n] holds step n of every orbit.
+
+    Perfect is a hit at every step (max_cardinality), or a hit at step 0
+    and at no later step (min_max_gap), so only the (orbit, candidate)
+    pairs that hit at step 0 are followed, and a pair is dropped at the
+    first step where it leaves that pattern.  The pairs of one block of
+    candidates are stepped together, one step_array call a step, and the
+    blocks go in candidate order until every orbit has its winner or no
+    step-0 match left, so a block holds at most rows x block pairs.  On an
+    ascending array fl(c - p) rises with c, so each orbit's step-0 matches
+    are one index run, found by search; any other array is compared in
+    full, a block at a time.
+    """
+    length, rows = steps.shape
+    size = max(1, _SWEEP_CELLS // rows)
+    first = steps[0]
+    winner = np.full(rows, -1, dtype=np.intp)
+    run = _match_runs(cand, first, tol) if (cand[1:] >= cand[:-1]).all() else None
+    start = 0
+    while start < len(cand) and (winner < 0).any():
+        if run is None:
+            open_ = np.flatnonzero(winner < 0)
+            rid, k = np.nonzero(
+                np.abs(cand[start:start + size] - first[open_, None]) < tol)
+            rid, idx = open_[rid], start + k
+        else:
+            a, b = np.where(winner < 0, np.maximum(run[0], start), len(cand)), run[1]
+            if not (ahead := a < b).any():
+                break
+            start = max(start, int(a[ahead].min()))    # skip blocks no run meets
+            a, b = np.minimum(a, start + size), np.minimum(b, start + size)
+            take = np.maximum(b - a, 0)
+            rid = np.repeat(np.arange(rows), take)
+            idx = np.arange(len(rid)) + np.repeat(a - np.cumsum(take) + take, take)
+        x = cand[idx]
+        for n in range(1, length):
+            if not len(rid):
+                break
+            x = system.step_array(x)
+            keep = (np.abs(x - steps[n, rid]) < tol) != by_gap
+            rid, idx, x = rid[keep], idx[keep], x[keep]
+        # The pairs run orbit by orbit, each in candidate order.
+        rid, at = np.unique(rid, return_index=True)
+        winner[rid] = idx[at]
+        start += size
+    return winner
+
+
+def _match_runs(cand: np.ndarray, points: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point p, the ends [a, b) of the run of ascending candidates c
+    with |c - p| < tol, for the perfect walk's step 0 and chain_graph's
+    successor ranges.  The test splits into two halves, each monotone in
+    the index since fl(c - p) rises with c; a search on p -+ tol puts each
+    end within a step or two of the exact one, and _least_true settles it."""
+    size = len(cand)
+    return (_least_true(lambda j: cand[j] - points > -tol,
+                        np.searchsorted(cand, points - tol, "right"), size),
+            _least_true(lambda j: ~(cand[j] - points < tol),
+                        np.searchsorted(cand, points + tol, "left"), size))
+
+
+def _sweep(system, steps: np.ndarray, cand: np.ndarray, tol: float,
+           by_gap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit's best score and the first candidate that reaches it, from
+    running scores over blocks of the candidates (best_tracers)."""
+    length, rows = steps.shape
+    points = steps[:, :, None]    # step n of every orbit, as a column
     best = np.full(rows, -np.inf)
     winner = np.zeros(rows, dtype=np.intp)
     size = max(1, _SWEEP_CELLS // rows)
@@ -396,8 +495,7 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
         better = score > best
         best[better] = score[better]
         winner[better] = start + k[better]
-    reports = _trace_sets(system, orbits, cand[winner], eps)
-    return [BestTracer(score=s, report=r) for s, r in zip(best.tolist(), reports)]
+    return best, winner
 
 
 # The winners of the fg_shadowing_probe in progress, keyed by (orbit,
@@ -616,10 +714,12 @@ class ChainGraph:
         return _bfs_levels(*self._bounds[:2], 0)
 
     @cached_property
-    def _coreach(self) -> np.ndarray | None:
-        """The backward BFS, run once per graph: the BFS on the reverse
-        ranges from node 0's position, read only for whether it reaches all."""
-        return _bfs_levels(*self._reverse, int(np.argmin(self._bounds[2])))
+    def _coreach(self) -> bool | None:
+        """Whether every node reaches node 0, from the backward BFS (the BFS
+        on the reverse ranges from node 0's position), run once per graph;
+        None past the level cap."""
+        level = _bfs_levels(*self._reverse, int(np.argmin(self._bounds[2])))
+        return None if level is None else bool((level >= 0).all())
 
     @cached_property
     def _forward(self) -> tuple[list[int], list[int]]:
@@ -673,15 +773,9 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     if not 0 < delta < math.inf:
         raise ValueError(f"chain delta must be positive and finite, got {delta}")
     pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
-    n = len(pts)
-    fx = system.step_array(pts)
-    tol = delta + FLOAT_SLACK
-    # abs(fx - p) < tol, split into its two halves, each monotone in j: a
-    # search on fx -+ tol puts each end within a step of the exact one.
-    lo = _least_true(lambda j: fx - pts[j] < tol,
-                     np.searchsorted(pts, fx - tol, "right"), n)
-    hi = _least_true(lambda j: ~(fx - pts[j] > -tol),
-                     np.searchsorted(pts, fx + tol, "left"), n)
+    # abs(fx - p) equals abs(p - fx) in floats, so the j with
+    # abs(f(p_i) - p_j) < tol are the run of the points that match f(p_i).
+    lo, hi = _match_runs(pts, system.step_array(pts), delta + FLOAT_SLACK)
     succ = tuple(map(range, lo.tolist(), hi.tolist()))
     return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
 
@@ -780,7 +874,7 @@ def chain_transitive_check(g: ChainGraph) -> bool:
     coreach = None if level is None else g._coreach
     if coreach is None:
         return len(g.components) == 1
-    return bool((coreach >= 0).all())
+    return coreach
 
 
 def chain_period(g: ChainGraph) -> int | None:

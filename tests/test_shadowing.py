@@ -13,6 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoskit import budgets, shadowing
 from chaoskit.budgets import BudgetError
@@ -211,25 +213,38 @@ def test_batched_orbits_match_scalar_oracles(system, length):
 
 
 def test_probe_steps_every_row_together(monkeypatch):
-    # One builder call holds every delta, trial and challenge, and no
-    # step_array call gets fewer points than the probe has rows.
-    built, sizes = [], []
-    original = shadowing._pseudo_orbits
+    # One builder call holds every delta, trial and challenge.  Only the
+    # perfect walk steps fewer points than the probe has rows, as its pairs
+    # drop out: at most length - 1 calls for each of its blocks, where
+    # stepping the builder, the sweep or the winners' traces row by row
+    # makes rows x (length - 1) such calls.
+    built, sizes, walks = [], [], []
+    original, walk = shadowing._pseudo_orbits, shadowing._perfect_tracers
 
     def builder(system, length, rows):
         built.append(len(rows))
         return original(system, length, rows)
+
+    def perfect(system, steps, cand, *rest):
+        walks.append(-(-len(cand) // max(1, shadowing._SWEEP_CELLS // steps.shape[1])))
+        return walk(system, steps, cand, *rest)
 
     class Counted(IntervalSystem):
         def step_array(self, arr):
             sizes.append(np.size(arr))
             return super().step_array(arr)
     monkeypatch.setattr(shadowing, "_pseudo_orbits", builder)
-    res = fg_shadowing_probe(Counted(builtin("example211")), 0.05, [0.01, 1e-3],
-                             24, trials=3, n_candidates=501, seed="together",
-                             challenges=[crossing_challenge()])
-    assert built == [len(res.rows)] == [8]
-    assert min(sizes) >= 8
+    monkeypatch.setattr(shadowing, "_perfect_tracers", perfect)
+    for target in ("full", "syndetic"):
+        sizes.clear()
+        walks.clear()
+        res = fg_shadowing_probe(Counted(builtin("example211")), 0.05, [0.01, 1e-3],
+                                 24, trials=3, target=target,
+                                 n_candidates=501, seed="together",
+                                 challenges=[crossing_challenge()])
+        assert built[-1] == len(res.rows) == 8
+        assert walks == [1]
+        assert sum(size < 8 for size in sizes) <= walks[0] * (24 - 1)
 
 
 def test_bad_arguments():
@@ -418,6 +433,108 @@ def test_best_tracers_tie_across_blocks_goes_to_the_first(monkeypatch):
             assert bt == per_orbit_best_tracer(IDENT, orbit, cands, 0.1, objective)
 
 
+def test_perfect_tracer_in_a_later_block_beats_an_earlier_maximum(monkeypatch):
+    # Two orbits make blocks of four candidates.  On `moves` block 0's best
+    # candidate, 0.25, hits 5 of 6 steps and 0.38 in block 1 hits all 6; on
+    # `leaves` 0.5 in block 0 has gap 1 and 0.3 in block 1 hits at step 0
+    # alone.  The perfect walk finds both later winners, so the sweep sees
+    # only the rows without a perfect candidate.
+    monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 8)
+    swept = []
+    sweep = shadowing._sweep
+
+    def counted(system, steps, *rest):
+        swept.append(steps.shape[1])
+        return sweep(system, steps, *rest)
+    monkeypatch.setattr(shadowing, "_sweep", counted)
+    still = manual_orbit(IDENT, [0.3] * 6, 1.0)
+    moves = manual_orbit(IDENT, [0.3] * 5 + [0.45], 1.0)
+    leaves = manual_orbit(IDENT, [0.3] + [0.5] * 5, 1.0)
+    for objective, orbits, cands, want, rows_swept in (
+            ("max_cardinality", [still, moves], [0.9, 0.9, 0.9, 0.25, 0.38, 0.9],
+             [(0.25, 6), (0.38, 6)], []),
+            ("min_max_gap", [leaves, still], [0.9, 0.5, 0.9, 0.9, 0.3, 0.9],
+             [(0.3, 0), (0.3, -1)], [1])):
+        swept.clear()
+        got = best_tracers(IDENT, orbits, np.array(cands), 0.1, objective)
+        assert [(bt.report.x0, bt.score) for bt in got] == want
+        assert swept == rows_swept
+        for orbit, bt in zip(orbits, got):
+            assert bt == per_orbit_best_tracer(IDENT, orbit, np.array(cands), 0.1,
+                                               objective)
+
+
+@st.composite
+def tracer_cases(draw):
+    """A system, a grid (ascending, shuffled, with repeats or both), orbits
+    of one length and eps.  Each draw holds a true orbit from a candidate,
+    which max_cardinality traces perfectly, and an orbit that leaves every
+    candidate after step 0, which min_max_gap traces perfectly; the other
+    orbits are seeded pseudo-orbits, often with no perfect candidate."""
+    system = draw(st.sampled_from([TENT, S, EX, IDENT, CLUSTERS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cand = np.linspace(system.lo, system.hi, draw(st.integers(2, 150)))
+    if draw(st.booleans()):
+        cand = np.sort(np.concatenate([cand, rng.choice(cand, len(cand))]))
+    if draw(st.booleans()):
+        cand = rng.permutation(cand)
+    length = draw(st.integers(2, 12))
+    start = float(cand[draw(st.integers(0, len(cand) - 1))])
+    orbits = [make_pseudo_orbit(system, 0.01, length, scheme="zero", x0=start),
+              manual_orbit(system, [start] + [system.hi + 9] * (length - 1), 10.0)]
+    for t in range(draw(st.integers(0, 3))):
+        orbits.append(make_pseudo_orbit(
+            system, draw(st.sampled_from([1e-3, 0.01, 0.1])), length,
+            scheme=draw(st.sampled_from(["uniform", "bounded", "adversarial"])),
+            seed=f"cases/{t}/{draw(st.integers(0, 99))}", target=system.hi))
+    order = draw(st.permutations(range(len(orbits))))
+    return system, cand, [orbits[i] for i in order], draw(
+        st.sampled_from([1e-9, 0.01, 0.05, 0.3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tracer_cases(), objective=st.sampled_from(shadowing.OBJECTIVES),
+       cells=st.sampled_from([1, 3, 8, 64, 2 ** 15]))
+def test_best_tracers_match_the_oracle_on_any_grid(case, objective, cells):
+    # The same winners as the oracle, and only the rows whose best score is
+    # not perfect reach the sweep: the perfect walk misses no perfect row.
+    system, cand, orbits, eps = case
+    swept = []
+    sweep = shadowing._sweep
+
+    def counted(system, steps, *rest):
+        swept.append(steps.shape[1])
+        return sweep(system, steps, *rest)
+    with mock.patch.object(shadowing, "_SWEEP_CELLS", cells), \
+            mock.patch.object(shadowing, "_sweep", counted):
+        got = best_tracers(system, orbits, cand, eps, objective)
+    want = [per_orbit_best_tracer(system, orbit, cand, eps, objective)
+            for orbit in orbits]
+    assert got == want
+    perfect = 0 if objective == "min_max_gap" else len(orbits[0])
+    assert len(swept) <= 1
+    assert sum(swept) == sum(bt.score != perfect for bt in want)
+
+
+def test_match_runs_equal_the_dense_mask():
+    # Ascending grids with repeats, signed zeros and infinite ends, against
+    # points on, between and beyond them and NaN, at tolerances from 0 to
+    # infinity: the run [a, b) is exactly the step-0 mask's row.
+    rng = np.random.default_rng(29)
+    specials = np.array([-np.inf, -1e300, -0.0, 0.0, 1e300, np.inf])
+    for trial in range(300):
+        steps = rng.choice(np.arange(-16, 17) / 8, int(rng.integers(1, 40)))
+        cand = np.sort(np.concatenate([steps, rng.choice(specials, trial % 4)]))
+        points = np.concatenate([rng.choice(np.arange(-40, 41) / 16, 30),
+                                 rng.uniform(-3, 3, 10), specials[1:-1], [np.nan]])
+        for tol in (0.0, 1 / 8, 0.3, 2.0, np.inf):
+            a, b = shadowing._match_runs(cand, points, tol)
+            j = np.arange(len(cand))
+            run = (j >= a[:, None]) & (j < b[:, None])
+            mask = np.abs(cand[None, :] - points[:, None]) < tol
+            assert np.array_equal(run, mask), (cand, tol)
+
+
 def test_best_tracers_reject_bad_arguments_before_work(monkeypatch):
     orb = manual_orbit(IDENT, [0.3] * 6, 1.0)
     short = manual_orbit(IDENT, [0.3] * 5, 1.0)
@@ -520,22 +637,36 @@ def test_best_tracer_answers_from_the_sweep_only_for_its_arguments(monkeypatch):
 
 
 def test_best_tracer_memory_is_linear_in_candidates():
-    # A C x L mask alone takes C * L bytes; the sweep's bound does not grow
-    # with the number of orbits it scores.
-    orbits = [make_pseudo_orbit(TENT, 0.01, 512, scheme="uniform", seed=f"mem{t}")
-              for t in range(18)]
-    candidates = TENT.grid(20_001)
-    bound = len(candidates) * len(orbits[0]) / 4
-    for objective in ("max_cardinality", "min_max_gap"):
-        for sweep in (lambda: best_tracer(TENT, orbits[0], candidates, 0.05, objective),
-                      lambda: best_tracers(TENT, orbits, candidates, 0.05, objective)):
+    # A C x L mask alone takes C * L bytes; neither pass's bound grows with
+    # the number of orbits it scores.  The tent orbits go to the sweep.  On
+    # the identity every one of 100,001 candidates within 0.5 of an orbit's
+    # step 0 hits it, at every step of a constant orbit, or at no later
+    # step of one that leaves for 9: each is perfect, so the perfect walk
+    # holds its fullest blocks, and holding all 18 x 100,001 pairs at once
+    # would pass the bound.
+    tent = [make_pseudo_orbit(TENT, 0.01, 512, scheme="uniform", seed=f"mem{t}")
+            for t in range(18)]
+    stay = [manual_orbit(IDENT, [0.3 + t / 100] * 512, 1.0) for t in range(18)]
+    leave = [manual_orbit(IDENT, [0.3 + t / 100] + [9.0] * 511, 10.0)
+             for t in range(18)]
+    for system, objective, orbits, n, eps, perfect in (
+            (TENT, "max_cardinality", tent, 20_001, 0.05, None),
+            (TENT, "min_max_gap", tent, 20_001, 0.05, None),
+            (IDENT, "max_cardinality", stay, 100_001, 0.5, 512),
+            (IDENT, "min_max_gap", leave, 100_001, 0.5, 0)):
+        candidates = system.grid(n)
+        bound = len(candidates) * len(orbits[0]) / 4
+        for sweep in (lambda: [best_tracer(system, orbits[0], candidates, eps, objective)],
+                      lambda: best_tracers(system, orbits, candidates, eps, objective)):
             tracemalloc.start()
             try:
-                sweep()
+                got = sweep()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, objective
+            assert peak < bound, (system.name, objective)
+            if perfect is not None and len(got) > 1:
+                assert [bt.score for bt in got] == [perfect] * 18
 
 
 def test_best_tracer_rejects_objective_before_work(monkeypatch):
@@ -1057,6 +1188,19 @@ def test_chain_period_found_once_per_graph(monkeypatch):
     assert calls["_dfs"] == calls["strongly_connected_components"] == []
 
 
+def test_coreach_is_cached_as_one_flag(monkeypatch):
+    # The backward BFS is kept as whether it reached every node, not as its
+    # level array, and as None past the level cap.
+    assert chain_graph(TENT, 1001, 0.01)._coreach is True
+    one_way = ChainGraph(points=(0.0, 1.0), delta=0.1, succ=(range(0, 2), range(1, 2)))
+    assert one_way._coreach is False
+    assert not chain_transitive_check(one_way)
+    monkeypatch.setattr(shadowing, "_BFS_LEVELS", 1)
+    deep = chain_graph(TENT, 1001, 0.01)
+    assert deep._coreach is None
+    assert chain_transitive_check(deep)
+
+
 def brute_reverse(succ):
     """For each position k of the (lo, hi) order, the positions of the
     nodes whose range holds node by[k], found by listing every edge."""
@@ -1107,8 +1251,24 @@ def test_discrete_nearest_matches_argmin():
             [points[0] - 1e300, points[-1] + 1e300, -1e18, 1e18]])
         want = np.abs(arr[:, None] - points[None, :]).argmin(axis=1)
         assert np.array_equal(system._nearest(arr), want)
+        # step_array clamps first, so a far value snaps to its end point.
+        clamped = np.clip(arr, points[0], points[-1])
+        want = np.abs(clamped[:, None] - points[None, :]).argmin(axis=1)
         assert np.array_equal(system.step_array(arr),
                               points[system.images[want]])
+
+
+def test_discrete_step_sends_far_values_to_the_nearest_end():
+    # Seen from these values every rounded distance ties, and the nearest
+    # point by the tie rule would be the lowest; the nearest end is meant,
+    # as IntervalSystem holds f(lo) and f(hi) outside its domain.
+    system = DiscreteSystem([0.0, 0.5, 1.0], [1, 2, 0])
+    far = np.array([np.inf, 1e308, 1e17, -np.inf, -1e308, -1e17, np.nan])
+    got = system.step_array(far)
+    assert got[:6].tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5]
+    assert np.isnan(got[6])
+    ramp = IntervalSystem(builtin("identity"))
+    assert np.array_equal(ramp.step_array(far[:6]), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_discrete_nearest_gallops_over_tied_distances(monkeypatch):
