@@ -426,6 +426,7 @@ def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
             start = max(start, int(a[ahead].min()))    # skip blocks no run meets
             a, b = np.minimum(a, start + size), np.minimum(b, start + size)
             take = np.maximum(b - a, 0)
+            # Each orbit's clipped run [a, b), laid end to end.
             rid = np.repeat(np.arange(rows), take)
             idx = np.arange(len(rid)) + np.repeat(a - np.cumsum(take) + take, take)
         x = cand[idx]
