@@ -267,6 +267,12 @@ def _verdict_cells(v) -> list:
             v.longest_block, v.cofinite_head]
 
 
+def _density_line(d: interval.DensityReport) -> str:
+    """The periodic-density line of interval-devaney's and p-chaos' reports."""
+    return (f"density: covered={d.covered_fraction} cells={d.cells} "
+            f"period_reached={d.period_reached}")
+
+
 def _member_rows(a: WindowSet) -> list[list]:
     """The n,member table of a window set: one row per slot, 1 for members."""
     rows = [["n", "member"]] + [[n, 0] for n in range(a.horizon)]
@@ -410,8 +416,7 @@ def run_interval_devaney(o: argparse.Namespace, family: FamilyParams,
         f"domain=[{m.lo},{m.hi}] breakpoints={len(m.xs)}",
         f"fixed_points={','.join(str(p) for p in survey.fixed_points) or '-'} "
         f"segments={','.join(f'[{a},{b}]' for a, b in survey.fixed_segments) or '-'}",
-        f"density: covered={survey.density.covered_fraction} "
-        f"cells={survey.density.cells} period_reached={survey.density.period_reached}",
+        _density_line(survey.density),
         f"families: {fams}",
         "anomalies: " + ("; ".join(survey.anomalies) or "none"),
         "",
@@ -524,8 +529,7 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
     evidence = density.covered_fraction == 1 and full.verdict == "pass"
     lines = [
         f"periodic-density and tracing report: {name}",
-        f"periodic points cover {density.covered_fraction} of the "
-        f"{density.cells} cells at scale {density.epsilon}",
+        f"{_density_line(density)} epsilon={density.epsilon}",
         f"tracing probe (target=full): {full.verdict}",
         f"auxiliary panel (target=piecewise_syndetic): {aux.verdict} "
         f"(reported, not asserted)",

@@ -22,16 +22,17 @@ and a point is clamped into the space by np.clip to [lo, hi].  A probe
 builds all of its pseudo-orbits together and scores them together
 (best_tracers), in two passes over blocks of the candidate grid.  A perfect
 score (a hit at every step for max_cardinality, a hit at step 0 and at no
-later step for min_max_gap) cannot be beaten and needs a hit at step 0, so
-pass 1 follows only the (orbit, candidate) pairs that hit at step 0, and
-drops each pair at the first step where it leaves that pattern; an orbit's
-first surviving candidate is the first with the best score, which is the
-sweep's own tie rule.  Pass 2 sweeps the whole grid, each step of a block
-compared with every orbit at once, for the orbits that pass 1 left without
-a winner.  Either pass holds at most rows x block pairs at once, and the
-grid is walked at most twice per probe, not once per pseudo-orbit.  While
-the probe runs, its winners sit in a dict keyed by (orbit, id(candidates),
-eps, objective), from which best_tracer reads each row's winner.
+later step for min_max_gap) cannot be beaten and needs a hit at step 0.  So
+on an ascending grid, as every probe's is, pass 1 follows only each orbit's
+run of step-0 matches, and drops each pair at the first step where it leaves
+that pattern; an orbit's first surviving candidate is the first with the
+best score, which is the sweep's own tie rule.  Pass 2 sweeps the whole
+grid, each step of a block compared with every orbit at once, for the orbits
+that pass 1 left without a winner, and for all of them on any other array.
+Either pass holds at most rows x block pairs at once, and the grid is walked
+at most twice per probe, not once per pseudo-orbit.  While the probe runs,
+its winners sit in a dict keyed by (orbit, id(candidates), eps, objective),
+from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
@@ -349,25 +350,24 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     per step of a block, so memory is O(L * len(orbits)) beside a block of
     at most len(orbits) x block pairs, whatever the grid size.
 
-    Pass 1 (_perfect_tracers) finds each orbit's first candidate with a
-    perfect score, one that no candidate can beat: L hits, or a largest gap
-    of 0.  Such a candidate hits at step 0, so only the step-0 matches are
-    stepped, and each is dropped where it leaves the perfect pattern.  The
-    first survivor in candidate order is exactly what the sweep returns,
-    the first candidate with the best score.
+    Pass 1 (_perfect_tracers), on an ascending array only, finds each
+    orbit's first candidate with a perfect score, one that no candidate can
+    beat: L hits, or a largest gap of 0.  Such a candidate hits at step 0,
+    so only the step-0 matches are stepped, and each is dropped where it
+    leaves the perfect pattern.  The first survivor in candidate order is
+    exactly what the sweep returns, the first candidate with the best score.
 
-    Pass 2 (_sweep) scores the rest of the orbits over every candidate:
-    each step of a block is compared with every orbit's point at once, with
-    a running score per (orbit, candidate) of the block.
-    max_cardinality counts the hits and scores their number.  min_max_gap
-    keeps the last hit (-1 before any) and the largest gap so far, and
-    updates only the pairs that hit: a hit at step n opens a gap of n after
-    no earlier hit (the leading gap) and of n - last otherwise; a candidate
-    that never hits has gap L + 1, and the score is minus the gap.  Ties
-    break toward the first candidate: within a block by argmax, across
+    Pass 2 (_sweep) scores the other orbits, or all of them on any other
+    array, over every candidate: each step of a block is compared with every
+    orbit's point at once, with a running score per (orbit, candidate) of
+    the block.  max_cardinality counts the hits and scores their number.
+    min_max_gap keeps the last hit (-1 before any) and the largest gap so
+    far, and updates only the pairs that hit: a hit at step n opens a gap of
+    n after no earlier hit (the leading gap) and of n - last otherwise; a
+    candidate that never hits has gap L + 1, and the score is minus the gap.
+    Ties break toward the first candidate: within a block by argmax, across
     blocks because only a strictly better score replaces an orbit's winner.
-    The winners are traced again, all in one orbit_points call, for their
-    reports.
+    The winners are traced again for their reports, in one orbit_points call.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -383,7 +383,9 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     tol = eps + FLOAT_SLACK
     by_gap = objective == "min_max_gap"
     steps = np.stack([o.points for o in orbits], axis=1)   # step n of each orbit
-    winner = _perfect_tracers(system, steps, cand, tol, by_gap)
+    winner = np.full(len(orbits), -1, dtype=np.intp)
+    if (cand[1:] >= cand[:-1]).all():
+        winner = _perfect_tracers(system, steps, cand, tol, by_gap)
     best = np.where(winner >= 0, 0.0 if by_gap else float(length), -np.inf)
     if len(rest := np.flatnonzero(winner < 0)):
         best[rest], winner[rest] = _sweep(system, steps[:, rest], cand, tol, by_gap)
@@ -396,39 +398,29 @@ def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
     """Each orbit's first candidate with a perfect score, -1 where none has
     one; steps[n] holds step n of every orbit.
 
-    Perfect is a hit at every step (max_cardinality), or a hit at step 0
-    and at no later step (min_max_gap), so only the (orbit, candidate)
-    pairs that hit at step 0 are followed, and a pair is dropped at the
-    first step where it leaves that pattern.  The pairs of one block of
-    candidates are stepped together, one step_array call a step, and the
-    blocks go in candidate order until every orbit has its winner or no
-    step-0 match left, so a block holds at most rows x block pairs.  On an
-    ascending array fl(c - p) rises with c, so each orbit's step-0 matches
-    are one index run, found by search; any other array is compared in
-    full, a block at a time.
+    Perfect is a hit at every step (max_cardinality), or a hit at step 0 and
+    at no later step (min_max_gap), so only the (orbit, candidate) pairs
+    that hit at step 0 are followed, and a pair is dropped at the first step
+    where it leaves that pattern.  The array must ascend, as chain_graph's
+    does: then fl(c - p) rises with c, so each orbit's step-0 matches are
+    one index run, found by search.  The pairs of one block of candidates
+    are stepped together, one step_array call a step, and the blocks go in
+    candidate order, skipping those that no open orbit's run meets, until
+    every orbit has its winner or no step-0 match left; so a block holds at
+    most rows x block pairs.
     """
     length, rows = steps.shape
     size = max(1, _SWEEP_CELLS // rows)
-    first = steps[0]
     winner = np.full(rows, -1, dtype=np.intp)
-    run = _match_runs(cand, first, tol) if (cand[1:] >= cand[:-1]).all() else None
+    a, b = _match_runs(cand, steps[0], tol)
     start = 0
-    while start < len(cand) and (winner < 0).any():
-        if run is None:
-            open_ = np.flatnonzero(winner < 0)
-            rid, k = np.nonzero(
-                np.abs(cand[start:start + size] - first[open_, None]) < tol)
-            rid, idx = open_[rid], start + k
-        else:
-            a, b = np.where(winner < 0, np.maximum(run[0], start), len(cand)), run[1]
-            if not (ahead := a < b).any():
-                break
-            start = max(start, int(a[ahead].min()))    # skip blocks no run meets
-            a, b = np.minimum(a, start + size), np.minimum(b, start + size)
-            take = np.maximum(b - a, 0)
-            # Each orbit's clipped run [a, b), laid end to end.
-            rid = np.repeat(np.arange(rows), take)
-            idx = np.arange(len(rid)) + np.repeat(a - np.cumsum(take) + take, take)
+    while (ahead := (winner < 0) & (np.maximum(a, start) < b)).any():
+        start = max(start, int(a[ahead].min()))    # skip blocks no run meets
+        # Each open orbit's run clipped to the block, laid end to end.
+        lo = np.clip(a, start, start + size)
+        take = np.where(ahead, np.minimum(b, start + size) - lo, 0)
+        rid = np.repeat(np.arange(rows), take)
+        idx = np.arange(len(rid)) + np.repeat(lo - np.cumsum(take) + take, take)
         x = cand[idx]
         for n in range(1, length):
             if not len(rid):

@@ -451,7 +451,7 @@ def test_pchaos_routes_every_option(tmp_path, monkeypatch):
                  "--density-eps", "1/16", "--candidates", "2001",
                  "--trials", "2", "--out", str(tmp_path)]) == 0
     rep = read(tmp_path / "report.txt")
-    assert "cells at scale 1/16" in rep
+    assert " cells=16 " in rep and " epsilon=1/16\n" in rep
     assert "chain graph (65 nodes, delta=0.05)" in rep
     assert [p.target for p in probes] == ["full", "piecewise_syndetic"]
     for probe, name in zip(probes, ("probe.csv", "aux_probe.csv")):

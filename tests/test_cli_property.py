@@ -6,6 +6,7 @@ Whatever the draw, a run exits 0, 2 (bad configuration) or 3 (budget), never
 with a traceback, and writes nothing into --out unless it exits 0.  The
 valid pools stay small (cells <= 3, candidates <= 101, chain-nodes <= 33,
 prefix-len <= 400, steps <= 16) so that many examples run to exit 0 fast.
+`--map` also draws the map files in tests/maps/, three valid and three bad.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from chaoskit.cli import main
 
 MISSING = "@/no/such/file"
 TOO_MANY = str(2 ** 20 + 1)   # past the enum_nodes cap: exit 3 before work
+MAPS = Path(__file__).parent / "maps"
 
 # option: (valid values, bad or edge values)
 _FAMILY = {
@@ -31,7 +33,13 @@ _FAMILY = {
     "burnin": (["1", "2", "4"], ["0", "-1", "300"]),
 }
 _TAIL = {"tail-policy": (["censored", "strict"], ["foo", ""])}
-_MAP = (["S", "tent", "example211", "identity"], ["nosuch", MISSING, ""])
+# The map files: a zigzag with slopes +-3, a constant map and a Markov map
+# on the grid k/4; then a value that escapes the domain, a domain line that
+# disagrees with the breakpoints, and an empty file.
+_MAP = (["S", "tent", "example211", "identity",
+         *(f"@{MAPS / name}.txt" for name in ("zigzag3", "constant", "markov4"))],
+        ["nosuch", MISSING, "",
+         *(f"@{MAPS / name}.txt" for name in ("escapes", "domain_mismatch", "empty"))])
 _DENSITY = {
     "density-eps": (["1/4", "1/16", "1/64"],
                     ["0", "-1/4", "1/0", "x", "1/2000000"]),

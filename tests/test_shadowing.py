@@ -434,32 +434,47 @@ def test_best_tracers_tie_across_blocks_goes_to_the_first(monkeypatch):
             assert bt == per_orbit_best_tracer(IDENT, orbit, cands, 0.1, objective)
 
 
-def test_perfect_tracer_in_a_later_block_beats_an_earlier_maximum(monkeypatch):
-    # Two orbits make blocks of four candidates.  On `moves` block 0's best
-    # candidate, 0.25, hits 5 of 6 steps and 0.38 in block 1 hits all 6; on
-    # `leaves` 0.5 in block 0 has gap 1 and 0.3 in block 1 hits at step 0
-    # alone.  The perfect walk finds both later winners, so the sweep sees
-    # only the rows without a perfect candidate.
-    monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 8)
-    swept = []
-    sweep = shadowing._sweep
+def _traced_best_tracers(system, orbits, cand, eps, objective,
+                         cells=shadowing._SWEEP_CELLS):
+    """best_tracers, with the rows that reach each call of the perfect walk
+    and of the sweep."""
+    walked, swept = [], []
+    walk, sweep = shadowing._perfect_tracers, shadowing._sweep
 
-    def counted(system, steps, *rest):
+    def counted_walk(system, steps, *rest):
+        walked.append(steps.shape[1])
+        return walk(system, steps, *rest)
+
+    def counted_sweep(system, steps, *rest):
         swept.append(steps.shape[1])
         return sweep(system, steps, *rest)
-    monkeypatch.setattr(shadowing, "_sweep", counted)
+    with mock.patch.object(shadowing, "_SWEEP_CELLS", cells), \
+            mock.patch.object(shadowing, "_perfect_tracers", counted_walk), \
+            mock.patch.object(shadowing, "_sweep", counted_sweep):
+        got = best_tracers(system, orbits, cand, eps, objective)
+    return got, walked, swept
+
+
+def test_perfect_tracer_in_a_later_block_beats_an_earlier_maximum():
+    # Two orbits make blocks of four candidates, and each grid ascends with
+    # all of block 0 among the step-0 matches, so the perfect walk's blocks
+    # are the sweep's.  On `moves` every candidate of block 0 hits 5 of 6
+    # steps and 0.38 in block 1 hits all 6; on `leaves` every candidate of
+    # block 0 hits steps 0 and 1 (gap 1) and 0.36 in block 1 hits at step 0
+    # alone.  The perfect walk finds both later winners, so the sweep sees
+    # only the rows without a perfect candidate.
     still = manual_orbit(IDENT, [0.3] * 6, 1.0)
     moves = manual_orbit(IDENT, [0.3] * 5 + [0.45], 1.0)
-    leaves = manual_orbit(IDENT, [0.3] + [0.5] * 5, 1.0)
+    leaves = manual_orbit(IDENT, [0.3] + [0.25] * 5, 1.0)
     for objective, orbits, cands, want, rows_swept in (
-            ("max_cardinality", [still, moves], [0.9, 0.9, 0.9, 0.25, 0.38, 0.9],
-             [(0.25, 6), (0.38, 6)], []),
-            ("min_max_gap", [leaves, still], [0.9, 0.5, 0.9, 0.9, 0.3, 0.9],
-             [(0.3, 0), (0.3, -1)], [1])):
-        swept.clear()
-        got = best_tracers(IDENT, orbits, np.array(cands), 0.1, objective)
+            ("max_cardinality", [still, moves], [0.22, 0.23, 0.24, 0.25, 0.38, 0.9],
+             [(0.22, 6), (0.38, 6)], []),
+            ("min_max_gap", [leaves, still], [0.26, 0.27, 0.28, 0.29, 0.36, 0.9],
+             [(0.36, 0), (0.26, -1)], [1])):
+        got, walked, swept = _traced_best_tracers(IDENT, orbits, np.array(cands),
+                                                  0.1, objective, cells=8)
         assert [(bt.report.x0, bt.score) for bt in got] == want
-        assert swept == rows_swept
+        assert walked == [2] and swept == rows_swept
         for orbit, bt in zip(orbits, got):
             assert bt == per_orbit_best_tracer(IDENT, orbit, np.array(cands), 0.1,
                                                objective)
@@ -497,24 +512,48 @@ def tracer_cases(draw):
 @given(case=tracer_cases(), objective=st.sampled_from(shadowing.OBJECTIVES),
        cells=st.sampled_from([1, 3, 8, 64, 2 ** 15]))
 def test_best_tracers_match_the_oracle_on_any_grid(case, objective, cells):
-    # The same winners as the oracle, and only the rows whose best score is
-    # not perfect reach the sweep: the perfect walk misses no perfect row.
+    # The same winners as the oracle.  On an ascending grid only the rows
+    # whose best score is not perfect reach the sweep: the perfect walk
+    # misses no perfect row.  On any other grid the perfect walk does not
+    # run and every row is swept.
     system, cand, orbits, eps = case
-    swept = []
-    sweep = shadowing._sweep
-
-    def counted(system, steps, *rest):
-        swept.append(steps.shape[1])
-        return sweep(system, steps, *rest)
-    with mock.patch.object(shadowing, "_SWEEP_CELLS", cells), \
-            mock.patch.object(shadowing, "_sweep", counted):
-        got = best_tracers(system, orbits, cand, eps, objective)
+    got, walked, swept = _traced_best_tracers(system, orbits, cand, eps,
+                                              objective, cells)
     want = [per_orbit_best_tracer(system, orbit, cand, eps, objective)
             for orbit in orbits]
     assert got == want
-    perfect = 0 if objective == "min_max_gap" else len(orbits[0])
     assert len(swept) <= 1
-    assert sum(swept) == sum(bt.score != perfect for bt in want)
+    if (cand[1:] >= cand[:-1]).all():
+        perfect = 0 if objective == "min_max_gap" else len(orbits[0])
+        assert walked == [len(orbits)]
+        assert sum(swept) == sum(bt.score != perfect for bt in want)
+    else:
+        assert walked == [] and swept == [len(orbits)]
+
+
+@pytest.mark.parametrize("objective", shadowing.OBJECTIVES)
+@pytest.mark.parametrize("system", [TENT, S, CLUSTERS], ids=lambda s: s.name)
+def test_only_an_ascending_grid_takes_the_perfect_walk(system, objective):
+    # One grid ascending, shuffled, and with a NaN candidate inside.  Each
+    # gives the oracle's winners; only the ascending one reaches the perfect
+    # walk, though every draw holds a row with a perfect candidate, so the
+    # ascending check is the walk's one gate.
+    grid = np.linspace(system.lo, system.hi, 301)
+    rng = np.random.default_rng(31)
+    orbits = [make_pseudo_orbit(system, 0.01, 12, scheme="zero", x0=float(grid[40])),
+              manual_orbit(system, [float(grid[40])] + [system.hi + 9] * 11, 10.0),
+              make_pseudo_orbit(system, 0.01, 12, scheme="uniform", seed="gate",
+                                target=system.hi)]
+    for cand, walks in ((grid, True), (rng.permutation(grid), False),
+                        (np.insert(grid, 150, np.nan), False)):
+        got, walked, swept = _traced_best_tracers(system, orbits, cand, 0.01,
+                                                  objective)
+        assert got == [per_orbit_best_tracer(system, orbit, cand, 0.01, objective)
+                       for orbit in orbits]
+        if walks:
+            assert walked == [3] and sum(swept) <= 2   # a perfect row is not swept
+        else:
+            assert walked == [] and swept == [3]
 
 
 def test_match_runs_equal_the_dense_mask():
