@@ -133,6 +133,7 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
     ],
     "report-all": [],
 }
+_TABLES = {"run": RUN_OPTIONS, **SECTIONS}   # every INI section's options
 
 
 def _fb(b: bool) -> str:
@@ -149,26 +150,23 @@ def _flags(obj, *names: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing.
+# Config plumbing.  A parse holds only the flags given, and _resolve layers
+# them over the INI, read raw (a % is literal), over the built-in defaults.
 
 def _load_ini(path: str) -> dict[str, dict[str, object]]:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             cfg.read_file(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     except configparser.Error as e:
         raise ConfigError(f"bad config {path}: {e}")
     out: dict[str, dict[str, object]] = {}
     for section in cfg.sections():
-        if section == "run":
-            table = RUN_OPTIONS
-        elif section in SECTIONS:
-            table = SECTIONS[section]
-        else:
+        if section not in _TABLES:
             raise ConfigError(f"unknown config section [{section}]")
-        known = {name: conv for name, conv, _, _ in table}
+        known = {name: conv for name, conv, _, _ in _TABLES[section]}
         vals: dict[str, object] = {}
         for key, raw in cfg.items(section):
             if key not in known:
@@ -181,23 +179,25 @@ def _load_ini(path: str) -> dict[str, dict[str, object]]:
     return out
 
 
-def _defaults(section: str, ini: dict[str, dict[str, object]]) -> dict[str, object]:
-    """A section's option dests, INI values over the built-in defaults."""
-    given = ini.get(section, {})
-    dests = [(name.replace("-", "_"), default)
-             for name, _, default, _ in SECTIONS[section]]
-    return {dest: given.get(dest, default) for dest, default in dests}
+def _resolve(table: list[tuple], ini_section: dict[str, object],
+             given: dict[str, object]) -> dict[str, object]:
+    """A table's option dests, each at its given value over its INI value
+    over its built-in default."""
+    dests = [(name.replace("-", "_"), default) for name, _, default, _ in table]
+    return {dest: given.get(dest, ini_section.get(dest, default))
+            for dest, default in dests}
 
 
-def _dump_config(ini: dict[str, dict[str, object]], run: dict[str, str],
-                 args: argparse.Namespace) -> str:
-    """The effective INI: the active subcommand at its parsed values, every
-    other section at its INI values over the defaults."""
-    lines = ["[run]"] + [f"{name}={val}" for name, val in run.items()] + [""]
-    for section, table in SECTIONS.items():
+def _dump_config(ini: dict[str, dict[str, object]],
+                 given: dict[str, object]) -> str:
+    """The effective INI: each section resolved, with the given flags
+    applied to [run] and to the active subcommand only."""
+    lines = []
+    for section, table in _TABLES.items():
         if not table:
             continue
-        vals = vars(args) if section == args.command else _defaults(section, ini)
+        flags = given if section in ("run", given["command"]) else {}
+        vals = _resolve(table, ini.get(section, {}), flags)
         lines.append(f"[{section}]")
         for name, conv, _, _ in table:
             val = vals[name.replace("-", "_")]
@@ -208,33 +208,31 @@ def _dump_config(ini: dict[str, dict[str, object]], run: dict[str, str],
     return "\n".join(lines)
 
 
-def _build_parser(ini: dict[str, dict[str, object]]) -> argparse.ArgumentParser:
-    # Global flags live in a parent parser with SUPPRESS defaults so they can
-    # be given before or after the subcommand without clobbering each other.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="INI file with option defaults")
+def _build_parser() -> argparse.ArgumentParser:
+    # A parent parser takes the global flags before or after the subcommand.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="INI file with option defaults")
     for name, _, _, help_ in RUN_OPTIONS:
-        common.add_argument(f"--{name}", default=argparse.SUPPRESS, help=help_)
+        common.add_argument(f"--{name}", help=help_)
     common.add_argument("--dump-config", action="store_true",
-                        default=argparse.SUPPRESS,
                         help="print the effective configuration and exit")
     parser = argparse.ArgumentParser(
         prog="chaoskit", parents=[common],
         description="family-indexed chaos surveys for subshifts and interval maps")
     subs = parser.add_subparsers(dest="command")
     for section, table in SECTIONS.items():
-        sub = subs.add_parser(section, parents=[common])
+        sub = subs.add_parser(section, parents=[common],
+                              argument_default=argparse.SUPPRESS)
         for name, conv, _, help_ in table:
             sub.add_argument(f"--{name}", type=conv, help=help_)
-        sub.set_defaults(**_defaults(section, ini))
     return parser
 
 
 def _read(path: Path, what: str) -> str:
     try:
         return path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {what} file: {e}")
 
 
@@ -588,7 +586,7 @@ def _run(section: str, opts: dict[str, object], seed: str):
 def _report_all(outdir: Path, seed: str) -> str:
     jobs = []
     for sub, section, overrides in REPORT_ALL:
-        opts = {**_defaults(section, {}), **overrides}
+        opts = _resolve(SECTIONS[section], {}, overrides)
         jobs.append((sub, _run(section, opts, seed)))
     summary = []
     for sub, (report, files, headline) in jobs:
@@ -599,31 +597,28 @@ def _report_all(outdir: Path, seed: str) -> str:
 
 
 def _main(argv: list[str]) -> int:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    ini = _load_ini(known.config) if known.config else {}
-    parser = _build_parser(ini)
-    args = parser.parse_args(argv)
-    run_ini = ini.get("run", {})
-    run = {name: vars(args).get(name, str(run_ini.get(name, default)))
-           for name, _, default, _ in RUN_OPTIONS}
-    if getattr(args, "dump_config", False):
-        sys.stdout.write(_dump_config(ini, run, args))
+    parser = _build_parser()
+    given = vars(parser.parse_args(argv))
+    ini = _load_ini(given["config"]) if given.get("config") else {}
+    if given.get("dump_config"):
+        sys.stdout.write(_dump_config(ini, given))
         return 0
-    if not args.command:
+    command = given["command"]
+    if not command:
         parser.print_usage(sys.stderr)
         raise ConfigError("no subcommand given")
     # The caps read the override lazily; a bad one must fail here, alike for
     # every subcommand, and not at whichever cap a run consults first.
     with _options():
         budgets.multiplier()
-    if args.command == "report-all":
+    run = _resolve(RUN_OPTIONS, ini.get("run", {}), given)
+    if command == "report-all":
         headline = _report_all(Path(run["out"]), run["seed"])
     else:
-        report, files, headline = _run(args.command, vars(args), run["seed"])
+        opts = _resolve(SECTIONS[command], ini.get(command, {}), given)
+        report, files, headline = _run(command, opts, run["seed"])
         _emit(Path(run["out"]), report, files)
-    print(f"{args.command}: {headline}")
+    print(f"{command}: {headline}")
     return 0
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from chaoskit import interval, setfam, shadowing, subshift
 from chaoskit.budgets import ENV_OVERRIDE, cap
-from chaoskit.cli import REPORT_ALL, SECTIONS, _defaults, main
+from chaoskit.cli import REPORT_ALL, SECTIONS, _resolve, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -549,6 +549,78 @@ def test_empty_run_option_is_honoured(tmp_path, capsys):
     assert probe["flag"] == probe["ini"] != probe["default"]
 
 
+def test_ini_values_are_read_raw(tmp_path, capsys):
+    """A % in an INI value is literal, as --dump-config writes it."""
+    cfg = tmp_path / "cfg.ini"
+    missing = tmp_path / "50%.txt"
+    cfg.write_text(f"[classify-set]\nmembers=@{missing}\n")
+    assert main(["--config", str(cfg), "classify-set",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read set file: [Errno 2] No such file or directory: "
+        f"'{missing}'\n")
+    assert not (tmp_path / "out").exists()
+    cfg.write_text("[run]\nseed=a%(b)s\n")
+    assert main(["--config", str(cfg), "--dump-config"]) == 0
+    assert (_ini_sections(capsys.readouterr().out)["[run]"]
+            == "[run]\nseed=a%(b)s\nout=.")
+    # A dump with a % in it reads back as itself.
+    assert main(["--seed", "50%", "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert "\nseed=50%\n" in dumped
+    cfg.write_text(dumped)
+    assert main(["--config", str(cfg), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+
+
+def test_undecodable_input_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe[run]\n")
+    decode = "'utf-8' codec can't decode byte 0xff in position 0"
+    for argv, message in (
+            (["--config", str(bad), "classify-set"], f"cannot read config {bad}"),
+            (["classify-set", "--members", f"@{bad}"], "cannot read set file"),
+            (["spacing", "--p", f"@{bad}"], "cannot read set file"),
+            (["interval-devaney", "--map", f"@{bad}"], "cannot read map file")):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: {decode}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_are_parsed_before_the_ini_is_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "missing.ini"), "classify-set",
+              "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chaoskit classify-set")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[mystery]\nx=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "classify-set", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --bogus" in err
+    assert "mystery" not in err
+    assert main(["--config", str(cfg), "classify-set"]) == 2
+    assert capsys.readouterr().err == "error: unknown config section [mystery]\n"
+    # An empty --config names no file.
+    assert main(["--config", "", "--dump-config"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "dump-config.ini").read_text()
+
+
+def test_value_starting_with_a_dash_needs_the_equals_form(tmp_path, capsys):
+    assert main(["spacing", "--witness=-,2,1", "--out", str(tmp_path)]) == 0
+    assert ("witness: word=001 k=2 member=true block_start=true"
+            in read(tmp_path / "report.txt"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["spacing", "--witness", "-,2,1", "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert ("chaoskit spacing: error: argument --witness: expected one argument"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
+
+
 # ---------------------------------------------------------------------------
 # Determinism of emitted files.
 
@@ -598,6 +670,6 @@ def test_report_all_overrides_change_their_section():
     """Each report-all override differs from what its section resolves to
     without it, so no default is written a second time."""
     for sub, section, overrides in REPORT_ALL:
-        defaults = _defaults(section, {})
+        defaults = _resolve(SECTIONS[section], {}, {})
         for dest, value in overrides.items():
             assert value != defaults[dest], (sub, dest)

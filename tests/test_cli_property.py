@@ -1,4 +1,5 @@
-"""Property test of the exit-code contract over cli.main.
+"""Property tests over cli.main: the exit-code contract and the precedence
+of option values.
 
 Every subcommand gets a value for each of its options, drawn from a valid
 pool or, for a few options per example, from a pool of bad and edge values.
@@ -7,6 +8,10 @@ with a traceback, and writes nothing into --out unless it exits 0.  The
 valid pools stay small (cells <= 3, candidates <= 101, chain-nodes <= 33,
 prefix-len <= 400, steps <= 16) so that many examples run to exit 0 fast.
 `--map` also draws the map files in tests/maps/, three valid and three bad.
+
+The precedence property sets a drawn subset of one subcommand's options in
+its INI section and another as flags, each from its valid pool less its
+default, so that a value taken from the wrong layer shows.
 """
 
 import contextlib
@@ -19,8 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaoskit.cli import main
+from chaoskit.cli import RUN_OPTIONS, SECTIONS, main
 
+GOLDEN = Path(__file__).parent / "golden"
 MISSING = "@/no/such/file"
 TOO_MANY = str(2 ** 20 + 1)   # past the enum_nodes cap: exit 3 before work
 MAPS = Path(__file__).parent / "maps"
@@ -150,5 +156,114 @@ def test_every_invocation_honours_the_exit_contract(command, data):
             assert stderr.startswith(
                 {2: ("error: ", "usage: "), 3: ("budget exceeded: ",)}[code])
             assert not out.exists() or not any(out.iterdir())
+    finally:
+        shutil.rmtree(root)
+
+
+VALID = {command: {name: valid for name, (valid, _) in pools.items()}
+         for command, pools in POOLS.items()}
+
+
+def _text(value) -> str:
+    """An option value as --dump-config writes it."""
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+
+
+def _sections(ini: str) -> dict[str, dict[str, str]]:
+    sections: dict[str, dict[str, str]] = {}
+    for line in ini.splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1], {})
+        elif line:
+            key, _, value = line.partition("=")
+            current[key] = value
+    return sections
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def layers(draw, table, pools) -> tuple[dict, dict, dict]:
+    """INI values and flag values for a drawn subset of the table's options
+    each, and every option's expected value as dump text: flag > INI >
+    default."""
+    ini, flags, want = {}, {}, {}
+    for name, conv, default, _ in table:
+        pool = [v for v in pools[name] if _text(conv(v)) != _text(default)]
+        want[name] = _text(default)
+        for layer in (ini, flags):
+            if draw(st.booleans()):
+                layer[name] = draw(st.sampled_from(pool))
+                want[name] = _text(conv(layer[name]))
+    return ini, flags, want
+
+
+def _write_ini(path: Path, sections: dict[str, dict[str, str]]) -> None:
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k}={v}\n" for k, v in vals.items())
+        for section, vals in sections.items()))
+
+
+@pytest.mark.parametrize("command", list(POOLS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_flags_beat_the_ini_which_beats_the_defaults(command, data):
+    root = Path(tempfile.mkdtemp())
+    try:
+        outs = {"ini": str(root / "ini"), "flag": str(root / "flag")}
+        run_ini, run_flags, run_want = data.draw(
+            layers([o for o in RUN_OPTIONS if o[0] == "seed"],
+                   {"seed": ["7", "", "50%"]}))
+        # out is always given, so no run writes into the working directory.
+        where = data.draw(st.sampled_from([("ini",), ("flag",), ("ini", "flag")]))
+        if "ini" in where:
+            run_ini["out"] = outs["ini"]
+        if "flag" in where:
+            run_flags["out"] = outs["flag"]
+        run_want["out"] = outs[where[-1]]
+        ini, flags, want = data.draw(layers(SECTIONS[command], VALID[command]))
+        cfg = root / "cfg.ini"
+        _write_ini(cfg, {"run": run_ini, command: ini})
+        argv = ["--config", str(cfg), command,
+                *(f"--{k}={v}" for k, v in {**run_flags, **flags}.items())]
+
+        code, dumped, _ = _run(argv + ["--dump-config"])
+        assert code == 0
+        got = _sections(dumped)
+        assert got["run"] == run_want and got[command] == want
+        golden = _sections((GOLDEN / "dump-config.ini").read_text())
+        assert {s: v for s, v in got.items() if s not in ("run", command)} \
+            == {s: v for s, v in golden.items() if s not in ("run", command)}
+
+        ref = root / "ref"
+        every_flag = [command, f"--seed={run_want['seed']}", f"--out={ref}",
+                      *(f"--{k}={v}" for k, v in want.items())]
+        layered, flagged = _run(argv), _run(every_flag)
+        assert layered == flagged
+        if layered[0] == 0:
+            assert _tree(Path(run_want["out"])) == _tree(ref)
+    finally:
+        shutil.rmtree(root)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_report_all_ignores_the_ini_sections(data):
+    sections = {}
+    for command, table in SECTIONS.items():
+        if table:
+            sections[command] = data.draw(layers(table, VALID[command]))[0]
+    root = Path(tempfile.mkdtemp())
+    try:
+        _write_ini(root / "cfg.ini", sections)
+        code, stdout, stderr = _run(["--config", str(root / "cfg.ini"),
+                                     "report-all", f"--out={root / 'out'}"])
+        assert (code, stdout, stderr) == (0, "report-all: 9 fixture reports\n", "")
+        assert _tree(root / "out") == _tree(GOLDEN / "report-all")
     finally:
         shutil.rmtree(root)

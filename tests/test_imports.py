@@ -2,8 +2,10 @@
 removed check must not leave an import behind, a helper that only the
 tests call lives in the tests, and a private helper that a refactor leaves
 without a caller in the package goes with it.  No cache outlives the call
-that fills it: functools caches are made inside a call, and a context
-variable set in a function is reset in a finally of that function.
+that fills it: functools caches are made inside a call, a context
+variable set in a function is reset in a finally of that function, and the
+CLI builds its parser inside each call, not once at import, so a benchmark
+that calls cli.main many times in one process pays what one run pays.
 Standard library only (ast), so it adds no dependency."""
 
 import ast
@@ -268,3 +270,38 @@ def test_package_caches_die_with_their_call():
                          ids=lambda p: p.name)
 def test_package_resets_every_context_var_it_sets(path):
     assert unreset_context_vars(path.read_text()) == []
+
+
+# The calls that build the CLI's parser, as written in cli.py.
+PARSER_BUILDERS = {"_build_parser", "argparse.ArgumentParser", "ArgumentParser"}
+
+
+def import_time_calls(source: str, names: set[str]) -> list[str]:
+    """The calls of the named functions that run when the module is
+    imported: at module or class level, in a decorator or in a default."""
+    return [ast.unparse(n.func) for n in own(ast.parse(source).body)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) in names]
+
+
+def test_import_time_parsers_are_found():
+    mod = """
+import argparse
+from argparse import ArgumentParser
+PARSER = argparse.ArgumentParser(prog="x")
+
+def _build_parser(parents=(ArgumentParser(add_help=False),)):
+    return argparse.ArgumentParser(parents=list(parents))
+
+class K:
+    parser = _build_parser()
+
+def main(argv):
+    return _build_parser().parse_args(argv)
+"""
+    assert import_time_calls(mod, PARSER_BUILDERS) == [
+        "argparse.ArgumentParser", "ArgumentParser", "_build_parser"]
+
+
+def test_cli_builds_its_parser_per_call():
+    assert import_time_calls((PACKAGE / "cli.py").read_text(),
+                             PARSER_BUILDERS) == []
