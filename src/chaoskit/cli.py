@@ -154,7 +154,8 @@ def _flags(obj, *names: str) -> str:
 # them over the INI, read raw (a % is literal), over the built-in defaults.
 
 def _load_ini(path: str) -> dict[str, dict[str, object]]:
-    cfg = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so [DEFAULT] is read as any other.
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cfg.read_file(fh)

@@ -20,19 +20,21 @@ A system is lo, hi, name, step_array, grid and random_point; every orbit,
 pseudo or true, is stepped through step_array with all of its rows at once,
 and a point is clamped into the space by np.clip to [lo, hi].  A probe
 builds all of its pseudo-orbits together and scores them together
-(best_tracers), in two passes over blocks of the candidate grid.  A perfect
-score (a hit at every step for max_cardinality, a hit at step 0 and at no
-later step for min_max_gap) cannot be beaten and needs a hit at step 0.  So
-on an ascending grid, as every probe's is, pass 1 follows only each orbit's
-run of step-0 matches, and drops each pair at the first step where it leaves
-that pattern; an orbit's first surviving candidate is the first with the
-best score, which is the sweep's own tie rule.  Pass 2 sweeps the whole
-grid, each step of a block compared with every orbit at once, for the orbits
-that pass 1 left without a winner, and for all of them on any other array.
-Either pass holds at most rows x block pairs at once, and the grid is walked
-at most twice per probe, not once per pseudo-orbit.  While the probe runs,
-its winners sit in a dict keyed by (orbit, id(candidates), eps, objective),
-from which best_tracer reads each row's winner.
+(best_tracers), in two passes over blocks of the candidate grid sized from
+one byte budget.  fl(x - p) rises with x, so abs(x - p) < eps holds on one
+float window about each orbit point (_window), and each hit is two compares.
+A perfect score (a hit at every step for max_cardinality, a hit at step 0
+and at no later step for min_max_gap) cannot be beaten and needs a hit at
+step 0.  So on an ascending grid, as every probe's is, pass 1 follows only
+each orbit's run of step-0 matches, and drops each pair at the first step
+where it leaves that pattern; an orbit's first surviving candidate is the
+first with the best score, which is the sweep's own tie rule.  Pass 2 sweeps
+the whole grid, each step of a block compared with every orbit at once, for
+the orbits that pass 1 left without a winner, and for all of them on any
+other array.  Either pass holds at most rows x block pairs at once, and the
+grid is walked at most twice per probe, not once per pseudo-orbit.  While
+the probe runs, its winners sit in a dict keyed by (orbit, id(candidates),
+eps, objective), from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
@@ -79,12 +81,11 @@ def _least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
     none), all rows at once.
 
     pred takes one index in [0, size) per row and must be monotone in j on
-    each row over all of [0, size): false, then true.  Both callers' are:
-    _match_runs' compare one value a row with ascending points, and
-    _nearest's holds from its pick up.  Each guess gallops away from itself
-    by 1, 2, 4, ... indices a pass until pred flips, and the last step is
-    bisected; so a guess that a search on rounded values put a step or two
-    off settles in a pass or two, and one k indices off in O(log k) passes.
+    each row over all of [0, size): false, then true, as _nearest's is from
+    its pick up.  Each guess gallops away from itself by 1, 2, 4, ... indices
+    a pass until pred flips, and the last step is bisected; so a guess that a
+    search on rounded values put a step or two off settles in a pass or two,
+    and one k indices off in O(log k) passes.
     """
     down = (guess > 0) & pred(np.maximum(guess - 1, 0))
     up = (guess < size) & ~pred(np.minimum(guess, size - 1))
@@ -332,12 +333,42 @@ class BestTracer:
 
 OBJECTIVES = ("max_cardinality", "min_max_gap")
 
-# Orbit x candidate cells scored per block of the sweep, and the most
-# (orbit, candidate) pairs one block of the perfect walk holds.  A sweep
-# block's buffers take at most 17 bytes a cell (about half a megabyte),
-# whatever the grid size and the number of orbits; larger blocks raised
-# peak RSS for little speed.
-_SWEEP_CELLS = 2 ** 15
+# The bytes of block state that either pass of best_tracers holds, about
+# half a megabyte whatever the grid size and the number of orbits; larger
+# blocks raised peak RSS for little speed.
+_BLOCK_BYTES = 2 ** 19
+
+
+def _block_size(rows: int, cell_bytes: int) -> int:
+    """Candidates per block for rows orbits at cell_bytes of state a pair."""
+    return max(1, _BLOCK_BYTES // (rows * cell_bytes))
+
+
+def _window(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point p, the floats a <= p <= b such that abs(x - p) < tol holds
+    exactly when a <= x <= b; (NaN, NaN), which no x meets, where p is not
+    finite.  Subtraction is correctly rounded, so fl(x - p) rises with x:
+    fl(x - p) < tol while the exact x - p is below the midpoint of tol and
+    the float under it, and > -tol mirrors it.  TwoSum (Knuth) puts p plus
+    that midpoint within an ulp, clamped to the largest float, and
+    np.nextafter under the rounded test itself settles each end."""
+    p = np.asarray(points, dtype=float)
+    below = math.nextafter(tol, -math.inf)
+    finite, big, ends = np.isfinite(p), np.finfo(float).max, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, away in ((-1.0, -np.inf), (1.0, np.inf)):
+            t = sign * below
+            s = p + t
+            z = s - p       # TwoSum's error, and the half ulp to the midpoint
+            err = (p - (s - z)) + (t - z) + sign * math.ulp(below) / 2
+            x = np.where(finite, np.clip(np.where(np.isfinite(s), s + err, s),
+                                         -big, big), np.nan)
+            while (fail := finite & ~(sign * (x - p) < tol)).any():
+                x[fail] = np.nextafter(x[fail], -away)
+            while (more := sign * ((out := np.nextafter(x, away)) - p) < tol).any():
+                x[more] = out[more]
+            ends.append(x)
+    return ends[0], ends[1]
 
 
 def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
@@ -345,10 +376,10 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     """The best tracing start among the candidates for each orbit, from at
     most two walks of the candidate grid.
 
-    The orbits must share one length L.  Both passes iterate the candidates
-    in blocks of about _SWEEP_CELLS / len(orbits), with one step_array call
-    per step of a block, so memory is O(L * len(orbits)) beside a block of
-    at most len(orbits) x block pairs, whatever the grid size.
+    The orbits must share one length L, and step n is hit inside that
+    point's _window.  Both passes iterate the candidates in blocks
+    (_block_size), one step_array call per step of a block, so memory is
+    O(L * len(orbits)) beside about _BLOCK_BYTES, whatever the grid size.
 
     Pass 1 (_perfect_tracers), on an ascending array only, finds each
     orbit's first candidate with a perfect score, one that no candidate can
@@ -359,7 +390,7 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
 
     Pass 2 (_sweep) scores the other orbits, or all of them on any other
     array, over every candidate: each step of a block is compared with every
-    orbit's point at once, with a running score per (orbit, candidate) of
+    orbit's window at once, with a running score per (orbit, candidate) of
     the block.  max_cardinality counts the hits and scores their number.
     min_max_gap keeps the last hit (-1 before any) and the largest gap so
     far, and updates only the pairs that hit: a hit at step n opens a gap of
@@ -380,45 +411,43 @@ def best_tracers(system, orbits: Sequence[PseudoOrbit], candidates: np.ndarray,
     if not len(cand):
         raise ValueError("no candidates")
     charge("iter_steps", length)
-    tol = eps + FLOAT_SLACK
     by_gap = objective == "min_max_gap"
-    steps = np.stack([o.points for o in orbits], axis=1)   # step n of each orbit
+    a, b = _window(np.stack([o.points for o in orbits], axis=1), eps + FLOAT_SLACK)
     winner = np.full(len(orbits), -1, dtype=np.intp)
     if (cand[1:] >= cand[:-1]).all():
-        winner = _perfect_tracers(system, steps, cand, tol, by_gap)
+        winner = _perfect_tracers(system, a, b, cand, by_gap)
     best = np.where(winner >= 0, 0.0 if by_gap else float(length), -np.inf)
     if len(rest := np.flatnonzero(winner < 0)):
-        best[rest], winner[rest] = _sweep(system, steps[:, rest], cand, tol, by_gap)
+        best[rest], winner[rest] = _sweep(system, a[:, rest], b[:, rest], cand, by_gap)
     reports = _trace_sets(system, orbits, cand[winner], eps)
     return [BestTracer(score=s, report=r) for s, r in zip(best.tolist(), reports)]
 
 
-def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
+def _perfect_tracers(system, a: np.ndarray, b: np.ndarray, cand: np.ndarray,
                      by_gap: bool) -> np.ndarray:
     """Each orbit's first candidate with a perfect score, -1 where none has
-    one; steps[n] holds step n of every orbit.
+    one; a[n], b[n] hold the windows of step n of every orbit.
 
     Perfect is a hit at every step (max_cardinality), or a hit at step 0 and
     at no later step (min_max_gap), so only the (orbit, candidate) pairs
     that hit at step 0 are followed, and a pair is dropped at the first step
     where it leaves that pattern.  The array must ascend, as chain_graph's
-    does: then fl(c - p) rises with c, so each orbit's step-0 matches are
-    one index run, found by search.  The pairs of one block of candidates
-    are stepped together, one step_array call a step, and the blocks go in
-    candidate order, skipping those that no open orbit's run meets, until
-    every orbit has its winner or no step-0 match left; so a block holds at
-    most rows x block pairs.
+    does: then each orbit's step-0 matches are one index run (_match_runs).
+    The pairs of one block of candidates are stepped together, one
+    step_array call a step, and the blocks go in candidate order, skipping
+    those that no open orbit's run meets, until every orbit has its winner
+    or no step-0 match left; so a block holds at most rows x block pairs.
     """
-    length, rows = steps.shape
-    size = max(1, _SWEEP_CELLS // rows)
+    length, rows = a.shape
+    size = _block_size(rows, 16)    # a pair's index and point; its row too ran slower
     winner = np.full(rows, -1, dtype=np.intp)
-    a, b = _match_runs(cand, steps[0], tol)
+    first, stop = _match_runs(cand, a[0], b[0])
     start = 0
-    while (ahead := (winner < 0) & (np.maximum(a, start) < b)).any():
-        start = max(start, int(a[ahead].min()))    # skip blocks no run meets
+    while (ahead := (winner < 0) & (np.maximum(first, start) < stop)).any():
+        start = max(start, int(first[ahead].min()))    # skip blocks no run meets
         # Each open orbit's run clipped to the block, laid end to end.
-        lo = np.clip(a, start, start + size)
-        take = np.where(ahead, np.minimum(b, start + size) - lo, 0)
+        lo = np.clip(first, start, start + size)
+        take = np.where(ahead, np.minimum(stop, start + size) - lo, 0)
         rid = np.repeat(np.arange(rows), take)
         idx = np.arange(len(rid)) + np.repeat(lo - np.cumsum(take) + take, take)
         x = cand[idx]
@@ -426,7 +455,7 @@ def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
             if not len(rid):
                 break
             x = system.step_array(x)
-            keep = (np.abs(x - steps[n, rid]) < tol) != by_gap
+            keep = ((x >= a[n].take(rid)) & (x <= b[n].take(rid))) != by_gap
             rid, idx, x = rid[keep], idx[keep], x[keep]
         # The pairs run orbit by orbit, each in candidate order.
         rid, at = np.unique(rid, return_index=True)
@@ -435,51 +464,47 @@ def _perfect_tracers(system, steps: np.ndarray, cand: np.ndarray, tol: float,
     return winner
 
 
-def _match_runs(cand: np.ndarray, points: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per point p, the ends [a, b) of the run of ascending candidates c
-    with |c - p| < tol, for the perfect walk's step 0 and chain_graph's
-    successor ranges.  The test splits into two halves, each monotone in
-    the index since fl(c - p) rises with c; a search on p -+ tol puts each
-    end within a step or two of the exact one, and _least_true settles it."""
-    size = len(cand)
-    return (_least_true(lambda j: cand[j] - points > -tol,
-                        np.searchsorted(cand, points - tol, "right"), size),
-            _least_true(lambda j: ~(cand[j] - points < tol),
-                        np.searchsorted(cand, points + tol, "left"), size))
+def _match_runs(cand: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The ends [lo, hi) of the runs of ascending candidates in the windows
+    [a, b], for the perfect walk's step 0 and chain_graph's ranges."""
+    return np.searchsorted(cand, a, "left"), np.searchsorted(cand, b, "right")
 
 
-def _sweep(system, steps: np.ndarray, cand: np.ndarray, tol: float,
+def _sweep(system, a: np.ndarray, b: np.ndarray, cand: np.ndarray,
            by_gap: bool) -> tuple[np.ndarray, np.ndarray]:
     """Each orbit's best score and the first candidate that reaches it, from
-    running scores over blocks of the candidates (best_tracers)."""
-    length, rows = steps.shape
-    points = steps[:, :, None]    # step n of every orbit, as a column
+    running scores over blocks of the candidates (best_tracers).  Under
+    max_cardinality a step adds x >= a[n] and takes away x > b[n] (exact, as
+    a <= b) in np.min_scalar_type(L) counts; min_max_gap keeps int32 state."""
+    length, rows = a.shape
+    a, b = a[:, :, None], b[:, :, None]    # step n's windows, as columns
+    count_type = np.int32 if by_gap else np.min_scalar_type(length)
+    # A cell's count and 1-byte buffer, and min_max_gap's last hit and buffer.
+    size = _block_size(rows, np.dtype(count_type).itemsize + (6 if by_gap else 1))
     best = np.full(rows, -np.inf)
     winner = np.zeros(rows, dtype=np.intp)
-    size = max(1, _SWEEP_CELLS // rows)
     for start in range(0, len(cand), size):
         cur = cand[start:start + size]
         shape = (rows, len(cur))
-        count = np.zeros(shape, dtype=np.int32)   # hits, or the largest gap
-        dist = np.empty(shape)                    # step buffers, reused
-        hit = np.empty(shape, dtype=bool)
+        count = np.zeros(shape, dtype=count_type)   # hits, or the largest gap
+        hit = np.empty(shape, dtype=bool)           # step buffers, reused
         if by_gap:
+            below = np.empty(shape, dtype=bool)
             last = np.full(shape, -1, dtype=np.int32)
             flat_count, flat_last = count.reshape(-1), last.reshape(-1)
         for n in range(length):
             if n:
                 cur = system.step_array(cur)
-            np.subtract(cur, points[n], out=dist)
-            np.abs(dist, out=dist)
-            np.less(dist, tol, out=hit)
+            np.greater_equal(cur, a[n], out=hit)
             if by_gap:
+                np.logical_and(hit, np.less_equal(cur, b[n], out=below), out=hit)
                 idx = np.flatnonzero(hit)
                 flat_count[idx] = np.maximum(
                     flat_count[idx], n - np.maximum(flat_last[idx], 0))
                 flat_last[idx] = n
             else:
                 np.add(count, hit, out=count)
+                np.subtract(count, np.greater(cur, b[n], out=hit), out=count)
         if by_gap:
             count[last < 0] = length + 1
             np.negative(count, out=count)
@@ -767,8 +792,8 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
         raise ValueError(f"chain delta must be positive and finite, got {delta}")
     pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
     # abs(fx - p) equals abs(p - fx) in floats, so the j with
-    # abs(f(p_i) - p_j) < tol are the run of the points that match f(p_i).
-    lo, hi = _match_runs(pts, system.step_array(pts), delta + FLOAT_SLACK)
+    # abs(f(p_i) - p_j) < tol are the run of the points in f(p_i)'s window.
+    lo, hi = _match_runs(pts, *_window(system.step_array(pts), delta + FLOAT_SLACK))
     succ = tuple(map(range, lo.tolist(), hi.tolist()))
     return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
 

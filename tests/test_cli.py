@@ -487,6 +487,18 @@ def test_bad_ini_section(tmp_path):
     assert main(["--config", str(cfg), "interval-devaney"]) == 2
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed=7\n",
+                                  "[DEFAULT]\nseed=7\n[classify-set]\nhorizon=64\n"])
+def test_ini_default_section_is_unknown(tmp_path, capsys, text):
+    # configparser's [DEFAULT] is no chaoskit section: alone it must not be
+    # dropped without a word, and beside another section its keys must not
+    # be charged to that section.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--dump-config"]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     assert main(["--dump-config"]) == 0
     first = capsys.readouterr().out

@@ -5,10 +5,12 @@ are ascending, and the float comparisons all use the shared slack constant,
 so expected values can be frozen.
 """
 
+import itertools
 import random
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
-from math import ceil, gcd, log2
+from math import ceil, gcd, inf, log2, nextafter
 from unittest import mock
 
 import numpy as np
@@ -225,9 +227,11 @@ def test_probe_steps_every_row_together(monkeypatch):
         built.append(len(rows))
         return original(system, length, rows)
 
-    def perfect(system, steps, cand, *rest):
-        walks.append(-(-len(cand) // max(1, shadowing._SWEEP_CELLS // steps.shape[1])))
-        return walk(system, steps, cand, *rest)
+    def perfect(system, a, b, cand, *rest):
+        with spied_block_sizes() as blocks:
+            winner = walk(system, a, b, cand, *rest)
+        walks.append(-(-len(cand) // blocks[0]))
+        return winner
 
     class Counted(IntervalSystem):
         def step_array(self, arr):
@@ -361,6 +365,25 @@ def test_best_tracer_without_any_hit():
         assert_tracer_matches_mask(IDENT, orb, cands, 0.1, objective)
 
 
+@contextmanager
+def spied_block_sizes():
+    """Within the block, every block size that shadowing._block_size hands
+    out, in call order: the passes' real sizes, or those of a stand-in."""
+    sizes, size_of = [], shadowing._block_size
+
+    def spy(*args):
+        sizes.append(size_of(*args))
+        return sizes[-1]
+    with mock.patch.object(shadowing, "_block_size", spy):
+        yield sizes
+
+
+def blocks_of(cells):
+    """A stand-in for shadowing._block_size: blocks of cells // rows
+    candidates in either pass, whatever a pair's state takes."""
+    return lambda rows, cell_bytes: max(1, cells // rows)
+
+
 # The one-orbit loop that best_tracers' blocked sweep replaced, kept as an
 # oracle.
 
@@ -388,21 +411,119 @@ def per_orbit_best_tracer(system, orbit, candidates, eps, objective):
                       report=trace_set(system, orbit, float(candidates[k]), eps))
 
 
+# The blocked sweep that the window compares replaced, kept as an oracle:
+# each hit is abs(x - p) < tol in float64, counted in int32, in blocks of
+# cells // rows candidates.
+
+def old_sweep(system, orbits, cand, eps, objective, cells=2 ** 15):
+    steps = np.stack([o.points for o in orbits], axis=1)
+    tol, by_gap = eps + shadowing.FLOAT_SLACK, objective == "min_max_gap"
+    length, rows = steps.shape
+    points = steps[:, :, None]    # step n of every orbit, as a column
+    best = np.full(rows, -np.inf)
+    winner = np.zeros(rows, dtype=np.intp)
+    size = max(1, cells // rows)
+    for start in range(0, len(cand), size):
+        cur = cand[start:start + size]
+        shape = (rows, len(cur))
+        count = np.zeros(shape, dtype=np.int32)   # hits, or the largest gap
+        dist = np.empty(shape)                    # step buffers, reused
+        hit = np.empty(shape, dtype=bool)
+        if by_gap:
+            last = np.full(shape, -1, dtype=np.int32)
+            flat_count, flat_last = count.reshape(-1), last.reshape(-1)
+        for n in range(length):
+            if n:
+                cur = system.step_array(cur)
+            np.subtract(cur, points[n], out=dist)
+            np.abs(dist, out=dist)
+            np.less(dist, tol, out=hit)
+            if by_gap:
+                idx = np.flatnonzero(hit)
+                flat_count[idx] = np.maximum(
+                    flat_count[idx], n - np.maximum(flat_last[idx], 0))
+                flat_last[idx] = n
+            else:
+                np.add(count, hit, out=count)
+        if by_gap:
+            count[last < 0] = length + 1
+            np.negative(count, out=count)
+        k = count.argmax(axis=1)
+        score = count[np.arange(rows), k]
+        better = score > best
+        best[better] = score[better]
+        winner[better] = start + k[better]
+    return [(float(s), float(cand[w])) for s, w in zip(best, winner)]
+
+
+def assert_best_tracers_match_oracles(system, orbits, cand, eps, objective):
+    got = best_tracers(system, orbits, cand, eps, objective)
+    assert got == [per_orbit_best_tracer(system, orbit, cand, eps, objective)
+                   for orbit in orbits]
+    assert [(bt.score, bt.report.x0) for bt in got] == \
+        old_sweep(system, orbits, cand, eps, objective)
+    return got
+
+
+@pytest.mark.parametrize("length", [255, 256, 300])
+def test_best_tracers_count_across_the_byte_switch(length):
+    # max_cardinality counts hits in np.min_scalar_type(L): one byte up to
+    # 255 steps, two from 256.  A constant orbit that a candidate hits at
+    # every step scores L on either side of the switch, and one that it
+    # leaves at the last step L - 1; a ramp and two tent pseudo-orbits score
+    # fewer.  The descending grid sends every row to the sweep.
+    orbits = [manual_orbit(IDENT, [0.3] * length, 1.0),
+              manual_orbit(IDENT, [0.3] * (length - 1) + [0.9], 1.0),
+              manual_orbit(IDENT, np.linspace(0.2, 0.4, length), 1.0)]
+    for cand in (np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 0.0, 1001)):
+        for objective in shadowing.OBJECTIVES:
+            got = assert_best_tracers_match_oracles(IDENT, orbits, cand, 0.05,
+                                                    objective)
+            if objective == "max_cardinality":
+                assert [bt.score for bt in got[:2]] == [length, length - 1]
+    tent = [make_pseudo_orbit(TENT, 0.01, length, scheme=scheme, seed="bytes",
+                              target=0.9) for scheme in ("uniform", "adversarial")]
+    for objective in shadowing.OBJECTIVES:
+        assert_best_tracers_match_oracles(TENT, tent, TENT.grid(2001), 0.05, objective)
+
+
+@pytest.mark.parametrize("system", [IDENT, TENT, CLUSTERS], ids=lambda s: s.name)
+def test_best_tracers_skip_points_that_are_not_finite(system):
+    # No candidate is within eps of NaN or of an infinite point, so those
+    # steps are never hits, as abs(x - p) < tol has it.
+    lo, hi = system.lo, system.hi
+    mid = (lo + hi) / 2
+    orbits = [manual_orbit(system, [mid, np.nan, mid, np.inf, -np.inf, mid], 1.0),
+              manual_orbit(system, [np.nan] * 6, 1.0),
+              manual_orbit(system, [np.inf, mid, -np.inf, hi, lo, np.nan], 1.0),
+              make_pseudo_orbit(system, 0.01, 6, scheme="zero", x0=mid)]
+    grid = np.linspace(lo, hi, 401)
+    for cand in (grid, grid[::-1]):
+        for objective in shadowing.OBJECTIVES:
+            assert_best_tracers_match_oracles(system, orbits, cand, 0.05, objective)
+
+
 @pytest.mark.parametrize("small_blocks", [False, True])
 @pytest.mark.parametrize("objective", shadowing.OBJECTIVES)
 @pytest.mark.parametrize("system", [TENT, S, EX, CLUSTERS], ids=lambda s: s.name)
 def test_best_tracers_match_per_orbit_oracles(monkeypatch, system, objective,
                                               small_blocks):
-    # Candidate counts one below and one above a block boundary, at the
-    # real block size and at one small enough for the C x L mask oracle.
+    # Candidate counts one below and one above a block boundary of the
+    # sweep, at the real block size and at one small enough for the C x L
+    # mask oracle.  The size is the one _block_size gives the sweep of all
+    # three orbits, which a descending grid (no perfect walk) sends there.
     if small_blocks:
-        monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 3 * 64)
+        monkeypatch.setattr(shadowing, "_block_size", blocks_of(3 * 64))
     orbits = [make_pseudo_orbit(system, 0.01, 24, scheme=scheme,
                                 seed=f"sweep/{system.name}", target=system.hi)
               for scheme in ("uniform", "bounded", "adversarial")]
-    block = shadowing._SWEEP_CELLS // len(orbits)
-    for count in (block - 1, block + 1):
+    with spied_block_sizes() as blocks:
+        best_tracers(system, orbits, np.array([system.hi, system.lo]), 0.05, objective)
+    block = blocks[0]
+    for count, ascending in itertools.product((block - 1, block + 1), (True, False)):
         candidates = np.linspace(system.lo, system.hi, count)
+        if not ascending:
+            candidates = candidates[::-1]
         for eps in (0.002, 0.05):
             got = best_tracers(system, orbits, candidates, eps, objective)
             assert len(got) == len(orbits)
@@ -421,7 +542,7 @@ def test_best_tracers_tie_across_blocks_goes_to_the_first(monkeypatch):
     # and 0.35 (the first of block 1) trace the constant orbit equally well,
     # so the first wins; on the orbit that moves to 0.42 only 0.35 hits
     # every step, a strictly better score from the later block.
-    monkeypatch.setattr(shadowing, "_SWEEP_CELLS", 8)
+    monkeypatch.setattr(shadowing, "_block_size", blocks_of(8))
     still = manual_orbit(IDENT, [0.3] * 6, 1.0)
     moves = manual_orbit(IDENT, [0.3] * 5 + [0.42], 1.0)
     cands = np.array([0.9, 0.9, 0.9, 0.3, 0.35, 0.9, 0.9, 0.9, 0.9])
@@ -434,21 +555,22 @@ def test_best_tracers_tie_across_blocks_goes_to_the_first(monkeypatch):
             assert bt == per_orbit_best_tracer(IDENT, orbit, cands, 0.1, objective)
 
 
-def _traced_best_tracers(system, orbits, cand, eps, objective,
-                         cells=shadowing._SWEEP_CELLS):
+def _traced_best_tracers(system, orbits, cand, eps, objective, cells=None):
     """best_tracers, with the rows that reach each call of the perfect walk
-    and of the sweep."""
+    and of the sweep; blocks of cells // rows candidates, or the real ones
+    when cells is None."""
     walked, swept = [], []
     walk, sweep = shadowing._perfect_tracers, shadowing._sweep
 
-    def counted_walk(system, steps, *rest):
-        walked.append(steps.shape[1])
-        return walk(system, steps, *rest)
+    def counted_walk(system, a, *rest):
+        walked.append(a.shape[1])
+        return walk(system, a, *rest)
 
-    def counted_sweep(system, steps, *rest):
-        swept.append(steps.shape[1])
-        return sweep(system, steps, *rest)
-    with mock.patch.object(shadowing, "_SWEEP_CELLS", cells), \
+    def counted_sweep(system, a, *rest):
+        swept.append(a.shape[1])
+        return sweep(system, a, *rest)
+    with mock.patch.object(shadowing, "_block_size",
+                           blocks_of(cells) if cells else shadowing._block_size), \
             mock.patch.object(shadowing, "_perfect_tracers", counted_walk), \
             mock.patch.object(shadowing, "_sweep", counted_sweep):
         got = best_tracers(system, orbits, cand, eps, objective)
@@ -510,7 +632,7 @@ def tracer_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=tracer_cases(), objective=st.sampled_from(shadowing.OBJECTIVES),
-       cells=st.sampled_from([1, 3, 8, 64, 2 ** 15]))
+       cells=st.sampled_from([1, 3, 8, 64, None]))
 def test_best_tracers_match_the_oracle_on_any_grid(case, objective, cells):
     # The same winners as the oracle.  On an ascending grid only the rows
     # whose best score is not perfect reach the sweep: the perfect walk
@@ -522,6 +644,8 @@ def test_best_tracers_match_the_oracle_on_any_grid(case, objective, cells):
     want = [per_orbit_best_tracer(system, orbit, cand, eps, objective)
             for orbit in orbits]
     assert got == want
+    assert [(bt.score, bt.report.x0) for bt in got] == \
+        old_sweep(system, orbits, cand, eps, objective, cells or 2 ** 15)
     assert len(swept) <= 1
     if (cand[1:] >= cand[:-1]).all():
         perfect = 0 if objective == "min_max_gap" else len(orbits[0])
@@ -568,11 +692,56 @@ def test_match_runs_equal_the_dense_mask():
         points = np.concatenate([rng.choice(np.arange(-40, 41) / 16, 30),
                                  rng.uniform(-3, 3, 10), specials[1:-1], [np.nan]])
         for tol in (0.0, 1 / 8, 0.3, 2.0, np.inf):
-            a, b = shadowing._match_runs(cand, points, tol)
+            a, b = shadowing._match_runs(cand, *shadowing._window(points, tol))
             j = np.arange(len(cand))
             run = (j >= a[:, None]) & (j < b[:, None])
             mask = np.abs(cand[None, :] - points[:, None]) < tol
             assert np.array_equal(run, mask), (cand, tol)
+
+
+MAX_FLOAT = float(np.finfo(float).max)
+
+
+@st.composite
+def window_cases(draw):
+    """tol over the range the callers pass, [2^-40, the largest float], and
+    a few finite points: signed zeros, subnormals, points on and beside
+    +-tol, and any float."""
+    tol = draw(st.floats(2.0 ** -40, MAX_FLOAT))
+    near = [v for v in (tol, nextafter(tol, 0.0), nextafter(tol, inf), 2 * tol, tol / 2)
+            if v < inf]
+    point = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-307, 1e-307),             # subnormals and their neighbours
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT]),
+        st.sampled_from(near).flatmap(lambda v: st.sampled_from([v, -v])))
+    return tol, np.array(draw(st.lists(point, min_size=1, max_size=6)), dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_cases(), draws=st.lists(st.floats(allow_nan=False), max_size=4))
+def test_window_is_exactly_the_rounded_test(case, draws):
+    # At each end, at its float neighbours and at random floats (infinite
+    # ones too), abs(x - p) < tol holds exactly when a <= x <= b.
+    tol, points = case
+    a, b = shadowing._window(points, tol)
+    assert (a <= points).all() and (points <= b).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (a, b, np.nextafter(a, -inf), np.nextafter(a, inf),
+                  np.nextafter(b, -inf), np.nextafter(b, inf),
+                  *(np.full_like(points, d) for d in draws)):
+            assert np.array_equal(np.abs(x - points) < tol, (a <= x) & (x <= b)), \
+                (tol, points, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tol=st.floats(2.0 ** -40, MAX_FLOAT),
+       x=st.lists(st.floats(), min_size=1, max_size=6))
+def test_window_of_a_point_that_is_not_finite_holds_nothing(tol, x):
+    a, b = shadowing._window(np.array([np.nan, np.inf, -np.inf]), tol)
+    assert np.isnan(a).all() and np.isnan(b).all()
+    x = np.array(x)[:, None]
+    assert not ((a <= x) & (x <= b)).any()
 
 
 def test_best_tracers_reject_bad_arguments_before_work(monkeypatch):
