@@ -14,6 +14,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -209,7 +210,15 @@ def _dump_config(ini: dict[str, dict[str, object]],
     return "\n".join(lines)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    # Every subcommand name is registered, but only those that are an exact
+    # token of argv get their options.  argparse picks a subcommand by its
+    # exact name alone, so the one it picks has all of them, and help, usage
+    # and error text are those of a parser with every option: a call pays
+    # for its own subcommand's options, not for all seven tables.  Each run
+    # of names that argv does not hold shares one bare parser, the names
+    # kept in order as its aliases, which argparse lists as choices alike.
+    named = set(argv)
     # A parent parser takes the global flags before or after the subcommand.
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
@@ -222,11 +231,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="chaoskit", parents=[common],
         description="family-indexed chaos surveys for subshifts and interval maps")
     subs = parser.add_subparsers(dest="command")
-    for section, table in SECTIONS.items():
-        sub = subs.add_parser(section, parents=[common],
-                              argument_default=argparse.SUPPRESS)
-        for name, conv, _, help_ in table:
-            sub.add_argument(f"--{name}", type=conv, help=help_)
+    for built, run in itertools.groupby(SECTIONS, key=named.__contains__):
+        run = list(run)
+        if not built:
+            subs.add_parser(run[0], aliases=run[1:], add_help=False)
+            continue
+        for section in run:
+            sub = subs.add_parser(section, parents=[common],
+                                  argument_default=argparse.SUPPRESS)
+            for name, conv, _, help_ in SECTIONS[section]:
+                sub.add_argument(f"--{name}", type=conv, help=help_)
     return parser
 
 
@@ -598,7 +612,7 @@ def _report_all(outdir: Path, seed: str) -> str:
 
 
 def _main(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     given = vars(parser.parse_args(argv))
     ini = _load_ini(given["config"]) if given.get("config") else {}
     if given.get("dump_config"):

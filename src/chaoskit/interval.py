@@ -30,9 +30,12 @@ period of all its points.
 The image of an interval depends on the interval alone, so every image orbit
 f^n(U) is eventually periodic: it is iterated to its first repeat only, each
 test runs once per distinct image, and the remaining steps of the window
-follow by index.  Inside devaney_report the orbits are memoised, so each
-cell's orbit is walked once however many hitting sets read it; the memo is
-dropped when the report returns or raises.
+follow by index.  A transitivity set is then fixed by the orbit and by its
+meet flags, one per distinct image, each decided on the endpoints' ints.
+Inside devaney_report the orbits and these sets are memoised: each cell's
+orbit is walked once however many hitting sets read it, and one set is built
+per distinct (orbit, flags).  Both memos are dropped when the report returns
+or raises.  intervals_meet is the same meet test on Fractions.
 """
 
 from __future__ import annotations
@@ -441,14 +444,26 @@ class HittingSet:
     window: WindowSet
 
 
-Orbit = tuple[tuple[Interval, ...], tuple[int, ...]]
+@dataclass(frozen=True, eq=False)
+class _Orbit:
+    """An image orbit on [1, N]: its distinct images, the index of each
+    step's image among them, and each image's endpoints a, b as the ints
+    (a.numerator, a.denominator, b.numerator, b.denominator).  It compares
+    by identity, so a report keys its transitivity sets by the orbit itself."""
+    images: tuple[Interval, ...]
+    index: tuple[int, ...]
+    ends: tuple[tuple[int, int, int, int], ...]
+
 
 # The orbits walked so far by the devaney_report in progress, keyed by
-# (map, U, N); unset outside a report, so no orbit outlives its call.
-_orbits: ContextVar[dict[tuple[PLMap, Interval, int], Orbit]] = ContextVar("_orbits")
+# (map, U, N), and the transitivity sets it has built, keyed by (orbit, meet
+# flags); both unset outside a report, so nothing outlives its call.
+_orbits: ContextVar[dict[tuple[PLMap, Interval, int], _Orbit]] = ContextVar("_orbits")
+_windows: ContextVar[dict[tuple[_Orbit, tuple[bool, ...]], HittingSet]] = \
+    ContextVar("_windows")
 
 
-def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
+def _orbit(m: PLMap, u: Interval, n_max: int) -> _Orbit:
     """The distinct images f^1(U), f^2(U), ... and, for each step n in
     [1, N], the index of f^n(U) among them.
 
@@ -456,8 +471,7 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
     f^n(U) = f^k(U) the orbit cycles with period n - k and the remaining
     steps are filled by index.  The budget is charged for all N steps on
     every call.  Inside devaney_report the result is memoised for the rest
-    of the report, so the hitting sets of one cell share one walk; callers
-    share it, so it is returned as tuples.
+    of the report, so the hitting sets of one cell share one walk.
     """
     if n_max < 0:
         raise ValueError(f"iteration window length must be >= 0, got {n_max}")
@@ -478,11 +492,13 @@ def _orbit(m: PLMap, u: Interval, n_max: int) -> Orbit:
         images.append(cur)
     n = len(images)
     index = [t if t < n else k + (t - k) % (n - k) for t in range(n_max)]
-    orbit = memo[key] = (tuple(images), tuple(index))
+    ends = tuple((a.numerator, a.denominator, b.numerator, b.denominator)
+                 for a, b in images)
+    orbit = memo[key] = _Orbit(tuple(images), tuple(index), ends)
     return orbit
 
 
-def _hits(flags: list[bool], index: tuple[int, ...], n_max: int) -> HittingSet:
+def _hits(flags: Sequence[bool], index: tuple[int, ...], n_max: int) -> HittingSet:
     """The steps whose image is flagged, on the window [0, N]."""
     return HittingSet(WindowSet._trusted(n_max + 1, tuple(
         n for n, k in enumerate(index, start=1) if flags[k])))
@@ -492,8 +508,8 @@ def sensitivity_hitting_set(m: PLMap, u: Interval, delta: Fraction | str,
                             n_max: int) -> HittingSet:
     """{n in [1, N] : diam(f^n(U)) > delta}, exact, strict comparison."""
     delta = Fraction(delta)
-    images, index = _orbit(m, u, n_max)
-    return _hits([b - a > delta for a, b in images], index, n_max)
+    orbit = _orbit(m, u, n_max)
+    return _hits([b - a > delta for a, b in orbit.images], orbit.index, n_max)
 
 
 def intervals_meet(a: Interval, b: Interval, strict: bool = False) -> bool:
@@ -504,19 +520,37 @@ def intervals_meet(a: Interval, b: Interval, strict: bool = False) -> bool:
 
 def transitivity_hitting_set(m: PLMap, u: Interval, v: Interval, n_max: int,
                              strict: bool = False) -> HittingSet:
-    """{n in [1, N] : f^n(U) meets V}; boundary touches count unless strict."""
-    v = (Fraction(v[0]), Fraction(v[1]))
-    images, index = _orbit(m, u, n_max)
-    return _hits([intervals_meet(img, v, strict) for img in images], index, n_max)
+    """{n in [1, N] : f^n(U) meets V}; boundary touches count unless strict.
+
+    An image [a, b] (a <= b) meets V = [c, d] iff a <= d, c <= b and c <= d,
+    each strict under strict, and a < b as well: the test intervals_meet
+    makes on Fractions, here on ints by cross-multiplying.  Inside
+    devaney_report one set is built per distinct (orbit, flags) and shared."""
+    c, d = Fraction(v[0]), Fraction(v[1])
+    p, q, r, s = c.numerator, c.denominator, d.numerator, d.denominator
+    orbit = _orbit(m, u, n_max)
+    if p * s > r * q or strict and p * s == r * q:
+        flags = (False,) * len(orbit.ends)   # V is empty, or a point under strict
+    elif strict:
+        flags = tuple(an * s < r * ad and p * bd < bn * q and an * bd < bn * ad
+                      for an, ad, bn, bd in orbit.ends)
+    else:
+        flags = tuple(an * s <= r * ad and p * bd <= bn * q
+                      for an, ad, bn, bd in orbit.ends)
+    memo = _windows.get({})         # a throwaway dict outside a report
+    hs = memo.get((orbit, flags))
+    if hs is None:
+        hs = memo[orbit, flags] = _hits(flags, orbit.index, n_max)
+    return hs
 
 
 def leo_check(m: PLMap, u: Interval, n_max: int) -> int | None:
     """Least n* with f^n(U) equal to the whole domain for all n in [n*, N];
     None when no such stabilization is observed on the window."""
     full = m.domain
-    images, index = _orbit(m, u, n_max)
-    bad = [img != full for img in images]
-    last_bad = max((n for n, k in enumerate(index, start=1) if bad[k]), default=0)
+    orbit = _orbit(m, u, n_max)
+    bad = [img != full for img in orbit.images]
+    last_bad = max((n for n, k in enumerate(orbit.index, start=1) if bad[k]), default=0)
     if last_bad == n_max:
         return None
     return last_bad + 1
@@ -580,19 +614,22 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
     periodic points => F-sensitive": an anomaly is recorded (never raised)
     when transitivity and density pass but sensitivity fails.
 
-    Each cell's sensitivity set and each pair's transitivity set is built by
-    its own hitting-set call, but the report opens an orbit memo for its
-    duration, so every cell's image orbit is walked once and shared by its
+    Each cell's sensitivity set and each pair's transitivity set comes from
+    its own hitting-set call, but the report opens two memos for its
+    duration.  Every cell's image orbit is walked once and shared by its
     sensitivity set and its row of transitivity sets (cells walks in place
-    of cells + cells**2).  Each distinct set is classified once per call:
-    the 110 sets of a 10-cell survey hold only a few distinct ones.  Both
-    memos are dropped when the report returns or raises.
+    of cells + cells**2), and the pairs of a cell whose V meets the same
+    images share one transitivity set, built once (64 sets for the 100 pairs
+    of S at the defaults).  Each distinct set is classified once per call:
+    the 110 sets of a 10-cell survey hold only a few distinct ones.  All
+    three memos are dropped when the report returns or raises.
     """
     params = params or SurveyParams()
     grid = params.grid(m)       # every input check, before any work
     verdict = setfam.classifier(params.family)
     density = periodic_density_report(m, params.density_epsilon, params.density_n_max)
     token = _orbits.set({})
+    windows = _windows.set({})
     try:
         sens = []
         for u in grid:
@@ -605,6 +642,7 @@ def devaney_report(m: PLMap, params: SurveyParams | None = None,
                 trans.append((i, j, verdict(hs.window)))
     finally:
         _orbits.reset(token)
+        _windows.reset(windows)
     density_pass = density.covered_fraction == 1
     fixed_pts, fixed_segs = _fixed_of(m)
     verdicts = {}

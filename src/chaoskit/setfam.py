@@ -16,7 +16,8 @@ witness that produced it:
                        start positions is syndetic with gap <= g
   piecewise syndetic   a g-linked stretch of members spanning >= L (or thick,
                        or syndetic with the whole window as the block)
-  cofinite(m)          [m, horizon) is contained in the set
+  cofinite(m)          [m, horizon) is contained in the set and holds the
+                       last slot horizon - 1
   density              min/max of |A ∩ [0, n)| / n over n in [burnin, horizon]
 
 Sets "over N" (positive integers) are embedded by simply not listing 0; no
@@ -139,7 +140,8 @@ class FamilyVerdict:
 
     max_gap is None exactly when the set is empty.  cofinite_head is the least
     m with [m, horizon) contained in the set (horizon when the last point is
-    missing).  Densities are exact rationals.
+    missing, and then cofinite is false at any bound).  Densities are exact
+    rationals.
     """
 
     horizon: int
@@ -232,7 +234,9 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
     syndetic = gap <= p.gap
     thick = block >= p.block
     piecewise = thick or (syndetic and a.horizon >= p.block) or span >= p.block
-    head = runs[-1][0] if runs[-1][1] == a.horizon else a.horizon
+    # A tail broken at the last slot is never co-finite, whatever the bound.
+    tail = runs[-1][1] == a.horizon
+    head = runs[-1][0] if tail else a.horizon
     lo, hi = _density_bounds(a, runs, p.burnin)
     return FamilyVerdict(
         horizon=a.horizon,
@@ -240,7 +244,7 @@ def classify(a: WindowSet, p: FamilyParams) -> FamilyVerdict:
         thick=thick, longest_block=block,
         thickly_syndetic=_thickly_syndetic(runs, a.horizon, p),
         piecewise_syndetic=piecewise,
-        cofinite=head <= p.cofinite_head, cofinite_head=head,
+        cofinite=tail and head <= p.cofinite_head, cofinite_head=head,
         lower_density=lo, upper_density=hi,
     )
 

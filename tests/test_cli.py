@@ -1,11 +1,16 @@
 """End-to-end command-line checks: exit codes, report tokens, config
 precedence, and byte-level determinism of emitted files."""
 
+import argparse
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoskit import interval, setfam, shadowing, subshift
+from chaoskit import cli, interval, setfam, shadowing, subshift
 from chaoskit.budgets import ENV_OVERRIDE, cap
 from chaoskit.cli import REPORT_ALL, SECTIONS, _resolve, main
 
@@ -685,3 +690,102 @@ def test_report_all_overrides_change_their_section():
         defaults = _resolve(SECTIONS[section], {}, {})
         for dest, value in overrides.items():
             assert value != defaults[dest], (sub, dest)
+
+
+# ---------------------------------------------------------------------------
+# The parser builds only the subcommands that argv names.  The parser that
+# built every subcommand's options on every call is kept as the oracle of
+# help, usage and error text.
+
+def full_parser(argv=()):
+    """The parser with every subcommand's options, whatever argv says."""
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="INI file with option defaults")
+    for name, _, _, help_ in cli.RUN_OPTIONS:
+        common.add_argument(f"--{name}", help=help_)
+    common.add_argument("--dump-config", action="store_true",
+                        help="print the effective configuration and exit")
+    parser = argparse.ArgumentParser(
+        prog="chaoskit", parents=[common],
+        description="family-indexed chaos surveys for subshifts and interval maps")
+    subs = parser.add_subparsers(dest="command")
+    for section, table in SECTIONS.items():
+        sub = subs.add_parser(section, parents=[common],
+                              argument_default=argparse.SUPPRESS)
+        for name, conv, _, help_ in table:
+            sub.add_argument(f"--{name}", type=conv, help=help_)
+    return parser
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of one main call, argparse's exits too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def matches_full_parser(argv):
+    """The outcome with the per-call parser and with the oracle parser."""
+    got = outcome(argv)
+    real, cli._build_parser = cli._build_parser, full_parser
+    try:
+        want = outcome(argv)
+    finally:
+        cli._build_parser = real
+    assert got == want, argv
+    return got
+
+
+PARSER_CASES = [
+    ["--help"], ["-h"],
+    *([section, "--help"] for section in SECTIONS),
+    [], ["bogus"], ["spac"],
+    # A global flag whose value names a subcommand.
+    ["--out", "spacing", "classify-set", "--horizon", "64"],
+    ["--seed", "7", "classify-set", "--out", "o", "--horizon", "64"],
+    ["--out", "o", "classify-set", "--seed", "7", "--hor", "64", "--bogus"],
+    ["sturmian", "--out", "o", "--seed"],
+    ["interval-devaney", "--delta", "1/0"],
+    ["--dump-config"],
+    ["spacing", "--horizon", "64", "--dump-config"],
+    ["--dump-config", "--seed", "9", "p-chaos", "--chain-nodes", "65"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_help_usage_and_errors_match_the_full_parser(argv, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, out, err = matches_full_parser(argv)
+    assert out or err
+
+
+TOKENS = [*SECTIONS, "spac", "report", "--out", "--seed", "--config",
+          "--dump-config", "--dump", "--horizon", "--hor", "--p", "--map",
+          "--cells", "--delta", "-h", "--", "64", "S", "1/0", "x", "-"]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=6),
+       st.sampled_from(["--help", "--no-such-flag"]))
+@settings(max_examples=150, deadline=None)
+def test_drawn_argv_matches_the_full_parser(tokens, last):
+    """Drawn tokens end in --help or in a flag no parser knows, so every
+    call stops at the parse and no survey runs."""
+    matches_full_parser(tokens + [last])
+
+
+def test_a_call_builds_only_its_own_subcommand(tmp_path, monkeypatch):
+    calls = []
+    add = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **k: calls.append(a) or add(self, *a, **k))
+    assert outcome(["shadow", "--deltas", "0", "--out", str(tmp_path)])[0] == 2
+    assert 0 < len(calls) <= 30
+    calls.clear()
+    full_parser()
+    assert len(calls) == 76

@@ -289,9 +289,12 @@ def orbit_cases():
 def test_orbit_tiles_the_stepwise_images():
     repeats = 0
     for m, u, _, n_max in orbit_cases():
-        images, index = interval._orbit(m, u, n_max)
+        orbit = interval._orbit(m, u, n_max)
+        images, index = orbit.images, orbit.index
         assert len(set(images)) == len(images)
         assert [images[k] for k in index] == stepwise_images(m, u, n_max)
+        assert [(F(an, ad), F(bn, bd)) for an, ad, bn, bd in orbit.ends] \
+            == list(images)
         repeats += len(images) < n_max
     assert 0 < repeats < len(list(orbit_cases()))   # both kinds are covered
 
@@ -955,9 +958,10 @@ def test_report_walks_each_cell_orbit_once(monkeypatch, name):
 
 
 def test_orbit_memo_is_unset_after_the_report(monkeypatch):
-    assert interval._orbits.get(None) is None
+    memos = (interval._orbits, interval._windows)
+    assert [memo.get(None) for memo in memos] == [None, None]
     devaney_report(TENT, SurveyParams(cells=3, n_steps=16), "tent")
-    assert interval._orbits.get(None) is None
+    assert [memo.get(None) for memo in memos] == [None, None]
     seen = []
 
     def classify(a, p):
@@ -968,7 +972,7 @@ def test_orbit_memo_is_unset_after_the_report(monkeypatch):
     with pytest.raises(RuntimeError, match="classify failed"):
         devaney_report(TENT, SurveyParams(cells=3, n_steps=16), "tent")
     assert seen and seen[0]     # raised mid-report, with orbits memoised
-    assert interval._orbits.get(None) is None
+    assert [memo.get(None) for memo in memos] == [None, None]
 
 
 def test_direct_hitting_sets_walk_their_orbit_each_call(monkeypatch):
@@ -1025,3 +1029,101 @@ def test_survey_grid_margin():
     assert all(lo < hi for lo, hi in grid)
     assert grid[0][0] >= F(1, 100)
     assert grid[-1][1] <= 1 - F(1, 100)
+
+
+# ---------------------------------------------------------------------------
+# Meet flags: the integer test of transitivity_hitting_set against the
+# Fraction path it replaced, intervals_meet on every step's image.
+
+def fraction_hitting_set(m, u, v, n_max, strict):
+    """N(U, V) on [1, N] from the step-by-step images and intervals_meet."""
+    v = (F(v[0]), F(v[1]))
+    return setfam.WindowSet(n_max + 1, tuple(
+        n for n, img in enumerate(stepwise_images(m, u, n_max), start=1)
+        if interval.intervals_meet(img, v, strict)))
+
+
+def meet_targets(rng, m, u, n_max):
+    """Vs against the images of U: each from an image endpoint (or an end of
+    the domain) to a random point, in order, reversed and as the point."""
+    ends = sorted({x for img in stepwise_images(m, u, n_max) for x in img}
+                  | {m.lo, m.hi})
+    vs = []
+    for _ in range(4):
+        x = m.lo + (m.hi - m.lo) * F(rng.randint(0, 24), 24)
+        a, b = sorted((rng.choice(ends), x))
+        vs += [(a, b), (b, a), (a, a)]
+    return vs
+
+
+def mixed_case(rng):
+    """A mixed map (flat pieces make one-point images) and a U, a point one
+    time in four."""
+    m = mixed_map(rng, *rng.choice(DOMAINS))
+    u = random_interval(rng, m)
+    return m, (u[0], u[0]) if rng.random() < 0.25 else u
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_meet_flags_match_the_fraction_path(rng, strict):
+    m, u = mixed_case(rng)
+    n_max = rng.randint(0, 30)
+    for v in meet_targets(rng, m, u, n_max):
+        got = transitivity_hitting_set(m, u, v, n_max, strict).window
+        assert got == fraction_hitting_set(m, u, v, n_max, strict), v
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_meet_flags_match_the_fraction_path_inside_a_report(rng, strict):
+    """Calls made while devaney_report runs, where orbits and sets are
+    shared: each V twice, so the second call reads the memo, and the
+    report's own rows against the per-pair Fraction path."""
+    m, _ = mixed_case(rng)
+    params = SurveyParams(cells=3, n_steps=16, density_n_max=2)
+    grid, n_max = params.grid(m), params.n_steps
+    classify, checked = setfam.classify, []
+
+    def check_then_classify(a, p):
+        if not checked:
+            assert interval._windows.get(None) is not None
+            for u in grid:
+                for v in meet_targets(rng, m, u, n_max) + grid:
+                    want = fraction_hitting_set(m, u, v, n_max, strict)
+                    for _ in range(2):
+                        got = transitivity_hitting_set(m, u, v, n_max, strict)
+                        assert got.window == want, (u, v)
+                    checked.append(v)
+        return classify(a, p)
+
+    with mock.patch.object(setfam, "classify", check_then_classify):
+        rep = devaney_report(m, params)
+    assert checked
+    assert rep.transitivity == tuple(
+        (i, j, classify(fraction_hitting_set(m, u, v, n_max, False), params.family))
+        for i, u in enumerate(grid) for j, v in enumerate(grid))
+
+
+@pytest.mark.parametrize("params", [SurveyParams(), SurveyParams(cells=6, n_steps=128)])
+def test_report_builds_one_window_set_per_flag_pattern(monkeypatch, params):
+    """devaney_report(S) builds one transitivity set per distinct (cell,
+    meet flags), the patterns counted here from the step-by-step images,
+    and every pair of a pattern gets that one set."""
+    grid = params.grid(S)
+    patterns = set()
+    for i, u in enumerate(grid):
+        images = list(dict.fromkeys(stepwise_images(S, u, params.n_steps)))
+        for v in grid:
+            patterns.add((i, tuple(interval.intervals_meet(img, v) for img in images)))
+    built, returned = [], []
+    monkeypatch.setattr(interval, "_hits",
+                        lambda *a, f=interval._hits: built.append(a) or f(*a))
+    monkeypatch.setattr(interval, "transitivity_hitting_set",
+                        lambda *a, f=transitivity_hitting_set:
+                        returned.append(f(*a)) or returned[-1])
+    devaney_report(S, params, "S")
+    cells = params.cells
+    assert len(returned) == cells * cells
+    assert len(built) == cells + len(patterns)      # the sensitivity sets, then one a pattern
+    assert len({id(hs) for hs in returned}) == len(patterns) < cells * cells

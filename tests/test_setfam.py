@@ -209,7 +209,8 @@ def oracle_classify(a, p):
         piecewise_syndetic=(block >= p.block
                             or (gap <= p.gap and a.horizon >= p.block)
                             or linked_span(a, p.gap) >= p.block),
-        cofinite=head <= p.cofinite_head, cofinite_head=head,
+        cofinite=head < a.horizon and head <= p.cofinite_head,
+        cofinite_head=head,
         lower_density=lo, upper_density=hi)
 
 
@@ -629,6 +630,35 @@ def test_cofinite_coherence(xs, p):
         assert v.thick
     if v.cofinite and v.cofinite_head <= p.gap:
         assert v.syndetic
+
+
+# Horizons up to 24 under co-finite bounds up to 30, so the bound often
+# reaches the horizon itself.
+short_sets = st.integers(min_value=1, max_value=24).flatmap(
+    lambda h: st.tuples(st.just(h), st.sets(st.integers(0, h - 1))))
+
+
+@given(short_sets, st.builds(
+    FamilyParams, cofinite_head=st.integers(0, 30), burnin=st.just(1),
+    tail_policy=st.sampled_from([CENSORED, STRICT])))
+# classify-set --members 0 --horizon 8 at the default parameters.
+@example(xs=(8, {0}), p=FamilyParams())
+@example(xs=(4, {0, 1, 2}), p=FamilyParams(cofinite_head=4, burnin=1))
+def test_cofinite_needs_a_tail_that_reaches_the_horizon(xs, p):
+    """Co-finite on the window means a non-empty member tail [m, horizon)
+    with m within the bound; a set that misses the last slot is never
+    co-finite, even where the bound reaches past the horizon."""
+    h, base = xs
+    assume(p.burnin <= h)
+    v = classify(window_set(h, base), p)
+    if v.cofinite:
+        assert h - 1 in base
+        assert v.cofinite_head <= p.cofinite_head
+        assert all(n in base for n in range(v.cofinite_head, h))
+    if h - 1 not in base:
+        assert not v.cofinite and v.cofinite_head == h
+    elif any(set(range(m, h)) <= base for m in range(p.cofinite_head + 1)):
+        assert v.cofinite
 
 
 @given(member_sets)
