@@ -38,8 +38,9 @@ eps, objective), from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
 with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
-then the successors of each node are one index range, stored as
-range(lo, hi), whose ends ascend together with f(p_i).  So each node's
+then the successors of each node i are one index range [lo[i], hi[i]),
+stored as two read-only int arrays (ChainGraph.succ is a view of ranges
+over them), whose ends ascend together with f(p_i).  So each node's
 predecessors are a run of the nodes sorted by (lo, hi), and the reverse
 graph is a range graph too.  Chain transitivity is strong connectivity;
 chain mixing also needs the cycle-length gcd to be 1.  One level-synchronous
@@ -333,14 +334,15 @@ class BestTracer:
 
 OBJECTIVES = ("max_cardinality", "min_max_gap")
 
-# The bytes of block state that either pass of best_tracers holds, about
-# half a megabyte whatever the grid size and the number of orbits; larger
-# blocks raised peak RSS for little speed.
+# The bytes of block state that either pass of best_tracers, or chain_graph,
+# holds, about half a megabyte whatever the grid size and the number of
+# orbits; larger blocks raised peak RSS for little speed.
 _BLOCK_BYTES = 2 ** 19
 
 
 def _block_size(rows: int, cell_bytes: int) -> int:
-    """Candidates per block for rows orbits at cell_bytes of state a pair."""
+    """Candidates (chain_graph: nodes) per block for rows orbits at
+    cell_bytes of state a pair."""
     return max(1, _BLOCK_BYTES // (rows * cell_bytes))
 
 
@@ -693,27 +695,76 @@ def fg_shadowing_probe(system, eps: float, deltas: Sequence[float], length: int,
 # the exact predicate holds on one run of j; the graph algorithms below work
 # on those ranges and never list an edge.
 
-@dataclass(frozen=True)
+class _Ranges:
+    """A read-only sequence of range(lo[i], hi[i]) over two int arrays."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, i) -> range:
+        return range(self.lo[i], self.hi[i])
+
+    def __iter__(self):
+        return map(range, self.lo.tolist(), self.hi.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class ChainGraph:
-    points: tuple[float, ...]
+    """Node i's successors are range(lo[i], hi[i]); succ is that sequence of
+    ranges, a view over lo and hi.
+
+    points is kept as a float64 array, and lo and hi as int arrays, all three
+    made read-only, because every chain check is cached per graph.  Any
+    succ other than such a view (hand-built, or a tuple handed to
+    dataclasses.replace) is read into arrays here.  A successor that is not
+    range(lo, hi) with 0 <= lo <= hi <= n raises ValueError.
+    """
+
+    points: np.ndarray
     delta: float
-    succ: tuple[range, ...]
+    succ: Sequence[range]
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=np.float64)
+        succ, n = self.succ, len(points)
+        if not isinstance(succ, _Ranges):
+            # Anything but a unit-step range is read as range(-1, -1), which
+            # the bounds check below refuses.
+            rows = [r if isinstance(r, range) and r.step == 1 else range(-1, -1)
+                    for r in succ]
+            succ = _Ranges(np.fromiter((r.start for r in rows), np.intp, len(rows)),
+                           np.fromiter((r.stop for r in rows), np.intp, len(rows)))
+        lo, hi = succ.lo, succ.hi
+        if len(lo) != n:
+            raise ValueError(f"{len(lo)} successor ranges for {n} nodes")
+        if len(bad := np.flatnonzero((lo < 0) | (lo > hi) | (hi > n))):
+            raise ValueError(f"the successors of node {bad[0]} are not a "
+                             f"range(lo, hi) with 0 <= lo <= hi <= {n}")
+        for a in (points, lo, hi):
+            a.flags.writeable = False
+        for name, value in (("points", points), ("succ", succ), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.points)
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ends lo, hi of the successor ranges as int arrays and the
-        nodes sorted by (lo, hi), built once per graph.  Every chain check
-        starts here, so a graph whose ranges do not ascend together (hi
-        falls somewhere in that order) raises ValueError before any work."""
-        lo = np.fromiter((r.start for r in self.succ), np.intp, len(self))
-        hi = np.fromiter((r.stop for r in self.succ), np.intp, len(self))
-        by = np.lexsort((hi, lo))
-        if (np.diff(hi[by]) < 0).any():
+        """lo, hi and the nodes sorted by (lo, hi), sorted once per graph.
+        Every chain check starts here, so a graph whose ranges do not ascend
+        together (hi falls somewhere in that order) raises ValueError before
+        any work."""
+        by = np.lexsort((self.hi, self.lo))
+        if (np.diff(self.hi[by]) < 0).any():
             raise ValueError("successor ranges do not ascend together")
-        return lo, hi, by
+        return self.lo, self.hi, by
 
     @cached_property
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -787,15 +838,20 @@ class ChainGraph:
 
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     """Edges i -> j whenever d(f(p_i), p_j) < delta + slack; succ[i] is the
-    range of those j (the system's grid must ascend)."""
+    range of those j (the system's grid must ascend).  The nodes are stepped
+    and windowed in blocks (_block_size), so beside the points and the two
+    int arrays of range ends, memory is about _BLOCK_BYTES whatever n."""
     if not 0 < delta < math.inf:
         raise ValueError(f"chain delta must be positive and finite, got {delta}")
     pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
-    # abs(fx - p) equals abs(p - fx) in floats, so the j with
-    # abs(f(p_i) - p_j) < tol are the run of the points in f(p_i)'s window.
-    lo, hi = _match_runs(pts, *_window(system.step_array(pts), delta + FLOAT_SLACK))
-    succ = tuple(map(range, lo.tolist(), hi.tolist()))
-    return ChainGraph(points=tuple(pts.tolist()), delta=delta, succ=succ)
+    lo, hi = np.empty((2, len(pts)), dtype=np.intp)
+    size = _block_size(1, 8)        # nodes whose float64 images fill the budget
+    for k in range(0, len(pts), size):
+        # abs(fx - p) equals abs(p - fx) in floats, so the j with
+        # abs(f(p_i) - p_j) < tol are the run of the points in f(p_i)'s window.
+        lo[k:k + size], hi[k:k + size] = _match_runs(pts, *_window(
+            system.step_array(pts[k:k + size]), delta + FLOAT_SLACK))
+    return ChainGraph(points=pts, delta=delta, succ=_Ranges(lo, hi))
 
 
 # The levels a BFS may expand before the chain checks fall back to Kosaraju.
@@ -911,10 +967,7 @@ def chain_recurrent_nodes(g: ChainGraph) -> tuple[int, ...]:
     with a self-loop."""
     if chain_transitive_check(g) and len(g) > 1:
         return tuple(range(len(g)))
-    out = []
-    for comp in g.components:
-        if len(comp) > 1:
-            out.extend(comp)
-        elif comp[0] in g.succ[comp[0]]:
-            out.append(comp[0])
-    return tuple(sorted(out))
+    node = np.arange(len(g))
+    loop = ((g.lo <= node) & (node < g.hi)).tolist()
+    return tuple(sorted(u for comp in g.components for u in comp
+                        if len(comp) > 1 or loop[u]))

@@ -296,7 +296,7 @@ def test_criterion_10_chain_graph_contrast():
     s_g = chain_graph(IntervalSystem(builtin("S")), 2001, 0.01)
     tent_ok = chain_transitive_check(tent_g) and chain_mixing_check(tent_g)
     # S(0) = 0: the self-loop at node 0 makes the full graph aperiodic.
-    zero = s_g.points.index(0.0)
+    zero = s_g.points.tolist().index(0.0)
     s_transitive = chain_transitive_check(s_g)
     s_mixing = chain_mixing_check(s_g)
     s_period = chain_period(s_g)

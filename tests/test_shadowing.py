@@ -1062,7 +1062,7 @@ def test_chain_half_swap_interval():
     # its fixed point at 0 gives the chain graph a self-loop, which kills
     # any parity obstruction a two-cycle would otherwise impose.
     g = chain_graph(S, 129, 0.02)
-    zero = g.points.index(0.0)
+    zero = g.points.tolist().index(0.0)
     assert zero in g.succ[zero]
     assert chain_transitive_check(g)
     assert chain_period(g) == 1
@@ -1203,7 +1203,7 @@ def test_chain_ranges_match_bisection():
         for n in (2, 3, 129, 1001, 2001):
             spacing = (system.hi - system.lo) / (n - 1)
             for delta in (1e-9, spacing, 0.01, 0.3, 2.0):
-                assert (chain_graph(system, n, delta).succ
+                assert (tuple(chain_graph(system, n, delta).succ)
                         == bisected_succ(system, n, delta)), (system.name, n, delta)
     rng = np.random.default_rng(31)
     for trial in range(200):
@@ -1211,7 +1211,8 @@ def test_chain_ranges_match_bisection():
         points = np.cumsum(rng.choice([0.25, 0.5, 1.0], size=n)) - 3.0
         system = DiscreteSystem(points, rng.integers(0, n, size=n))
         for delta in (0.1, 0.25, 0.5, 1.0, 40.0):
-            assert chain_graph(system, n, delta).succ == bisected_succ(system, n, delta)
+            assert (tuple(chain_graph(system, n, delta).succ)
+                    == bisected_succ(system, n, delta))
 
 
 @pytest.mark.parametrize("system", [TENT, S, EX, IDENT], ids=lambda s: s.name)
@@ -1441,6 +1442,90 @@ def test_reverse_ranges_match_brute_force():
         for n, delta in ((2, 0.5), (129, 0.01), (1001, 1e-4), (1001, 0.03)):
             assert_reverse_matches_brute_force(chain_graph(system, n, delta))
     assert_reverse_matches_brute_force(chain_graph(two_cluster_ring(100), 200, 0.015))
+
+
+# The chain_graph that stored succ as a tuple of ranges and points as a tuple
+# of floats, and the _bounds that read the ends back out of those ranges,
+# kept as oracles for the array form.
+
+def tuple_chain_graph(system, n_nodes, delta):
+    pts = system.grid(n_nodes)
+    lo, hi = shadowing._match_runs(pts, *shadowing._window(
+        system.step_array(pts), delta + shadowing.FLOAT_SLACK))
+    return tuple(pts.tolist()), tuple(map(range, lo.tolist(), hi.tolist()))
+
+
+def fromiter_bounds(succ):
+    lo = np.fromiter((r.start for r in succ), np.intp, len(succ))
+    hi = np.fromiter((r.stop for r in succ), np.intp, len(succ))
+    return lo, hi, np.lexsort((hi, lo))
+
+
+CHAIN_VERDICTS = (chain_transitive_check, chain_mixing_check, chain_period,
+                  chain_recurrent_nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from([TENT, S, EX, CLUSTERS]), n=st.integers(2, 3000),
+       delta=st.floats(1e-4, 0.5))
+def test_array_graph_matches_tuple_oracle(system, n, delta):
+    """chain_graph's arrays hold the ranges and points that the tuple build
+    made, in blocks of any size, and a graph rebuilt from tuple(g.succ)
+    reads the same ends and gives the same four verdicts."""
+    points, succ = tuple_chain_graph(system, n, delta)
+    g = chain_graph(system, n, delta)
+    again = ChainGraph(points=points, delta=delta, succ=tuple(g.succ))
+    with mock.patch.object(shadowing, "_block_size", blocks_of(7)):
+        blocked = chain_graph(system, n, delta)
+    for h in (g, again, blocked):
+        assert tuple(h.succ) == succ
+        assert tuple(h.points.tolist()) == points
+        assert all(np.array_equal(a, b) for a, b in zip(h._bounds, fromiter_bounds(succ)))
+    assert [check(g) for check in CHAIN_VERDICTS] == [check(again) for check in CHAIN_VERDICTS]
+
+
+def test_replaced_succ_builds_a_new_graph():
+    """dataclasses.replace(g, succ=...), as perfbench's drop_last_edge does
+    it, reads the new ranges into new arrays and decides the new graph
+    afresh: none of g's cached verdicts carry over."""
+    g = chain_graph(two_point_swap(), 2, 0.5)
+    assert run_chain_checks(g) == [True, False, 2, (0, 1)]
+    succ = list(g.succ)
+    succ[-1] = succ[-1][:-1]
+    h = replace(g, succ=tuple(succ))
+    assert set(vars(h)) == {"points", "delta", "succ", "lo", "hi"}
+    assert (h.lo.tolist(), h.hi.tolist()) == ([1, 0], [2, 0])
+    assert (g.lo.tolist(), g.hi.tolist()) == ([1, 0], [2, 1])
+    assert [len(r) for r in h.succ] == [1, 0]
+    assert run_chain_checks(h) == [False, False, None, ()]
+
+
+@pytest.mark.parametrize("points, succ, node", [
+    ((0.0, 1.0, 2.0, 3.0), (range(0, 4, 3),) * 4, 0),   # not a unit step
+    ((0.0, 1.0), (range(0, 9),) * 2, 0),                # past the last node
+    ((0.0, 1.0), (range(0, 2), range(-1, 1)), 1),       # below node 0
+    ((0.0, 1.0), (range(0, 2), range(2, 1)), 1),        # ends reversed
+    ((0.0, 1.0), (range(0, 2), (0, 1)), 1),             # not a range
+])
+def test_chain_graph_rejects_a_successor_outside_the_nodes(points, succ, node):
+    with pytest.raises(ValueError, match=f"the successors of node {node} are not a "
+                                         rf"range\(lo, hi\) with 0 <= lo <= hi <= {len(points)}"):
+        ChainGraph(points=points, delta=0.1, succ=succ)
+
+
+def test_chain_graph_needs_one_range_per_node():
+    with pytest.raises(ValueError, match="1 successor ranges for 2 nodes"):
+        ChainGraph(points=(0.0, 1.0), delta=0.1, succ=(range(0, 2),))
+
+
+def test_chain_graph_arrays_are_read_only():
+    """Every chain check is cached per graph, so a graph's arrays refuse an
+    in-place write, built by chain_graph or by hand."""
+    hand = ChainGraph(points=(0.0, 1.0), delta=0.1, succ=(range(1, 2), range(0, 1)))
+    for g in (chain_graph(TENT, 129, 0.02), hand):
+        for a in (g.points, g.lo, g.hi):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
 
 def test_discrete_nearest_matches_argmin():
