@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the library surveys; each writes a plain
 report.txt plus CSV side files into --out.  Options resolve as command line
 > INI config (--config) > built-in defaults, and --dump-config prints the
-effective INI so runs can be reproduced exactly.  Exit codes: 0 ok, 2 bad
-configuration or empty analysis, 3 resource budget exceeded.
+effective INI so runs can be reproduced exactly.  main returns the exit
+code: 0 ok (--help too), 2 bad configuration or empty analysis (an argv
+that argparse rejects too), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ SECTIONS: dict[str, list[tuple[str, type, object, str]]] = {
     ],
     "p-chaos": [
         *_tracing(),
-        ("chain-delta", float, 0.02, "chain graph tolerance"),
-        ("chain-nodes", int, 129, "chain graph size"),
+        ("chain-delta", float, 0.02,
+         "chain graph tolerance, which also sizes its grid"),
         ("density-eps", _fraction, Fraction(1, 64), "periodic-point cell size"),
         ("density-steps", int, 10, "largest period searched"),
         *_family(_PROBE_FAMILY),
@@ -304,7 +305,7 @@ def _options():
     """Turn a library ValueError into a ConfigError, exit 2.  A survey's
     ValueError is a bug, so the block holds only calls whose ValueErrors are
     all input checks: parsers, the surveys' checks, and language,
-    chain_graph, occurrence_gaps and spacing_dense_periodic."""
+    chain_nodes, chain_graph, occurrence_gaps and spacing_dense_periodic."""
     try:
         yield
     except ValueError as e:
@@ -531,7 +532,8 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
         interval.density_cells(m, o.density_eps, o.density_steps)
         system, probe = _tracer(m, name, o, family, "full",
                                 "piecewise_syndetic")
-        g = shadowing.chain_graph(system, o.chain_nodes, o.chain_delta)
+        g = shadowing.chain_graph(
+            system, shadowing.chain_nodes(system, o.chain_delta), o.chain_delta)
     seed = f"{seed}/p-chaos/{name}"
     density = interval.periodic_density_report(m, o.density_eps,
                                                o.density_steps)
@@ -546,7 +548,7 @@ def run_p_chaos(o: argparse.Namespace, family: FamilyParams, seed: str):
         f"tracing probe (target=full): {full.verdict}",
         f"auxiliary panel (target=piecewise_syndetic): {aux.verdict} "
         f"(reported, not asserted)",
-        f"chain graph ({o.chain_nodes} nodes, delta={o.chain_delta}): "
+        f"chain graph ({len(g)} nodes, delta={o.chain_delta}): "
         f"transitive={_fb(transitive)} mixing={_fb(mixing)}",
         f"evidence={_fb(evidence)}",
         "",
@@ -613,7 +615,10 @@ def _report_all(outdir: Path, seed: str) -> str:
 
 def _main(argv: list[str]) -> int:
     parser = _build_parser(argv)
-    given = vars(parser.parse_args(argv))
+    try:
+        given = vars(parser.parse_args(argv))
+    except SystemExit as e:   # argparse's usage error (2) or --help (0)
+        return e.code
     ini = _load_ini(given["config"]) if given.get("config") else {}
     if given.get("dump_config"):
         sys.stdout.write(_dump_config(ini, given))

@@ -37,10 +37,11 @@ the probe runs, its winners sit in a dict keyed by (orbit, id(candidates),
 eps, objective), from which best_tracer reads each row's winner.
 
 Chain graphs discretize the delta-chain relation: nodes are grid points,
-with an edge i -> j whenever d(f(p_i), p_j) < delta.  The grid must ascend;
-then the successors of each node i are one index range [lo[i], hi[i]),
-stored as two read-only int arrays (ChainGraph.succ is a view of ranges
-over them), whose ends ascend together with f(p_i).  So each node's
+with an edge i -> j whenever d(f(p_i), p_j) < delta; chain_nodes sizes the
+grid from delta, at most delta / 2 between neighbours.  The grid must
+ascend; then the successors of each node i are one index range
+[lo[i], hi[i]), stored as two read-only int arrays (ChainGraph.succ is a
+view of ranges over them), whose ends ascend together with f(p_i).  So each node's
 predecessors are a run of the nodes sorted by (lo, hi), and the reverse
 graph is a range graph too.  Chain transitivity is strong connectivity;
 chain mixing also needs the cycle-length gcd to be 1.  One level-synchronous
@@ -62,6 +63,7 @@ import math
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -75,37 +77,6 @@ from .setfam import FamilyParams, WindowSet
 FLOAT_SLACK = 2.0 ** -40
 
 JUMP_FRACTION = 0.9  # jumps are capped at this fraction of delta
-
-
-def _least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
-    """Per row r, the least j in [0, size] with pred(j)[r] true (size when
-    none), all rows at once.
-
-    pred takes one index in [0, size) per row and must be monotone in j on
-    each row over all of [0, size): false, then true, as _nearest's is from
-    its pick up.  Each guess gallops away from itself by 1, 2, 4, ... indices
-    a pass until pred flips, and the last step is bisected; so a guess that a
-    search on rounded values put a step or two off settles in a pass or two,
-    and one k indices off in O(log k) passes.
-    """
-    down = (guess > 0) & pred(np.maximum(guess - 1, 0))
-    up = (guess < size) & ~pred(np.minimum(guess, size - 1))
-    # pred is false below lo and true at hi (or hi is size).
-    lo = np.where(down, 0, guess + up)
-    hi = np.where(down, guess - 1, np.where(up, size, guess))
-    step = 1
-    while (moving := lo < hi).any():
-        # A galloping row probes step indices past its last probe; a row
-        # whose gallop has overshot bisects.
-        at = np.where(down, np.maximum(hi - step, lo),
-                      np.where(up, np.minimum(lo + step - 1, hi - 1), (lo + hi) // 2))
-        hit = pred(np.clip(at, 0, size - 1))
-        hi = np.where(moving & hit, at, hi)
-        lo = np.where(moving & ~hit, at + 1, lo)
-        down &= hit
-        up &= ~hit
-        step *= 2
-    return lo
 
 
 class IntervalSystem:
@@ -162,14 +133,11 @@ class DiscreteSystem:
         pts = self.points
         k = np.searchsorted(pts, arr)
         left, right = np.maximum(k - 1, 0), np.minimum(k, len(pts) - 1)
-        d_left, d_right = np.abs(arr - pts[left]), np.abs(arr - pts[right])
-        best = np.where(d_left <= d_right, left, right)
-        d = np.minimum(d_left, d_right)
-        # Rounded distances fall toward arr, so the points at distance d below
-        # best form one run ending at best; argmin takes its first.  Read at
-        # best past it, the test holds from the run's start up.
-        return _least_true(lambda j: np.abs(arr - pts[np.minimum(j, best)]) <= d,
-                           best, len(pts))
+        d = np.minimum(np.abs(arr - pts[left]), np.abs(arr - pts[right]))
+        # No point is nearer than a neighbour, and the points at rounded
+        # distance d are the run in the window for the tolerance just above
+        # d; argmin takes the first of them.
+        return np.searchsorted(pts, _window(arr, np.nextafter(d, np.inf))[0])
 
     def step_array(self, arr: np.ndarray) -> np.ndarray:
         # A value past an end is nearest that end, though its rounded
@@ -346,23 +314,27 @@ def _block_size(rows: int, cell_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // (rows * cell_bytes))
 
 
-def _window(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _window(points: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
     """Per point p, the floats a <= p <= b such that abs(x - p) < tol holds
     exactly when a <= x <= b; (NaN, NaN), which no x meets, where p is not
-    finite.  Subtraction is correctly rounded, so fl(x - p) rises with x:
-    fl(x - p) < tol while the exact x - p is below the midpoint of tol and
-    the float under it, and > -tol mirrors it.  TwoSum (Knuth) puts p plus
-    that midpoint within an ulp, clamped to the largest float, and
-    np.nextafter under the rounded test itself settles each end."""
+    finite; tol is one float, or one per point.  Subtraction is correctly
+    rounded, so fl(x - p) rises with x: fl(x - p) < tol while the exact
+    x - p is below the midpoint of tol and the float under it, and > -tol
+    mirrors it.  TwoSum (Knuth) puts p plus that midpoint within an ulp,
+    clamped to the largest float, and np.nextafter under the rounded test
+    itself settles each end."""
     p = np.asarray(points, dtype=float)
-    below = math.nextafter(tol, -math.inf)
+    below = np.nextafter(tol, -np.inf)
     finite, big, ends = np.isfinite(p), np.finfo(float).max, []
     with np.errstate(over="ignore", invalid="ignore"):
+        # math.ulp(below) per point: np.spacing is signed, and inf at the
+        # largest float.
+        half = np.minimum(np.spacing(np.abs(below)), big - np.nextafter(big, 0)) / 2
         for sign, away in ((-1.0, -np.inf), (1.0, np.inf)):
             t = sign * below
             s = p + t
             z = s - p       # TwoSum's error, and the half ulp to the midpoint
-            err = (p - (s - z)) + (t - z) + sign * math.ulp(below) / 2
+            err = (p - (s - z)) + (t - z) + sign * half
             x = np.where(finite, np.clip(np.where(np.isfinite(s), s + err, s),
                                          -big, big), np.nan)
             while (fail := finite & ~(sign * (x - p) < tol)).any():
@@ -816,24 +788,40 @@ class ChainGraph:
         (Denardo 1977).  Over one successor range [lo, hi) the terms reduce
         to depth(u)+1-depth(lo) and the differences depth(k+1)-depth(k) for
         k in [lo, hi-1); a difference array marks every k that some range
-        covers, and one gcd reduction takes them all, in O(n).  Past the
-        BFS level cap, the first tree of Kosaraju's forward pass gives the
-        depths instead.
+        covers.  Each family takes one gcd reduction in O(n), one after the
+        other, so that only one is held at a time.  Past the BFS level cap,
+        the first tree of Kosaraju's forward pass gives the depths instead.
         """
         if not chain_transitive_check(self):
+            return None
+        lo, hi, _ = self._bounds
+        if (lo == hi).any():
+            # Strongly connected, so this is one node, and it has no loop.
             return None
         n = len(self)
         depth = self._levels
         if depth is None:
             depth = np.array(self._forward[1], dtype=np.int64)
-        lo, hi, _ = self._bounds
-        rows = np.flatnonzero(hi > lo)
-        lo, hi = lo[rows], hi[rows]
         covered = np.cumsum(np.bincount(lo, minlength=n)
                             - np.bincount(hi - 1, minlength=n)) > 0
-        terms = np.concatenate([depth[rows] + 1 - depth[lo],
-                                np.diff(depth)[covered[:-1]]])
-        return int(np.gcd.reduce(np.abs(terms))) or None
+        along = int(np.gcd.reduce(np.diff(depth)[covered[:-1]]))
+        across = int(np.gcd.reduce(depth + 1 - depth[lo]))
+        return math.gcd(along, across) or None
+
+
+def _check_chain_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValueError(f"chain delta must be positive and finite, got {delta}")
+
+
+def chain_nodes(system, delta: float) -> int:
+    """The chain-graph size for delta: 2^k + 1 nodes for the least k >= 0
+    whose grid spacing (hi - lo) / 2^k is at most delta / 2, worked out on
+    the exact values of the floats.  At half the delta each spacing splits
+    in two at most, so the finer grid keeps every node of the coarser one."""
+    _check_chain_delta(delta)
+    spacings = (Fraction(system.hi) - Fraction(system.lo)) / (Fraction(delta) / 2)
+    return 2 ** (max(math.ceil(spacings), 1) - 1).bit_length() + 1
 
 
 def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
@@ -841,8 +829,7 @@ def chain_graph(system, n_nodes: int, delta: float) -> ChainGraph:
     range of those j (the system's grid must ascend).  The nodes are stepped
     and windowed in blocks (_block_size), so beside the points and the two
     int arrays of range ends, memory is about _BLOCK_BYTES whatever n."""
-    if not 0 < delta < math.inf:
-        raise ValueError(f"chain delta must be positive and finite, got {delta}")
+    _check_chain_delta(delta)
     pts = system.grid(n_nodes)      # charged to enum_nodes as it is built
     lo, hi = np.empty((2, len(pts)), dtype=np.intp)
     size = _block_size(1, 8)        # nodes whose float64 images fill the budget

@@ -4,6 +4,9 @@ precedence, and byte-level determinism of emitted files."""
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,10 +32,19 @@ def test_no_subcommand_is_config_error(capsys):
     assert "no subcommand" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    assert main(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+def test_script_exits_with_mains_code():
+    # main returns every code, argparse's too; the script entry raises it.
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "chaoskit.cli"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.endswith("error: no subcommand given\n")
 
 
 def test_bad_generator_exits_2(tmp_path, capsys):
@@ -59,6 +71,7 @@ def test_bad_generator_past_the_cap_exits_2(members, message, tmp_path,
 
 
 BAD_PARAMETERS = [
+    # The first nine are the bad configurations that perfbench runs.
     ["classify-set", "--gap", "0"],
     ["classify-set", "--tail-policy", "foo"],
     ["classify-set", "--horizon", "8", "--members", "3,9"],
@@ -112,17 +125,14 @@ BAD_PARAMETERS = [
 
 @pytest.mark.parametrize("argv", BAD_PARAMETERS, ids=" ".join)
 def test_bad_parameter_exits_2(argv, tmp_path, capsys):
-    try:
-        code = main(argv + ["--out", str(tmp_path)])
-    except SystemExit as e:   # a value argparse cannot convert
-        code = e.code
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert f"chaoskit {argv[0]}: error: argument {argv[1]}: " in err
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    if err.startswith("usage: "):   # a value or a flag that argparse rejects
+        assert (f"chaoskit {argv[0]}: error: argument {argv[1]}: " in err
+                or f"chaoskit: error: unrecognized arguments: {argv[1]} " in err)
     else:
-        err = capsys.readouterr().err
         assert err.startswith("error:")
-    assert code == 2 and "Traceback" not in err
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())   # rejected before any report
 
 
@@ -157,7 +167,8 @@ def test_grid_sizes_are_capped_before_any_work(tmp_path, monkeypatch, capsys):
     # The density grid has ceil(width / eps) cells: S spans [0, 2], tent [0, 1].
     for argv, name, amount in (
             (["shadow", "--candidates", str(n)], "enum_nodes", n),
-            (["p-chaos", "--chain-nodes", str(n)], "enum_nodes", n),
+            # 1e-6 on [0, 1] needs 2^21 spacings of at most 5e-7.
+            (["p-chaos", "--chain-delta", "1e-6"], "enum_nodes", 2 ** 21 + 1),
             (["interval-devaney", "--density-eps", "1/2000000"], "enum_nodes",
              4_000_000),
             (["p-chaos", "--density-eps", "1/2000000"], "enum_nodes", 2_000_000),
@@ -452,9 +463,9 @@ def test_pchaos_routes_every_option(tmp_path, monkeypatch):
     monkeypatch.setattr(shadowing, "fg_shadowing_probe",
                         lambda *a, **k: probes.append(original(*a, **k))
                         or probes[-1])
-    assert main(["p-chaos", "--chain-nodes", "65", "--chain-delta", "0.05",
-                 "--density-eps", "1/16", "--candidates", "2001",
-                 "--trials", "2", "--out", str(tmp_path)]) == 0
+    assert main(["p-chaos", "--chain-delta", "0.05", "--density-eps", "1/16",
+                 "--candidates", "2001", "--trials", "2",
+                 "--out", str(tmp_path)]) == 0
     rep = read(tmp_path / "report.txt")
     assert " cells=16 " in rep and " epsilon=1/16\n" in rep
     assert "chain graph (65 nodes, delta=0.05)" in rep
@@ -464,6 +475,16 @@ def test_pchaos_routes_every_option(tmp_path, monkeypatch):
         # Two trials at each of the three default deltas; tent gets no
         # challenge.
         assert len(read(tmp_path / name).splitlines()) == 1 + 2 * 3
+
+
+def test_pchaos_sizes_its_chain_grid_from_delta(tmp_path, capsys):
+    # On 129 nodes the spacing 1/128 exceeds this delta, and tent reads
+    # chain_mixing=false.
+    assert main(["p-chaos", "--map", "tent", "--chain-delta", "0.001",
+                 "--out", str(tmp_path)]) == 0
+    assert "chain_mixing=true" in capsys.readouterr().out
+    assert ("chain graph (2049 nodes, delta=0.001): transitive=true mixing=true\n"
+            in read(tmp_path / "report.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +626,12 @@ def test_undecodable_input_files_exit_2(tmp_path, capsys):
 
 
 def test_flags_are_parsed_before_the_ini_is_read(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(tmp_path / "missing.ini"), "classify-set",
-              "--help"])
-    assert exc.value.code == 0
+    assert main(["--config", str(tmp_path / "missing.ini"), "classify-set",
+                 "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: chaoskit classify-set")
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[mystery]\nx=1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "classify-set", "--bogus"])
-    assert exc.value.code == 2
+    assert main(["--config", str(cfg), "classify-set", "--bogus"]) == 2
     err = capsys.readouterr().err
     assert "error: unrecognized arguments: --bogus" in err
     assert "mystery" not in err
@@ -630,9 +647,8 @@ def test_value_starting_with_a_dash_needs_the_equals_form(tmp_path, capsys):
     assert ("witness: word=001 k=2 member=true block_start=true"
             in read(tmp_path / "report.txt"))
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["spacing", "--witness", "-,2,1", "--out", str(tmp_path / "b")])
-    assert exc.value.code == 2
+    assert main(["spacing", "--witness", "-,2,1",
+                 "--out", str(tmp_path / "b")]) == 2
     assert ("chaoskit spacing: error: argument --witness: expected one argument"
             in capsys.readouterr().err)
     assert not (tmp_path / "b").exists()
@@ -719,13 +735,10 @@ def full_parser(argv=()):
 
 
 def outcome(argv):
-    """(exit code, stdout, stderr) of one main call, argparse's exits too."""
+    """(exit code, stdout, stderr) of one main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as e:
-            code = e.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -753,7 +766,7 @@ PARSER_CASES = [
     ["interval-devaney", "--delta", "1/0"],
     ["--dump-config"],
     ["spacing", "--horizon", "64", "--dump-config"],
-    ["--dump-config", "--seed", "9", "p-chaos", "--chain-nodes", "65"],
+    ["--dump-config", "--seed", "9", "p-chaos", "--chain-delta", "0.05"],
 ]
 
 
@@ -788,4 +801,4 @@ def test_a_call_builds_only_its_own_subcommand(tmp_path, monkeypatch):
     assert 0 < len(calls) <= 30
     calls.clear()
     full_parser()
-    assert len(calls) == 76
+    assert len(calls) == 75

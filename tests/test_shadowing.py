@@ -10,7 +10,9 @@ import random
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from math import ceil, gcd, inf, log2, nextafter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,14 +22,14 @@ from hypothesis import strategies as st
 
 from chaoskit import budgets, shadowing
 from chaoskit.budgets import BudgetError
-from chaoskit.interval import builtin
+from chaoskit.interval import builtin, parse_pl_text
 from chaoskit.setfam import CENSORED, STRICT, FamilyParams, WindowSet, classify
 from chaoskit.shadowing import (
     BestTracer, ChainGraph, DiscreteSystem, IntervalSystem, PseudoOrbit,
-    TraceReport, best_tracer, best_tracers, chain_graph, chain_mixing_check, chain_period, chain_recurrent_nodes,
-    chain_transitive_check, crossing_challenge, fg_shadowing_probe,
-    make_pseudo_orbit, orbit_points, recompute_valid_set,
-    strongly_connected_components, trace_set,
+    TraceReport, best_tracer, best_tracers, chain_graph, chain_mixing_check,
+    chain_nodes, chain_period, chain_recurrent_nodes, chain_transitive_check,
+    crossing_challenge, fg_shadowing_probe, make_pseudo_orbit, orbit_points,
+    recompute_valid_set, strongly_connected_components, trace_set,
 )
 from test_interval import random_maps
 
@@ -734,6 +736,26 @@ def test_window_is_exactly_the_rounded_test(case, draws):
                 (tol, points, x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(
+    # DiscreteSystem._nearest passes the float just above a distance, down
+    # to the least subnormal for a value on a point; 0 and inf are the ends
+    # where np.spacing and math.ulp part.
+    st.one_of(st.floats(5e-324, MAX_FLOAT),
+              st.sampled_from([0.0, 5e-324, 1e-323, MAX_FLOAT, inf])),
+    st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=6))
+def test_window_takes_one_tol_per_point(pairs):
+    # Each point's window is the one its own tol gives alone, and exact.
+    tol, points = map(np.array, zip(*pairs))
+    a, b = shadowing._window(points, tol)
+    for k, (t, p) in enumerate(pairs):
+        assert (a[k], b[k]) == tuple(e[0] for e in shadowing._window(np.array([p]), t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (a, b, np.nextafter(a, -inf), np.nextafter(b, inf)):
+            assert np.array_equal(np.abs(x - points) < tol, (a <= x) & (x <= b)), \
+                (tol, points, x)
+
+
 @settings(max_examples=50, deadline=None)
 @given(tol=st.floats(2.0 ** -40, MAX_FLOAT),
        x=st.lists(st.floats(), min_size=1, max_size=6))
@@ -1052,9 +1074,57 @@ def test_chain_graph_rejects_delta_before_any_grid(delta):
     # NaN links nothing and infinity links everything: no chain evidence.
     system = IntervalSystem(builtin("tent"))
     system.grid = mock.Mock(side_effect=AssertionError("grid built"))
-    with pytest.raises(ValueError, match=f"chain delta must be positive and "
-                                         f"finite, got {delta}"):
-        chain_graph(system, 129, delta)
+    for build in (lambda: chain_graph(system, 129, delta),
+                  lambda: chain_nodes(system, delta)):
+        with pytest.raises(ValueError, match=f"chain delta must be positive "
+                                             f"and finite, got {delta}"):
+            build()
+
+
+@pytest.mark.parametrize("system, delta, nodes", [
+    (TENT, 0.02, 129), (S, 0.02, 257), (TENT, 0.05, 65), (TENT, 0.001, 2049),
+    (IDENT, 2.0 ** -18, 2 ** 19 + 1), (IDENT, nextafter(2.0 ** -18, 0), 2 ** 20 + 1),
+    (TENT, 2.0, 2), (TENT, 1e300, 2), (TENT, nextafter(2.0, 0), 3)])
+def test_chain_nodes_is_the_coarsest_grid_at_half_delta(system, delta, nodes):
+    # The spacing is at most delta / 2, and on the grid one power of two
+    # smaller it is not; exactly, on the floats' own values.
+    assert chain_nodes(system, delta) == nodes
+    width = Fraction(system.hi) - Fraction(system.lo)
+    assert width / (nodes - 1) <= Fraction(delta) / 2
+    assert nodes == 2 or width / ((nodes - 1) // 2) > Fraction(delta) / 2
+
+
+def test_chain_grid_keeps_the_nodes_of_the_coarser_grid():
+    for system in (TENT, S):
+        coarse = system.grid(chain_nodes(system, 0.02))
+        assert np.array_equal(system.grid(chain_nodes(system, 0.01))[::2], coarse)
+
+
+MAPS = Path(__file__).parent / "maps"
+CHAIN_MIXING = [TENT, S, EX, IDENT,
+                *(IntervalSystem(parse_pl_text((MAPS / f"{name}.txt").read_text()), name)
+                  for name in ("markov4", "zigzag3"))]
+# f(x) > x on (0, 1), and f(x) - x = 1/20 at 1/2: no delta-chain below 1/20
+# leads back across 1/2.
+DRIFT = IntervalSystem(parse_pl_text("domain=0,1\n0:0\n1/2:11/20\n1:1\n"), "drift")
+
+
+def sized_chain_graph(system, delta):
+    return chain_graph(system, chain_nodes(system, delta), delta)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.006, 0.001, 0.0005, 0.0001])
+def test_sized_chain_graphs_read_each_fixture_chain_mixing(delta):
+    # A grid coarser than delta reads each of these maps not chain mixing.
+    for system in CHAIN_MIXING:
+        g = sized_chain_graph(system, delta)
+        assert (chain_transitive_check(g), chain_mixing_check(g)) == (True, True), \
+            (system.name, delta)
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.001])
+def test_sized_chain_graph_reads_a_drift_not_transitive(delta):
+    assert not chain_transitive_check(sized_chain_graph(DRIFT, delta))
 
 
 def test_chain_half_swap_interval():
@@ -1545,6 +1615,7 @@ def test_discrete_nearest_matches_argmin():
             [points[0] - 1e300, points[-1] + 1e300, -1e18, 1e18]])
         want = np.abs(arr[:, None] - points[None, :]).argmin(axis=1)
         assert np.array_equal(system._nearest(arr), want)
+        assert np.array_equal(galloping_nearest(points, arr), want)
         # step_array clamps first, so a far value snaps to its end point.
         clamped = np.clip(arr, points[0], points[-1])
         want = np.abs(clamped[:, None] - points[None, :]).argmin(axis=1)
@@ -1565,26 +1636,61 @@ def test_discrete_step_sends_far_values_to_the_nearest_end():
     assert np.array_equal(ramp.step_array(far[:6]), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def test_discrete_nearest_gallops_over_tied_distances(monkeypatch):
+def test_discrete_nearest_crosses_tied_distances():
     # Seen from 1e300 every distance to 20,000 points in [0, 1) rounds to
-    # 1e300, so the tie run is all of them; the search must cross it in
-    # O(log n) predicate passes, not one pass per tied point.
+    # 1e300, so the tie run is all of them, and the lowest point is meant.
     n = 20_000
     points = np.arange(n) / n
     system = DiscreteSystem(points, np.zeros(n, dtype=int))
-    calls = []
-    real = shadowing._least_true
-
-    def counted(pred, guess, size):
-        return real(lambda j: calls.append(len(j)) or pred(j), guess, size)
-    monkeypatch.setattr(shadowing, "_least_true", counted)
-    bound = 2 * ceil(log2(n)) + 3
     for value, want in ((1e300, 0), (-1e300, 0), (0.5 + 1e-9, n // 2),
                         (2.0, n - 1)):
-        calls.clear()
         assert system._nearest(np.array([value])).tolist() == [want]
-        assert len(calls) <= bound, (value, len(calls))
-    assert 0 < len(calls) <= 3
+
+
+def least_true(pred, guess: np.ndarray, size: int) -> np.ndarray:
+    """Per row r, the least j in [0, size] with pred(j)[r] true (size when
+    none), all rows at once.
+
+    pred takes one index in [0, size) per row and must be monotone in j on
+    each row over all of [0, size): false, then true.  Each guess gallops
+    away from itself by 1, 2, 4, ... indices a pass until pred flips, and
+    the last step is bisected; so a guess a step or two off settles in a
+    pass or two, and one k indices off in O(log k) passes.
+    """
+    down = (guess > 0) & pred(np.maximum(guess - 1, 0))
+    up = (guess < size) & ~pred(np.minimum(guess, size - 1))
+    # pred is false below lo and true at hi (or hi is size).
+    lo = np.where(down, 0, guess + up)
+    hi = np.where(down, guess - 1, np.where(up, size, guess))
+    step = 1
+    while (moving := lo < hi).any():
+        # A galloping row probes step indices past its last probe; a row
+        # whose gallop has overshot bisects.
+        at = np.where(down, np.maximum(hi - step, lo),
+                      np.where(up, np.minimum(lo + step - 1, hi - 1), (lo + hi) // 2))
+        hit = pred(np.clip(at, 0, size - 1))
+        hi = np.where(moving & hit, at, hi)
+        lo = np.where(moving & ~hit, at + 1, lo)
+        down &= hit
+        up &= ~hit
+        step *= 2
+    return lo
+
+
+def galloping_nearest(points: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """The nearest point to each value, the lowest on a tie, by galloping
+    down the tie run from the nearer neighbour: an oracle for _nearest that
+    reads rounded distances only, never a window."""
+    k = np.searchsorted(points, arr)
+    left, right = np.maximum(k - 1, 0), np.minimum(k, len(points) - 1)
+    d_left, d_right = np.abs(arr - points[left]), np.abs(arr - points[right])
+    best = np.where(d_left <= d_right, left, right)
+    d = np.minimum(d_left, d_right)
+    # Rounded distances fall toward arr, so the points at distance d below
+    # best form one run ending at best.  Read at best past it, the test
+    # holds from the run's start up.
+    return least_true(lambda j: np.abs(arr - points[np.minimum(j, best)]) <= d,
+                      best, len(points))
 
 
 def test_least_true_finds_each_threshold_from_any_guess():
@@ -1595,7 +1701,7 @@ def test_least_true_finds_each_threshold_from_any_guess():
         t = rng.integers(0, size + 1, 500)
         guess = rng.integers(0, size + 1, 500)
         passes = []
-        got = shadowing._least_true(lambda j: passes.append(1) or j >= t, guess, size)
+        got = least_true(lambda j: passes.append(1) or j >= t, guess, size)
         assert np.array_equal(got, t)
         assert len(passes) <= 2 * ceil(log2(size + 1)) + 3
 
